@@ -127,8 +127,9 @@ class Sketch:
 
     def insert(self, hash_value: int) -> None:
         """Insert one 64-bit hash value."""
-        if not 0 <= hash_value < (1 << HASH_BITS):
-            raise RangeError(f"hash value {hash_value} outside 64-bit range")
+        if not _is_hash(hash_value):
+            raise RangeError(f"hash value {hash_value!r} is not an integer in [0, 2**64)")
+        hash_value = int(hash_value)
         p, q = self.config.p, self.config.q
         idx = hash_value >> (HASH_BITS - p)
         if q:
@@ -140,16 +141,18 @@ class Sketch:
             self._regs[idx] = value
 
     def insert_many(self, hashes) -> None:
-        """Vectorized insertion of an array of 64-bit hash values."""
-        h = np.asarray(hashes, dtype=np.uint64)
+        """Vectorized insertion of an array of 64-bit hash values.
+
+        Raises RangeError unless every value is an integer in [0, 2**64).
+        """
+        h = _hash_array(hashes)
         if h.size == 0:
             return
         p, q = self.config.p, self.config.q
-        idx = (h >> np.uint64(HASH_BITS - p)).astype(np.int64)
+        idx = (h >> (HASH_BITS - p)).astype(np.int64)
         if q:
-            mask = (np.uint64(1) << np.uint64(q)) - np.uint64(1)
-            bits = (h >> np.uint64(HASH_BITS - p - q)) & mask
-            value = (q + 1 - _bit_length_u64(bits)).astype(np.uint8)
+            bits = (h >> (HASH_BITS - p - q)) & ((1 << q) - 1)
+            value = np.uint8(q + 1) - _bit_length_u64(bits)
         else:
             value = np.ones(h.size, dtype=np.uint8)
         np.maximum.at(self._regs, idx, value)
@@ -192,9 +195,11 @@ class Sketch:
                 f"expected {config.m} register bytes, got {len(body)}"
             )
         regs = np.frombuffer(body, dtype=np.uint8)
-        if np.any(regs > config.max_register):
+        if regs.max() > config.max_register:
             raise RangeError("register value exceeds q+1")
-        return cls.from_registers(config, regs)
+        sk = cls(config)
+        sk._regs[:] = regs  # copy: frombuffer is read-only and aliases ``data``
+        return sk
 
     def __eq__(self, other):
         if not isinstance(other, Sketch):
@@ -211,13 +216,33 @@ def merge(a: Sketch, b: Sketch) -> Sketch:
     return a.merge(b)
 
 
+def _hash_array(hashes) -> np.ndarray:
+    """``hashes`` as uint64, or RangeError for anything but integers in [0, 2**64).
+
+    Unsigned and bool arrays pass on their dtype alone; signed arrays need a
+    sign check.  Floats and objects are converted element by element: numpy
+    reads a list that mixes ints below and above 2**63 as float64, so only
+    the original elements are exact.
+    """
+    h = np.asarray(hashes)
+    if h.dtype.kind in "ub":
+        return h.astype(np.uint64, copy=False)
+    if h.dtype.kind == "i":
+        if h.size and h.min() < 0:
+            raise RangeError("hash values must be non-negative")
+        return h.astype(np.uint64)
+    if h.ndim == 1 and all(_is_hash(x) for x in hashes):
+        return np.array([int(x) for x in hashes], dtype=np.uint64)
+    raise RangeError("hash values must be integers in [0, 2**64)")
+
+
+def _is_hash(x) -> bool:
+    return isinstance(x, (int, np.integer)) and 0 <= x < 1 << HASH_BITS
+
+
 def _bit_length_u64(v: np.ndarray) -> np.ndarray:
-    """Bit length of each uint64 (0 for 0), without float round-off."""
-    out = np.zeros(v.shape, dtype=np.int64)
-    v = v.copy()
-    for shift in (32, 16, 8, 4, 2, 1):
-        big = v >= (np.uint64(1) << np.uint64(shift))
-        out[big] += shift
-        v[big] >>= np.uint64(shift)
-    out[v > 0] += 1
-    return out
+    """Bit length of each uint64 (0 for 0) as uint8: smear the top one bit down, count."""
+    v = v | (v >> 1)
+    for shift in (2, 4, 8, 16, 32):
+        v |= v >> shift
+    return np.bitwise_count(v)

@@ -6,9 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hllkit.errors import ConfigMismatchError, FormatError, RangeError
-from hllkit.sketch import RegisterHistogram, Sketch, SketchConfig, merge
+from hllkit.sketch import RegisterHistogram, Sketch, SketchConfig, _bit_length_u64, merge
 
 HASHES = st.integers(min_value=0, max_value=2**64 - 1)
+# 0, every power of two, every 2**k - 1 (including 2**64 - 1)
+BIT_EDGES = sorted({0} | {1 << k for k in range(64)} | {(1 << k) - 1 for k in range(1, 65)})
+
+
+def spread_hashes(p):
+    """Hashes whose index and value bits are drawn apart, so that small draws
+    do not all land in register 0."""
+    return st.tuples(st.integers(0, (1 << p) - 1), st.integers(0, 2**(64 - p) - 1)).map(
+        lambda t: (t[0] << (64 - p)) | t[1])
 
 
 def make(p=12, q=20):
@@ -73,6 +82,10 @@ class TestInsert:
         with pytest.raises(RangeError):
             make().insert(bad)
 
+    def test_float_hash_rejected(self):
+        with pytest.raises(RangeError):
+            make().insert(1.5)
+
     def test_q_zero_sets_bitmap_bit(self):
         sk = make(4, 0)
         sk.insert(3 << 60)
@@ -127,6 +140,54 @@ class TestInsertMany:
         sk = make()
         sk.insert_many(np.array([], dtype=np.uint64))
         assert sk == make()
+
+    def test_empty_list_is_noop(self):
+        # np.asarray([]) is float64, which must not trip the float check
+        sk = make()
+        sk.insert_many([])
+        assert sk == make()
+
+    def test_float_hashes_rejected(self):
+        sk = make()
+        with pytest.raises(RangeError):
+            sk.insert_many([1.7])
+        assert sk == make()
+
+    def test_negative_hash_rejected(self):
+        with pytest.raises(RangeError):
+            make().insert_many([-1])
+
+    @pytest.mark.parametrize("bad", [[2**64], [1, 2**64], [2**70]])
+    def test_hash_above_64_bits_rejected(self, bad):
+        with pytest.raises(RangeError):
+            make().insert_many(bad)
+
+    def test_list_mixing_small_and_large_ints(self):
+        # numpy reads [1, 2**63] as float64; the exact integers must still land
+        hashes = [1, 2**63, 2**64 - 1]
+        a, b = make(), make()
+        a.insert_many(hashes)
+        for h in hashes:
+            b.insert(h)
+        assert a == b
+
+    @given(st.lists(HASHES, max_size=200))
+    @settings(max_examples=100, deadline=None)
+    def test_bit_length_matches_int_bit_length(self, drawn):
+        values = BIT_EDGES + drawn
+        got = _bit_length_u64(np.array(values, dtype=np.uint64))
+        assert got.tolist() == [v.bit_length() for v in values]
+
+    @given(st.sampled_from([(12, 0), (12, 1), (12, 20), (2, 62), (26, 38), (12, 52)]).flatmap(
+        lambda pq: st.tuples(st.just(pq), st.lists(spread_hashes(pq[0]), max_size=200))))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_scalar_inserts_across_q(self, case):
+        (p, q), hashes = case
+        a, b = make(p, q), make(p, q)
+        a.insert_many(np.array(hashes, dtype=np.uint64))
+        for h in hashes:
+            b.insert(h)
+        assert a == b
 
 
 class TestMerge:
@@ -263,6 +324,18 @@ class TestSerialization:
         blob[5] = 1  # p below minimum
         with pytest.raises(RangeError):
             Sketch.from_bytes(bytes(blob))
+
+    @pytest.mark.parametrize("wrap", [bytes, bytearray])
+    def test_decoded_sketch_is_writable_copy(self, wrap):
+        sk = make(4, 6)
+        sk.insert(5 << 60)
+        blob = wrap(sk.to_bytes())
+        before = bytes(blob)
+        decoded = Sketch.from_bytes(blob)
+        decoded.insert(1 << 63)
+        decoded.insert_many(np.array([2**64 - 1], dtype=np.uint64))
+        assert bytes(blob) == before
+        assert decoded != sk
 
     @given(st.lists(HASHES, max_size=50))
     @settings(max_examples=50, deadline=None)
