@@ -146,6 +146,11 @@ def _sketch_config(p: int, q: int) -> SketchConfig:
         raise _CliUsageError(str(exc)) from None
 
 
+def _check_threads(threads: int) -> None:
+    if threads < 1:
+        raise _CliUsageError(f"--threads must be at least 1, got {threads}")
+
+
 def cmd_estimate(args) -> int:
     joint = args.estimator in JOINT_ESTIMATORS
     if joint and not args.sketch2:
@@ -217,6 +222,7 @@ def cmd_simulate(args) -> int:
     cards = _parse_cards(args.cards)
     if args.trials < 2:
         raise _CliUsageError("--trials must be at least 2")
+    _check_threads(args.threads)
     names = [n.strip() for n in args.estimators.split(",") if n.strip()]
     if not names:
         raise _CliUsageError("--estimators must name at least one estimator")
@@ -249,6 +255,7 @@ def cmd_joint_simulate(args) -> int:
     configs = _parse_configs(args.configs)
     if args.trials < 2:
         raise _CliUsageError("--trials must be at least 2")
+    _check_threads(args.threads)
     lines = [JOINT_COLUMNS]
     if configs:
         rows = run_joint_experiment(

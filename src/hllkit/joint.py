@@ -13,12 +13,19 @@ Estimators provided:
 * inclusion-exclusion over three single-sketch estimates (fast baseline,
   can go negative for small intersections), and
 * joint maximum likelihood, maximizing the exact joint log-likelihood over
-  log-rates with a self-contained BFGS quasi-Newton iteration.
+  log-rates by damped Newton ascent with the analytic 3x3 Hessian.
 
-The equal-value cell probability factorizes as z(S) * D with
-D = (1 - X) + X(1-A)(1-B) where A, B, X are the per-rate register CDF
+A strict-order register pair contributes ln(1 - exp(-u)), where u is the
+sum of the rates its value depends on (a+x, b+x, a or b) scaled by
+1/(m 2^min(k,q)).  The equal-value cell probability factorizes as z(S) * D
+with D = (1 - X) + X(1-A)(1-B) where A, B, X are the per-rate register CDF
 factors; that grouping is a sum of non-negative terms and is used
 throughout to avoid cancellation.
+
+The fit stops once the Newton decrement g·d is at most epsilon**2, i.e.
+once the next step would be shorter than epsilon standard errors.  A rate
+whose maximum lies at zero then stops mattering on its own: its log-rate
+gradient shrinks with the rate, so no freezing is needed.
 """
 
 from __future__ import annotations
@@ -37,11 +44,13 @@ from .errors import (
 )
 from .improved import improved_estimate
 from .ml import SolverConfig
-from .sketch import Sketch, SketchConfig
+from .sketch import RegisterHistogram, Sketch, SketchConfig
 
 JOINT_MAX_ITERATIONS = 500
-FREEZE_RATE = 1e-6  # a rate this small with persistently negative gradient is zero
-FREEZE_RUN = 5
+MAX_LOG_STEP = 4.0  # largest step in a log-rate: a factor e**4 in the rate
+_PAIR_BLOCK = 8192  # registers per bincount in joint_statistic (64 KB of indices)
+# Rates each strict-order count group depends on: a+x, b+x, a, b.
+_INCIDENCE = np.array([[1, 0, 1], [0, 1, 1], [1, 0, 0], [0, 1, 0]], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -86,21 +95,37 @@ class JointEstimate:
 
 
 def joint_statistic(s1: Sketch, s2: Sketch) -> JointStatistic:
-    """One pass over register pairs, binned by value and order relation."""
+    """Counts of register pairs, binned by value and order relation."""
     if s1.config != s2.config:
         raise ConfigMismatchError(f"cannot pair {s1.config} with {s2.config}")
     bins = s1.config.q + 2
     r1, r2 = s1.registers, s2.registers
-    less = r1 < r2
-    greater = r1 > r2
-    equal = ~less & ~greater
+    # table[i, j]: pairs with sketch-1 value i and sketch-2 value j, counted a
+    # block at a time so the index array bincount needs stays small
+    table = np.zeros(bins * bins, dtype=np.int64)
+    for start in range(0, r1.size, _PAIR_BLOCK):
+        pairs = r1[start : start + _PAIR_BLOCK].astype(np.intp)
+        pairs *= bins
+        pairs += r2[start : start + _PAIR_BLOCK]
+        table += np.bincount(pairs, minlength=bins * bins)
+    table = table.reshape(bins, bins)
+    upper = np.triu(table, 1)  # sketch 1 smaller
+    lower = np.tril(table, -1)  # sketch 1 larger
     return JointStatistic(
-        c1_less=np.bincount(r1[less], minlength=bins).astype(np.int64),
-        c1_greater=np.bincount(r1[greater], minlength=bins).astype(np.int64),
-        c2_less=np.bincount(r2[greater], minlength=bins).astype(np.int64),
-        c2_greater=np.bincount(r2[less], minlength=bins).astype(np.int64),
-        c_equal=np.bincount(r1[equal], minlength=bins).astype(np.int64),
+        c1_less=upper.sum(axis=1),
+        c1_greater=lower.sum(axis=1),
+        c2_less=lower.sum(axis=0),
+        c2_greater=upper.sum(axis=0),
+        c_equal=table.diagonal().copy(),
     )
+
+
+def _inclusion_exclusion(est, h1, h2, hu, config: SketchConfig) -> JointEstimate:
+    """Overlap from the estimates of both histograms and their union's."""
+    n1 = est(h1, config)
+    n2 = est(h2, config)
+    nu = est(hu, config)
+    return JointEstimate(a=nu - n2, b=nu - n1, x=n1 + n2 - nu)
 
 
 def inclusion_exclusion_estimate(
@@ -113,240 +138,195 @@ def inclusion_exclusion_estimate(
     """
     if s1.config != s2.config:
         raise ConfigMismatchError(f"cannot pair {s1.config} with {s2.config}")
-    est = estimator or improved_estimate
-    config = s1.config
-    n1 = est(s1.histogram(), config)
-    n2 = est(s2.histogram(), config)
-    nu = est(s1.merge(s2).histogram(), config)
-    return JointEstimate(a=nu - n2, b=nu - n1, x=n1 + n2 - nu)
+    return _inclusion_exclusion(
+        estimator or improved_estimate,
+        s1.histogram(),
+        s2.histogram(),
+        s1.merge(s2).histogram(),
+        s1.config,
+    )
 
 
 class _JointTerms:
-    """Precomputed arrays for fast likelihood/gradient evaluation."""
+    """Count-weighted likelihood terms, stacked into a few vector expressions.
 
-    __slots__ = (
-        "m", "lt1_c", "lt1_s", "lt2_c", "lt2_s", "gt1_c", "gt1_s",
-        "gt2_c", "gt2_s", "eq_c", "eq_s", "w",
-    )
+    Strict-order counts ``c`` sit on rows of the 0/1 matrix ``inc`` that pick
+    the rates their value depends on, with scales ``s``; equal-pair counts
+    and scales are ``eq_c``/``eq_s``; ``w`` holds the linear weights
+    (1/m) sum_{k<=q} counts_k 2^-k of the three rates.
+    """
+
+    __slots__ = ("inc", "c", "s", "cs", "cs2", "eq_c", "eq_s", "eq_cs", "w")
 
     def __init__(self, stat: JointStatistic, config: SketchConfig):
         m, q = config.m, config.q
-        self.m = m
+        levels = np.arange(q + 2)
+        scale = np.exp2(-np.minimum(levels, q).astype(float)) / m
+        strict = np.array(
+            [stat.c1_less, stat.c2_less, stat.c1_greater, stat.c2_greater],
+            dtype=float,
+        )
+        strict[:, 0] = 0.0  # value 0 enters through the linear weights only
+        strict[:2, q + 1] = 0.0  # a register below its partner holds at most q
+        group, ks = np.nonzero(strict)
+        self.inc = _INCIDENCE[group]
+        self.c = strict[group, ks]
+        self.s = scale[ks]
+        self.cs = self.c * self.s
+        self.cs2 = self.cs * self.s
+        ks = np.nonzero(stat.c_equal[1:])[0] + 1
+        self.eq_c = stat.c_equal[ks].astype(float)
+        self.eq_s = scale[ks]
+        self.eq_cs = self.eq_c * self.eq_s
+        pow2 = np.exp2(-levels[: q + 1].astype(float)) / m
+        self.w = np.array([
+            (stat.c1_less + stat.c_equal + stat.c1_greater)[: q + 1] @ pow2,
+            (stat.c2_less + stat.c_equal + stat.c2_greater)[: q + 1] @ pow2,
+            (stat.c1_less + stat.c_equal + stat.c2_less)[: q + 1] @ pow2,
+        ])
 
-        def pick(counts, upto_q_only):
-            hi = q + 1 if upto_q_only else q + 2
-            ks = np.nonzero(counts[1:hi])[0] + 1
-            scale = np.exp2(-np.minimum(ks, q).astype(float)) / m
-            return counts[ks].astype(float), scale
+    def evaluate(self, lam: np.ndarray):
+        """Log-likelihood at rates ``lam``, and its gradient and Hessian in
+        log-rates as Python lists.
 
-        # strictly-smaller registers can only hold values 1..q
-        self.lt1_c, self.lt1_s = pick(stat.c1_less, True)
-        self.lt2_c, self.lt2_s = pick(stat.c2_less, True)
-        self.gt1_c, self.gt1_s = pick(stat.c1_greater, False)
-        self.gt2_c, self.gt2_s = pick(stat.c2_greater, False)
-        self.eq_c, self.eq_s = pick(stat.c_equal, False)
-        # linear weights (1/m) sum_{k<=q} counts_k 2^-k per rate
-        pow2 = np.exp2(-np.arange(q + 1, dtype=float))
-        wa = float((stat.c1_less + stat.c_equal + stat.c1_greater)[: q + 1] @ pow2) / m
-        wb = float((stat.c2_less + stat.c_equal + stat.c2_greater)[: q + 1] @ pow2) / m
-        wx = float((stat.c1_less + stat.c_equal + stat.c2_less)[: q + 1] @ pow2) / m
-        self.w = np.array([wa, wb, wx])
-
-
-def _log1mexp(u):
-    """ln(1 - e^-u) for u > 0 arrays; -inf at u = 0."""
-    with np.errstate(divide="ignore"):
-        return np.log(-np.expm1(-u))
-
-
-def _loglik(lam: np.ndarray, t: _JointTerms) -> float:
-    la, lb, lx = lam
-    total = -float(lam @ t.w)
-    if t.lt1_c.size:
-        total += float(t.lt1_c @ _log1mexp((la + lx) * t.lt1_s))
-    if t.lt2_c.size:
-        total += float(t.lt2_c @ _log1mexp((lb + lx) * t.lt2_s))
-    if t.gt1_c.size:
-        total += float(t.gt1_c @ _log1mexp(la * t.gt1_s))
-    if t.gt2_c.size:
-        total += float(t.gt2_c @ _log1mexp(lb * t.gt2_s))
-    if t.eq_c.size:
-        ua, ub, ux = la * t.eq_s, lb * t.eq_s, lx * t.eq_s
-        d = -np.expm1(-ux) + np.exp(-ux) * np.expm1(-ua) * np.expm1(-ub)
-        with np.errstate(divide="ignore"):
-            total += float(t.eq_c @ np.log(d))
-    return total
-
-
-def _grad_phi(lam: np.ndarray, t: _JointTerms) -> np.ndarray:
-    """Ascent gradient with respect to (phi_a, phi_b, phi_x), lam = e^phi."""
-    la, lb, lx = lam
-    ga, gb, gx = -t.w
-    with np.errstate(divide="ignore", over="ignore"):
-        if t.lt1_c.size:
-            r = float(t.lt1_c @ (t.lt1_s / np.expm1((la + lx) * t.lt1_s)))
-            ga += r
-            gx += r
-        if t.lt2_c.size:
-            r = float(t.lt2_c @ (t.lt2_s / np.expm1((lb + lx) * t.lt2_s)))
-            gb += r
-            gx += r
-        if t.gt1_c.size:
-            ga += float(t.gt1_c @ (t.gt1_s / np.expm1(la * t.gt1_s)))
-        if t.gt2_c.size:
-            gb += float(t.gt2_c @ (t.gt2_s / np.expm1(lb * t.gt2_s)))
-        if t.eq_c.size:
-            ua, ub, ux = la * t.eq_s, lb * t.eq_s, lx * t.eq_s
-            one_ma = -np.expm1(-ua)  # 1 - A
-            one_mb = -np.expm1(-ub)
-            x_fac = np.exp(-ux)
-            d = -np.expm1(-ux) + x_fac * one_ma * one_mb
-            ga += float(t.eq_c @ (t.eq_s * x_fac * np.exp(-ua) * one_mb / d))
-            gb += float(t.eq_c @ (t.eq_s * x_fac * np.exp(-ub) * one_ma / d))
-            gx += float(t.eq_c @ (t.eq_s * x_fac * (1.0 - one_ma * one_mb) / d))
-    return lam * np.array([ga, gb, gx])
+        Call under ``np.errstate(all="ignore")``: a rate underflowing to a
+        zero u gives -inf, not a warning.
+        """
+        # strict terms: ln(1 - e^-u) = -ln(1 + h) with h = 1/(e^u - 1)
+        h = 1.0 / np.expm1((self.inc @ lam) * self.s)
+        neg = np.multiply.outer(lam, -self.eq_s)  # -a s, -b s, -x s
+        e = np.exp(neg)  # A, B, X
+        pa, pb, px = -np.expm1(neg)  # 1 - A, 1 - B, 1 - X
+        d = px + e[2] * pa * pb
+        f = float(self.eq_c @ np.log(d) - self.c @ np.log1p(h) - self.w @ lam)
+        ea, eb, ex = e
+        # rows: D_a/D, D_b/D, D_x/D, and s A B X / D for the a-b cross term
+        r = ex * self.eq_s / d
+        eq = np.array([ea * pb, eb * pa, ea + eb * pa, ea * eb]) * r
+        grad = (self.cs * h) @ self.inc + eq[:3] @ self.eq_c - self.w
+        hess = -(self.inc.T * (self.cs2 * h * (1.0 + h))) @ self.inc
+        hess -= (eq[:3] * self.eq_c) @ eq[:3].T
+        sa, sb, sx, sab = (eq @ self.eq_cs).tolist()
+        hess += np.array([[-sa, sab, -sa], [sab, -sb, -sb], [-sa, -sb, -sx]])
+        # chain rule to phi = ln(lam): g_phi = lam g, H_phi = lam lam' H + diag(g_phi)
+        lam = lam.tolist()
+        g = [li * gi for li, gi in zip(lam, grad.tolist())]
+        hess = hess.tolist()
+        for i in range(3):
+            for j in range(3):
+                hess[i][j] *= lam[i] * lam[j]
+            hess[i][i] += g[i]
+        return f, g, hess
 
 
-def _check_rates(est: JointEstimate):
+def _newton_direction(g, hess):
+    """Solve (-H) d = g by a 3x3 Cholesky in plain floats.
+
+    Where -H is not positive definite, a rate is climbing a likelihood that
+    is near linear in that rate, and the diag(g_phi) part of the log-rate
+    Hessian is what makes it convex.  The fallback shifts the diagonal to
+    drop the positive g_phi entries, which turns the step into the Newton
+    step in the rates taken as relative moves; if even that is not positive
+    definite, the shift also makes every row diagonally dominant.
+    """
+    a = [[-v for v in row] for row in hess]
+    d = _cholesky_solve(a, g)
+    if d is None:
+        for i in range(3):
+            a[i][i] += max(g[i], 0.0)
+        d = _cholesky_solve(a, g)
+    if d is None:
+        for i, row in enumerate(a):
+            off = sum(abs(v) for v in row) - abs(row[i])
+            row[i] = max(row[i], off) * (1.0 + 1e-9) + 1e-12
+        d = _cholesky_solve(a, g)
+    return d
+
+
+def _cholesky_solve(a, g):
+    """Solve a d = g for symmetric 3x3 ``a``; None unless ``a`` is positive definite."""
+    (a11, a12, a13), (_, a22, a23), (_, _, a33) = a
+    if not a11 > 0.0:
+        return None
+    l11 = math.sqrt(a11)
+    l21, l31 = a12 / l11, a13 / l11
+    t = a22 - l21 * l21
+    if not t > 0.0:
+        return None
+    l22 = math.sqrt(t)
+    l32 = (a23 - l31 * l21) / l22
+    t = a33 - l31 * l31 - l32 * l32
+    if not t > 0.0:
+        return None
+    l33 = math.sqrt(t)
+    y1 = g[0] / l11
+    y2 = (g[1] - l21 * y1) / l22
+    y3 = (g[2] - l31 * y1 - l32 * y2) / l33
+    d3 = y3 / l33
+    d2 = (y2 - l32 * d3) / l22
+    d1 = (y1 - l21 * d2 - l31 * d3) / l11
+    return [d1, d2, d3]
+
+
+def _maximize(terms: _JointTerms, lam0, solver: SolverConfig) -> np.ndarray:
+    """Damped Newton ascent of the log-likelihood over log-rates.
+
+    Stops once the Newton decrement g·d is at most ``solver.epsilon**2``;
+    each step is capped at MAX_LOG_STEP in log space and backtracked until
+    it meets the Armijo condition.
+    """
+    phi = np.log(lam0)
+    lam = lam0
+    f, g, hess = terms.evaluate(lam)
+    tol = solver.epsilon**2
+    for _ in range(solver.max_iterations):
+        d = _newton_direction(g, hess)
+        if d is None:
+            raise NoConvergenceError(f"non-finite curvature at rates {lam}")
+        slope = g[0] * d[0] + g[1] * d[1] + g[2] * d[2]
+        if slope <= tol:
+            return lam
+        step = np.array(d)
+        alpha = min(1.0, MAX_LOG_STEP / max(abs(v) for v in d))
+        for _ in range(60):
+            trial = phi + alpha * step
+            lam_trial = np.exp(trial)
+            f_trial, g_trial, h_trial = terms.evaluate(lam_trial)
+            if f_trial >= f + 1e-4 * alpha * slope:
+                break
+            alpha *= 0.5
+        else:
+            raise NoConvergenceError("line search found no ascent off the optimum")
+        phi, lam, f, g, hess = trial, lam_trial, f_trial, g_trial, h_trial
+    raise NoConvergenceError(
+        f"no convergence in {solver.max_iterations} iterations"
+    )
+
+
+def _check_rates(est: JointEstimate) -> np.ndarray:
     if not (est.a > 0 and est.b > 0 and est.x > 0):
         raise DomainError(
             f"rates ({est.a}, {est.b}, {est.x}) must all be positive"
         )
+    return np.array([est.a, est.b, est.x])
 
 
 def joint_log_likelihood(
     est: JointEstimate, stat: JointStatistic, config: SketchConfig
 ) -> float:
     """Joint log-likelihood of the three rates given the paired-register counts."""
-    _check_rates(est)
-    return _loglik(np.array([est.a, est.b, est.x]), _JointTerms(stat, config))
+    lam = _check_rates(est)
+    with np.errstate(all="ignore"):
+        return _JointTerms(stat, config).evaluate(lam)[0]
 
 
 def joint_gradient(
     est: JointEstimate, stat: JointStatistic, config: SketchConfig
 ) -> np.ndarray:
     """Gradient of the joint log-likelihood in log-rate coordinates."""
-    _check_rates(est)
-    return _grad_phi(np.array([est.a, est.b, est.x]), _JointTerms(stat, config))
-
-
-def _bfgs_update(h, s, y):
-    sy = float(s @ y)
-    if sy <= 1e-12 * np.linalg.norm(s) * np.linalg.norm(y):
-        return h, False
-    rho = 1.0 / sy
-    n = s.size
-    v = np.eye(n) - rho * np.outer(s, y)
-    return v @ h @ v.T + rho * np.outer(s, s), True
-
-
-def _maximize(terms: _JointTerms, m: int, lam0, solver: SolverConfig):
-    """BFGS ascent on the log-likelihood over free log-rate coordinates."""
-    delta = solver.delta(m)
-    phi = np.log(np.maximum(np.asarray(lam0, dtype=float), 1.0))
-    frozen = np.zeros(3, dtype=bool)
-    neg_run = np.zeros(3, dtype=int)
-
-    def lam_of(p):
-        with np.errstate(over="ignore"):
-            return np.where(frozen, 0.0, np.exp(p))
-
-    def objective(p):
-        return -_loglik(lam_of(p), terms)
-
-    def gradient(p):
-        return np.where(frozen, 0.0, -_grad_phi(lam_of(p), terms))
-
-    f = objective(phi)
-    g = gradient(phi)
-    h = np.eye(3)
-    rescale_pending = True
-
-    for _ in range(solver.max_iterations):
-        free = ~frozen
-        if not free.any():
-            break
-        d = np.zeros(3)
-        d[free] = -(h[np.ix_(free, free)] @ g[free])
-        gd = float(g @ d)
-        if gd >= 0.0:
-            h = np.eye(3)
-            rescale_pending = True
-            d = np.where(free, -g, 0.0)
-            gd = float(g @ d)
-            if gd >= 0.0:
-                break  # gradient vanished on the free coordinates
-
-        def backtrack(direction, slope):
-            dinf = float(np.max(np.abs(direction)))
-            if dinf == 0.0:
-                return None
-            alpha = min(1.0, 4.0 / dinf)  # cap raw first steps in log space
-            for _ in range(60):
-                trial = phi + alpha * direction
-                f_trial = objective(trial)
-                if np.isfinite(f_trial) and f_trial <= f + 1e-4 * alpha * slope:
-                    return trial, f_trial, alpha * dinf
-                alpha *= 0.5
-            return None
-
-        hit = backtrack(d, gd)
-        if hit is None:
-            # steepest-descent fallback with fresh curvature
-            h = np.eye(3)
-            rescale_pending = True
-            d = np.where(free, -g, 0.0)
-            hit = backtrack(d, float(g @ d))
-            if hit is None:
-                # no representable improving step: if every candidate move was
-                # already below the stop threshold, that is convergence
-                if float(np.max(np.abs(d))) * 1.0 <= delta or \
-                        float(np.max(np.abs(g[free]))) <= 1e-9 * (1.0 + abs(f)):
-                    break
-                raise NoConvergenceError("line search failed off the optimum")
-
-        phi_new, f_new, _ = hit
-        s = phi_new - phi
-        g_new = gradient(phi_new)
-        lam_new = lam_of(phi_new)
-
-        # rates collapsing to zero: persistent negative ascent gradient near 0
-        for i in range(3):
-            if free[i] and lam_new[i] < FREEZE_RATE and -g_new[i] < 0.0:
-                neg_run[i] += 1
-            else:
-                neg_run[i] = 0
-
-        step_ok = float(np.max(np.abs(s[free]))) < delta
-        y = g_new - g
-        phi, f, g = phi_new, f_new, g_new
-
-        to_freeze = (neg_run >= FREEZE_RUN) & free
-        if to_freeze.any():
-            frozen |= to_freeze
-            neg_run[:] = 0
-            f = objective(phi)
-            g = gradient(phi)
-            h = np.eye(3)
-            rescale_pending = True
-            continue
-        if step_ok:
-            break
-        sf, yf = s[free], y[free]
-        if rescale_pending:
-            yy = float(yf @ yf)
-            sy = float(sf @ yf)
-            if sy > 0 and yy > 0:
-                h = np.eye(3) * (sy / yy)
-        hf, updated = _bfgs_update(h[np.ix_(free, free)], sf, yf)
-        if updated:
-            h[np.ix_(free, free)] = hf
-            rescale_pending = False
-    else:
-        raise NoConvergenceError(
-            f"no convergence in {solver.max_iterations} iterations"
-        )
-    return lam_of(phi)
+    lam = _check_rates(est)
+    with np.errstate(all="ignore"):
+        return np.array(_JointTerms(stat, config).evaluate(lam)[1])
 
 
 def joint_ml_estimate(
@@ -363,15 +343,24 @@ def joint_ml_estimate(
         return JointEstimate(0.0, 0.0, 0.0)  # both sketches untouched
     if stat.c_equal[q + 1] == m:
         return JointEstimate(0.0, 0.0, math.inf)  # nothing but saturation
-    h1 = s1.histogram()
-    h2 = s2.histogram()
-    if h1.saturated == m or h2.saturated == m:
+    # the three histograms of inclusion-exclusion, read off the statistic:
+    # a union register is the larger of its pair
+    h1 = stat.c1_less + stat.c_equal + stat.c1_greater
+    h2 = stat.c2_less + stat.c_equal + stat.c2_greater
+    if h1[q + 1] == m or h2[q + 1] == m:
         # one side fully saturated: its exclusive rate is unbounded
         raise DegenerateHistogramError("saturated")
-    terms = _JointTerms(stat, config)
-    ie = inclusion_exclusion_estimate(s1, s2)
+    hu = stat.c1_greater + stat.c_equal + stat.c2_greater
+    ie = _inclusion_exclusion(
+        improved_estimate,
+        RegisterHistogram(h1),
+        RegisterHistogram(h2),
+        RegisterHistogram(hu),
+        config,
+    )
     lam0 = np.maximum(np.array([ie.a, ie.b, ie.x]), 1.0)
-    lam = _maximize(terms, m, lam0, solver)
+    with np.errstate(all="ignore"):
+        lam = _maximize(_JointTerms(stat, config), lam0, solver)
     return JointEstimate(a=float(lam[0]), b=float(lam[1]), x=float(lam[2]))
 
 

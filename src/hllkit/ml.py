@@ -11,8 +11,7 @@ convex function f with f(0) = m - C0, so the maximum is unique and can be
 bracketed in closed form.  The bracket bounds differ by at most 3/2, and a
 secant iteration started at zero and the lower bound walks up to the root
 without overshooting.  Iteration stops once the relative increment
-|l_{t+1} - l_t| / l_{t+1} falls below delta = epsilon/sqrt(m); a Newton
-step variant is kept privately for cross-validation only.
+|l_{t+1} - l_t| / l_{t+1} falls below delta = epsilon/sqrt(m).
 """
 
 from __future__ import annotations
@@ -73,22 +72,6 @@ def _u_over_expm1(u):
     return out
 
 
-def _u_over_expm1_deriv(u):
-    """d/du of u/(e^u - 1), used only by the Newton cross-check."""
-    u = np.asarray(u, dtype=float)
-    out = np.empty_like(u)
-    small = u < 1e-4
-    us = u[small]
-    out[small] = -0.5 + us / 6.0
-    mid = ~small & (u <= 50.0)
-    um = u[mid]
-    em = np.expm1(um)
-    out[mid] = (em - um * (em + 1.0)) / (em * em)
-    big = u > 50.0
-    out[big] = (1.0 - u[big]) * np.exp(-u[big])
-    return out
-
-
 def _weights(h: RegisterHistogram, config: SketchConfig):
     """Per-histogram constants: nonzero value levels, their rate scales, linear weight."""
     q = config.q
@@ -123,11 +106,6 @@ def ml_root_function(lam: float, h: RegisterHistogram, config: SketchConfig) -> 
         return float(config.m - h.c0)
     _, c, scale, w = _weights(h, config)
     return float(c @ _u_over_expm1(lam * scale) - lam * w / config.m)
-
-
-def _root_derivative(lam: float, h: RegisterHistogram, config: SketchConfig) -> float:
-    _, c, scale, w = _weights(h, config)
-    return float(c @ (scale * _u_over_expm1_deriv(lam * scale)) - w / config.m)
 
 
 def ml_bracket(h: RegisterHistogram, config: SketchConfig) -> Bracket:
@@ -169,32 +147,10 @@ def _secant_solve(f, x1, f0_at_zero, delta, max_iterations):
     )
 
 
-def _newton_solve(f, fprime, x1, delta, max_iterations):
-    """Newton from the lower bound; test-only cross-check for the secant path."""
-    x = x1
-    for _ in range(max_iterations):
-        fx = f(x)
-        if fx == 0.0:
-            return x
-        d = fprime(x)
-        if d >= 0:
-            return x
-        x_new = x - fx / d
-        if x_new <= x:
-            return x
-        if x_new - x < delta * x_new:
-            return x_new
-        x = x_new
-    raise NoConvergenceError(
-        f"newton did not meet the stop rule in {max_iterations} iterations"
-    )
-
-
 def ml_estimate(
     h: RegisterHistogram,
     config: SketchConfig,
     solver: SolverConfig | None = None,
-    _method: str = "secant",
 ) -> float:
     """ML cardinality estimate: 0 for all-zero, +inf for all-saturated registers."""
     h.check(config)
@@ -212,11 +168,6 @@ def ml_estimate(
     def f(lam):
         return float(c @ _u_over_expm1(lam * scale) - lam * lin)
 
-    if _method == "newton":
-        def fp(lam):
-            return float(c @ (scale * _u_over_expm1_deriv(lam * scale)) - lin)
-
-        return _newton_solve(f, fp, bracket.lower, delta, solver.max_iterations)
     root, _ = _secant_solve(
         f, bracket.lower, float(m - h.c0), delta, solver.max_iterations
     )

@@ -150,9 +150,10 @@ def _resolve_estimator(selector):
 
 
 def _map_trials(worker, indices, threads):
-    if threads <= 1:
+    workers = min(threads, len(indices))
+    if workers <= 1:
         return [worker(i) for i in indices]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, indices))
 
 

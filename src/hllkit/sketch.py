@@ -110,10 +110,18 @@ class Sketch:
 
     @classmethod
     def from_registers(cls, config: SketchConfig, values) -> "Sketch":
-        """Build a sketch from explicit register values (validated)."""
+        """Build a sketch from explicit register values (validated).
+
+        Integer and bool arrays pass on their dtype; float values must be
+        integral, and anything else raises RangeError rather than being cast.
+        """
         arr = np.asarray(values)
         if arr.shape != (config.m,):
             raise RangeError(f"expected {config.m} register values, got {arr.shape}")
+        if arr.dtype.kind not in "iub" and not (
+            arr.dtype.kind == "f" and np.array_equal(arr, np.floor(arr))
+        ):
+            raise RangeError("register values must be integers")
         if arr.size and (np.any(arr < 0) or np.any(arr > config.max_register)):
             raise RangeError(f"register values must lie in 0..{config.max_register}")
         sk = cls(config)

@@ -249,6 +249,18 @@ class TestSimulate:
             assert "error:" in r.stderr
 
 
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_threads_below_one_exit_1(self, threads):
+        r = run_cli(
+            "simulate", "--p", "8", "--q", "16", "--cards", "10",
+            "--trials", "4", "--seed", "1", "--estimators", "raw",
+            "--threads", threads,
+        )
+        assert r.returncode == 1
+        assert r.stdout == ""
+        assert r.stderr.startswith("error:") and r.stderr.count("\n") == 1
+
+
 class TestJointSimulate:
     def test_header_and_shape(self):
         r = run_cli(
@@ -287,6 +299,18 @@ class TestJointSimulate:
         again = run_cli(*base, "--threads", "1")
         four = run_cli(*base, "--threads", "4")
         assert one.stdout == again.stdout == four.stdout
+
+
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_threads_below_one_exit_1(self, threads):
+        r = run_cli(
+            "joint-simulate", "--p", "8", "--q", "16",
+            "--configs", "200,200,200", "--trials", "4", "--seed", "6",
+            "--threads", threads,
+        )
+        assert r.returncode == 1
+        assert r.stdout == ""
+        assert r.stderr.startswith("error:") and r.stderr.count("\n") == 1
 
 
 class TestGoldenFiles:

@@ -18,10 +18,12 @@ from hllkit.errors import (
     DegenerateHistogramError,
     DomainError,
 )
+from hllkit.sim import sample_joint_pair
 from hllkit.improved import improved_estimate
 from hllkit.joint import (
     JointEstimate,
     JointStatistic,
+    _JointTerms,
     equal_register_probability_bounds,
     inclusion_exclusion_estimate,
     joint_gradient,
@@ -221,6 +223,31 @@ class TestJointLikelihood:
                 ) / (2 * h)
                 assert g[i] == pytest.approx(fd, rel=1e-6, abs=1e-7)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_hessian_matches_finite_differences(self, seed):
+        # central differences of the analytic gradient, in log-rate space
+        rng = np.random.default_rng(200 + seed)
+        na, nb, nx = rng.integers(200, 5000, size=3)
+        s1, s2 = overlapping_pair(rng, CFG, int(na), int(nb), int(nx))
+        stat = joint_statistic(s1, s2)
+        terms = _JointTerms(stat, CFG)
+        for _ in range(4):
+            lam = np.exp(rng.uniform(np.log(50.0), np.log(20000.0), size=3))
+            with np.errstate(all="ignore"):
+                _, _, hess = terms.evaluate(lam)
+            phi = np.log(lam)
+            h = 1e-6
+            for j in range(3):
+                up, dn = phi.copy(), phi.copy()
+                up[j] += h
+                dn[j] -= h
+                fd = (
+                    joint_gradient(JointEstimate(*np.exp(up)), stat, CFG)
+                    - joint_gradient(JointEstimate(*np.exp(dn)), stat, CFG)
+                ) / (2 * h)
+                for i in range(3):
+                    assert hess[i][j] == pytest.approx(fd[i], rel=1e-6, abs=1e-6)
+
     def test_disjoint_mass_disfavored_at_large_shared_rate(self):
         # with identical sketches, raising the exclusive-a rate from an
         # already-large shared rate can only hurt the likelihood
@@ -330,6 +357,71 @@ class TestJointMl:
             rel.append(ml.x / n - 1.0)
         # mean over 40 trials: noise ~ 2/sqrt(m * 40) per component
         assert abs(np.mean(rel)) < 4.0 / math.sqrt(CFG.m * 40) + 0.02
+
+
+SMALL_OVERLAP_CFG = SketchConfig(12, 16)
+
+
+@pytest.fixture(scope="module")
+def small_overlap_fits():
+    """Joint-ML fits of 300 redrawn (10000, 10000, 100) pairs, with their statistics."""
+    rng = np.random.default_rng(15)
+    fits = []
+    for _ in range(300):
+        s1, s2 = sample_joint_pair(10_000, 10_000, 100, SMALL_OVERLAP_CFG, rng)
+        fits.append((joint_ml_estimate(s1, s2), joint_statistic(s1, s2)))
+    return fits
+
+
+class TestNewtonFit:
+    def test_small_intersection_leaves_start_point(self, small_overlap_fits):
+        # inclusion-exclusion often puts x below 1, so the fit starts at x = 1
+        stuck = [ml.x for ml, _ in small_overlap_fits if abs(ml.x - 1.0) < 0.01]
+        assert stuck == []
+
+    def test_small_intersection_reaches_maximum(self, small_overlap_fits):
+        worst = -math.inf
+        for ml, stat in small_overlap_fits:
+            base = joint_log_likelihood(ml, stat, SMALL_OVERLAP_CFG)
+            for factor in (0.5, 2.0, 10.0, 0.99, 1.01):
+                moved = JointEstimate(ml.a, ml.b, ml.x * factor)
+                gain = joint_log_likelihood(moved, stat, SMALL_OVERLAP_CFG) - base
+                worst = max(worst, gain)
+        assert worst <= 0.02
+
+    @pytest.mark.parametrize(
+        "cards", [(0, 0, 10_000), (10_000, 0, 0), (0, 10_000, 0), (10_000, 10_000, 0)]
+    )
+    def test_boundary_rates_fit_in_few_evaluations(self, cards, monkeypatch):
+        evaluations = self._count_evaluations(monkeypatch)
+        rng = np.random.default_rng(16)
+        for _ in range(20):
+            s1, s2 = sample_joint_pair(*cards, SMALL_OVERLAP_CFG, rng)
+            evaluations.clear()
+            ml = joint_ml_estimate(s1, s2)
+            assert len(evaluations) < 40
+            assert ml.a >= 0 and ml.b >= 0 and ml.x >= 0
+
+    def test_identical_sketches_fit_in_few_evaluations(self, monkeypatch):
+        evaluations = self._count_evaluations(monkeypatch)
+        rng = np.random.default_rng(17)
+        for n in (10, 1_000, 100_000):
+            s = sketch_of(CFG, random_hashes(rng, n))
+            evaluations.clear()
+            joint_ml_estimate(s, s)
+            assert len(evaluations) < 40
+
+    @staticmethod
+    def _count_evaluations(monkeypatch):
+        calls = []
+        evaluate = _JointTerms.evaluate
+
+        def counting(self, lam):
+            calls.append(lam)
+            return evaluate(self, lam)
+
+        monkeypatch.setattr(_JointTerms, "evaluate", counting)
+        return calls
 
 
 class TestEqualRegisterBounds:

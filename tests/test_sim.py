@@ -209,6 +209,21 @@ class TestRunErrorExperiment:
         )
         assert one == four
 
+    def test_workers_capped_at_trial_count(self, monkeypatch):
+        import hllkit.sim as sim
+
+        sizes = []
+
+        class Recording(sim.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(sim, "ThreadPoolExecutor", Recording)
+        run_error_experiment([200], 3, CFG, "improved", RngSeed(14), threads=16)
+        run_joint_experiment([(100, 100, 100)], 2, CFG, RngSeed(14), threads=16)
+        assert sizes == [3, 2]
+
     def test_failures_counted_not_raised(self):
         # every register is hit at this load, so the zero-register estimator
         # has nothing to work with and every trial fails

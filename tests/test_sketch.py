@@ -360,6 +360,17 @@ class TestFromRegisters:
         with pytest.raises(RangeError):
             Sketch.from_registers(SketchConfig(2, 3), [0, 0, 0, 5])
 
+    @pytest.mark.parametrize("bad", [1.5, 0.5, float("nan")])
+    def test_non_integral_value_rejected(self, bad):
+        # casting into the uint8 registers would truncate 1.5 to 1 and 0.5 to 0
+        with pytest.raises(RangeError):
+            Sketch.from_registers(SketchConfig(2, 3), [bad, 0, 0, 0])
+
+    def test_integral_floats_accepted(self):
+        cfg = SketchConfig(2, 3)
+        sk = Sketch.from_registers(cfg, [0.0, 1.0, 4.0, 2.0])
+        assert sk == Sketch.from_registers(cfg, [0, 1, 4, 2])
+
     def test_module_level_merge_alias(self):
         a, b = make(), make()
         a.insert(42)
