@@ -116,18 +116,43 @@ def zeta(x):
     return total
 
 
-def improved_estimate(h: RegisterHistogram, config: SketchConfig) -> float:
-    """Corrected harmonic-mean estimate; exact 0 for an untouched sketch."""
-    h.check(config)
-    m = config.m
-    q = config.q
-    counts = h.counts
-    low = m * sigma(counts[0] / m)
+def _low(c0: int, m: int) -> float:
+    """Zero-register term m sigma(C0/m); +inf when every register is zero."""
+    return m * sigma(c0 / m)
+
+
+def _high(saturated: int, m: int, q: int) -> float:
+    """Saturated-register term m tau(1 - C_{q+1}/m) 2^-q."""
+    return m * tau(1.0 - saturated / m) * 2.0**-q
+
+
+def _mid_weights(q: int) -> np.ndarray:
+    return np.exp2(-np.arange(1, q + 1, dtype=float))
+
+
+def _corrected(counts, m: int, low: float, high: float, mid_weights) -> float:
+    """alpha_inf m^2 / (low + sum_{k=1..q} C_k 2^-k + high), with its two limits.
+
+    An untouched sketch (low = +inf) gives exactly 0; a fully saturated one
+    makes the denominator 0 and gives +inf, as ``ml_estimate`` does.
+    """
     if low == math.inf:
         return 0.0
-    high = m * tau(1.0 - counts[q + 1] / m) * 2.0**-q
-    mid = float(counts[1 : q + 1] @ np.exp2(-np.arange(1, q + 1, dtype=float)))
+    if counts[-1] == m:
+        return math.inf
+    mid = float(counts[1:-1] @ mid_weights)
     return ALPHA_INF * m * m / (low + mid + high)
+
+
+def improved_estimate(h: RegisterHistogram, config: SketchConfig) -> float:
+    """Corrected harmonic-mean estimate: 0 for an untouched sketch, +inf for a
+    fully saturated one."""
+    h.check(config)
+    m, q = config.m, config.q
+    counts = h.counts
+    return _corrected(
+        counts, m, _low(counts[0], m), _high(counts[q + 1], m, q), _mid_weights(q)
+    )
 
 
 class ImprovedEstimator:
@@ -141,25 +166,22 @@ class ImprovedEstimator:
     def __init__(self, config: SketchConfig, precompute: bool = False):
         self.config = config
         m, q = config.m, config.q
-        self._mid_weights = np.exp2(-np.arange(1, q + 1, dtype=float))
-        self._sigma_table = None
-        self._tau_table = None
+        self._mid_weights = _mid_weights(q)
+        self._tables = None
         if precompute:
-            c = np.arange(m + 1)
-            self._sigma_table = np.array([m * sigma(v / m) for v in c])
-            self._tau_table = np.array([m * tau(1.0 - v / m) * 2.0**-q for v in c])
+            c = range(m + 1)
+            self._tables = (
+                np.array([_low(v, m) for v in c]),
+                np.array([_high(v, m, q) for v in c]),
+            )
 
     def __call__(self, h: RegisterHistogram) -> float:
         h.check(self.config)
         m, q = self.config.m, self.config.q
         counts = h.counts
-        if self._sigma_table is not None:
-            low = float(self._sigma_table[counts[0]])
-            high = float(self._tau_table[counts[q + 1]])
+        c0, saturated = int(counts[0]), int(counts[q + 1])
+        if self._tables is not None:
+            low, high = float(self._tables[0][c0]), float(self._tables[1][saturated])
         else:
-            low = m * sigma(counts[0] / m)
-            high = m * tau(1.0 - counts[q + 1] / m) * 2.0**-q
-        if low == math.inf:
-            return 0.0
-        mid = float(counts[1 : q + 1] @ self._mid_weights)
-        return ALPHA_INF * m * m / (low + mid + high)
+            low, high = _low(c0, m), _high(saturated, m, q)
+        return _corrected(counts, m, low, high, self._mid_weights)

@@ -333,23 +333,24 @@ def joint_ml_estimate(
     s1: Sketch, s2: Sketch, solver: SolverConfig | None = None
 ) -> JointEstimate:
     """Maximum-likelihood overlap estimate from the paired-register statistic."""
+    return _joint_estimates(s1, s2, solver)[1]
+
+
+def _joint_estimates(s1: Sketch, s2: Sketch, solver: SolverConfig | None):
+    """Inclusion-exclusion and joint-ML estimates from one paired statistic.
+
+    The inclusion-exclusion estimate (with the corrected single-sketch
+    estimator) is also the fit's start point; its three histograms are read
+    off the statistic, a union register being the larger of its pair.
+    """
     if s1.config != s2.config:
         raise ConfigMismatchError(f"cannot pair {s1.config} with {s2.config}")
     solver = solver or SolverConfig(max_iterations=JOINT_MAX_ITERATIONS)
     config = s1.config
     m, q = config.m, config.q
     stat = joint_statistic(s1, s2)
-    if stat.c_equal[0] == m:
-        return JointEstimate(0.0, 0.0, 0.0)  # both sketches untouched
-    if stat.c_equal[q + 1] == m:
-        return JointEstimate(0.0, 0.0, math.inf)  # nothing but saturation
-    # the three histograms of inclusion-exclusion, read off the statistic:
-    # a union register is the larger of its pair
     h1 = stat.c1_less + stat.c_equal + stat.c1_greater
     h2 = stat.c2_less + stat.c_equal + stat.c2_greater
-    if h1[q + 1] == m or h2[q + 1] == m:
-        # one side fully saturated: its exclusive rate is unbounded
-        raise DegenerateHistogramError("saturated")
     hu = stat.c1_greater + stat.c_equal + stat.c2_greater
     ie = _inclusion_exclusion(
         improved_estimate,
@@ -358,10 +359,17 @@ def joint_ml_estimate(
         RegisterHistogram(hu),
         config,
     )
+    if stat.c_equal[0] == m:
+        return ie, JointEstimate(0.0, 0.0, 0.0)  # both sketches untouched
+    if stat.c_equal[q + 1] == m:
+        return ie, JointEstimate(0.0, 0.0, math.inf)  # nothing but saturation
+    if h1[q + 1] == m or h2[q + 1] == m:
+        # one side fully saturated: its exclusive rate is unbounded
+        raise DegenerateHistogramError("saturated")
     lam0 = np.maximum(np.array([ie.a, ie.b, ie.x]), 1.0)
     with np.errstate(all="ignore"):
         lam = _maximize(_JointTerms(stat, config), lam0, solver)
-    return JointEstimate(a=float(lam[0]), b=float(lam[1]), x=float(lam[2]))
+    return ie, JointEstimate(a=float(lam[0]), b=float(lam[1]), x=float(lam[2]))
 
 
 def equal_register_probability_bounds(jaccard_distance: float):

@@ -1,13 +1,16 @@
 """Seeded Monte-Carlo harness for sketch error experiments.
 
 Instead of inserting n hashed elements one by one, ``sample_sketch`` draws a
-sketch state directly from the register law implied by uniform hashing: a
-multinomial split of the n elements over the m registers (equal
-probabilities), then one inverse-CDF draw per occupied register from
-P(K <= k) = (1 - 2^-min(k,q))^count.  This is distributionally exact and
-turns an O(n) simulation into O(m), which is what makes large-cardinality
-sweeps tractable.  Correctness against brute-force hash insertion is
-enforced by tests and the acceptance suite.
+sketch state directly from the register law implied by uniform hashing: the
+per-register element counts, then one inverse-CDF draw per occupied register
+from P(K <= k) = (1 - 2^-min(k,q))^count.  The counts follow the
+multinomial(n, 1/m) law; up to ``INDEX_THROW_LOAD`` = 4 elements per
+register they are drawn as the bincount of n uniform register indices, above
+that by ``multinomial``, whose O(m) binomial draws then cost less than n
+index draws.  Both are distributionally exact, and a draw costs
+O(min(n, 4m)) for the counts plus O(m), which is what makes
+large-cardinality sweeps tractable.  Correctness against brute-force hash
+insertion is enforced by tests and the acceptance suite.
 
 Determinism: every trial derives its own generator from
 ``(seed, stream_id, trial_index)`` via ``SeedSequence`` spawn keys, so
@@ -25,11 +28,22 @@ import numpy as np
 from .classic import linear_counting_estimate, original_estimate, raw_estimate
 from .errors import HllError
 from .improved import improved_estimate
-from .joint import JointEstimate, inclusion_exclusion_estimate, joint_ml_estimate
+# inclusion_exclusion_estimate and joint_ml_estimate are not called here, but
+# bench/tracing.py wraps them under these module-level names
+from .joint import (  # noqa: F401
+    JointEstimate,
+    _joint_estimates,
+    inclusion_exclusion_estimate,
+    joint_ml_estimate,
+)
 from .ml import SolverConfig, ml_estimate
 from .sketch import Sketch, SketchConfig
 
 DEFAULT_QUANTILES = (0.01, 0.05, 0.25, 0.75, 0.95, 0.99)
+# Elements per register up to which sample_sketch draws the counts from index
+# throws: n index draws beat multinomial's m binomial draws up to about 24m,
+# and this cutoff keeps the index path's temporaries (about 12n bytes) O(m).
+INDEX_THROW_LOAD = 4
 
 
 def _linear_from_histogram(hist, config):
@@ -71,17 +85,20 @@ def sample_sketch(
     if n < 0:
         raise ValueError(f"cardinality {n} must be non-negative")
     m, q = config.m, config.q
-    registers = np.zeros(m, dtype=np.uint8)
+    sketch = Sketch(config)
     if n > 0:
-        counts = gen.multinomial(n, np.full(m, 1.0 / m))
+        if n <= INDEX_THROW_LOAD * m:
+            counts = np.bincount(gen.integers(0, m, size=n), minlength=m)
+        else:
+            counts = gen.multinomial(n, np.full(m, 1.0 / m))
         occupied = np.nonzero(counts)[0]
         u = gen.random(occupied.size)
-        # invert P(K <= k) = (1 - 2^-k)^count at u, then clip to [1, q+1]
+        # invert P(K <= k) = (1 - 2^-k)^count at u, then clip to [1, q+1]: the
+        # clip is the range check, so the values go straight into the registers
         with np.errstate(divide="ignore"):
             t = -np.log2(-np.expm1(np.log(u) / counts[occupied]))
-        values = np.clip(np.ceil(t), 1.0, float(q + 1))
-        registers[occupied] = values.astype(np.uint8)
-    return Sketch.from_registers(config, registers)
+        sketch._regs[occupied] = np.clip(np.ceil(t), 1.0, float(q + 1))
+    return sketch
 
 
 def sample_joint_pair(
@@ -247,8 +264,7 @@ def run_joint_experiment(
             gen = rng.generator(base + t)
             s1, s2 = sample_joint_pair(card_a, card_b, card_x, config, gen)
             try:
-                ie = inclusion_exclusion_estimate(s1, s2)
-                ml = joint_ml_estimate(s1, s2, solver)
+                ie, ml = _joint_estimates(s1, s2, solver)
             except HllError:
                 return None
             return _joint_errors(ie, truth), _joint_errors(ml, truth)

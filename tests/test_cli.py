@@ -261,6 +261,16 @@ class TestSimulate:
         assert r.stderr.startswith("error:") and r.stderr.count("\n") == 1
 
 
+    def test_fully_saturated_sketches_exit_0(self):
+        r = run_cli(
+            "simulate", "--p", "4", "--q", "1", "--cards", "100000",
+            "--trials", "3", "--estimators", "improved", "--seed", "1",
+        )
+        assert r.returncode == 0, r.stderr
+        row = csv_row(r.stdout)
+        assert row[0] == "improved" and row[5] == "inf" and row[-1] == "0"
+
+
 class TestJointSimulate:
     def test_header_and_shape(self):
         r = run_cli(
@@ -311,6 +321,15 @@ class TestJointSimulate:
         assert r.returncode == 1
         assert r.stdout == ""
         assert r.stderr.startswith("error:") and r.stderr.count("\n") == 1
+
+
+    def test_fully_saturated_sketches_exit_0(self):
+        r = run_cli(
+            "joint-simulate", "--p", "4", "--q", "1",
+            "--configs", "100000,100000,100000", "--trials", "3", "--seed", "1",
+        )
+        assert r.returncode == 0, r.stderr
+        assert len(r.stdout.strip().splitlines()) == 2
 
 
 class TestGoldenFiles:

@@ -151,6 +151,25 @@ class TestImprovedEstimate:
             assert est == pytest.approx(lc / zeta(math.log2(lc / m)), rel=1e-10)
             assert abs(est / lc - 1.0) <= ZETA_AMPLITUDE * (1 + 1e-4)
 
+    @pytest.mark.parametrize("q", [0, 1, 6])
+    def test_fully_saturated_is_infinite_at_every_entry_point(self, q):
+        cfg = SketchConfig(4, q)
+        entry_points = [
+            lambda h: improved_estimate(h, cfg),
+            ImprovedEstimator(cfg),
+            ImprovedEstimator(cfg, precompute=True),
+        ]
+        saturated = np.zeros(q + 2, dtype=np.int64)
+        saturated[-1] = cfg.m
+        one_short = saturated.copy()
+        one_short[-1] -= 1
+        one_short[-2] += 1
+        for estimate in entry_points:
+            assert estimate(RegisterHistogram(saturated)) == math.inf
+            assert estimate(RegisterHistogram(one_short)) == improved_estimate(
+                RegisterHistogram(one_short), cfg
+            ) < math.inf
+
     def test_reduces_to_raw_when_ends_empty(self):
         cfg = SketchConfig(4, 6)
         counts = np.array([0, 3, 4, 4, 3, 1, 1, 0], dtype=np.int64)

@@ -17,12 +17,14 @@ from hllkit.errors import (
     ConfigMismatchError,
     DegenerateHistogramError,
     DomainError,
+    HllError,
 )
 from hllkit.sim import sample_joint_pair
 from hllkit.improved import improved_estimate
 from hllkit.joint import (
     JointEstimate,
     JointStatistic,
+    _joint_estimates,
     _JointTerms,
     equal_register_probability_bounds,
     inclusion_exclusion_estimate,
@@ -422,6 +424,47 @@ class TestNewtonFit:
 
         monkeypatch.setattr(_JointTerms, "evaluate", counting)
         return calls
+
+
+def as_array(est: JointEstimate) -> np.ndarray:
+    return np.array([est.a, est.b, est.x])
+
+
+class TestSharedStatistic:
+    """The inclusion-exclusion estimate read off one pair statistic equals
+    ``inclusion_exclusion_estimate`` (merge and three histograms) bit for bit."""
+
+    @pytest.mark.parametrize(
+        "cfg, cards",
+        [
+            (CFG, (300, 300, 300)),
+            (CFG, (1000, 100, 100)),
+            (CFG, (0, 0, 0)),  # both untouched
+            (CFG, (0, 0, 500)),  # identical pair
+            (SketchConfig(4, 1), (100_000, 100_000, 100_000)),  # both saturated
+            (SketchConfig(4, 2), (60, 60, 60)),  # some pairs saturated
+        ],
+    )
+    def test_matches_public_estimators(self, cfg, cards):
+        for t in range(20):
+            s1, s2 = sample_joint_pair(*cards, cfg, np.random.default_rng(t))
+            try:
+                ie, _ = _joint_estimates(s1, s2, None)
+            except HllError:
+                continue  # a failed trial scores neither method
+            public = inclusion_exclusion_estimate(s1, s2)
+            assert np.array_equal(as_array(ie), as_array(public), equal_nan=True)
+
+    def test_saturated_union_is_a_typed_error(self):
+        # every pair holds one saturated register, neither side is saturated:
+        # the union estimate is infinite and no finite optimum exists
+        cfg = SketchConfig(2, 1)
+        s1 = Sketch.from_registers(cfg, [2, 2, 0, 0])
+        s2 = Sketch.from_registers(cfg, [0, 0, 2, 2])
+        ie = inclusion_exclusion_estimate(s1, s2)
+        assert (ie.a, ie.b, ie.x) == (math.inf, math.inf, -math.inf)
+        with pytest.raises(HllError):
+            joint_ml_estimate(s1, s2)
 
 
 class TestEqualRegisterBounds:

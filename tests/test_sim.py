@@ -18,6 +18,7 @@ from hllkit.errors import ZeroRegistersExhaustedError
 from hllkit.improved import improved_estimate
 from hllkit.sim import (
     DEFAULT_QUANTILES,
+    INDEX_THROW_LOAD,
     ErrorReport,
     RngSeed,
     run_error_experiment,
@@ -40,6 +41,32 @@ def chi2_stat(observed, expected):
     observed = np.asarray(observed, dtype=float)
     expected = np.asarray(expected, dtype=float)
     return float(((observed - expected) ** 2 / expected).sum())
+
+
+class RecordingGenerator:
+    """Generator proxy that records which draw methods ran and what the count
+    draw (``integers`` or ``multinomial``) returned."""
+
+    def __init__(self, gen):
+        self._gen = gen
+        self.used = []
+        self.counts = None
+
+    def __getattr__(self, name):
+        method = getattr(self._gen, name)
+
+        def call(*args, **kwargs):
+            self.used.append(name)
+            out = method(*args, **kwargs)
+            if name == "multinomial":
+                self.counts = out
+            elif name == "integers":
+                self.counts = np.bincount(out, minlength=args[1])
+            return out
+
+        return call
+
+
 
 
 class TestSampleSketch:
@@ -139,6 +166,52 @@ class TestSampleSketch:
         for a, b in ((c0_direct, c0_brute), (weight_direct, weight_brute)):
             se = math.sqrt(a.var(ddof=1) / draws + b.var(ddof=1) / draws)
             assert abs(a.mean() - b.mean()) <= 3.0 * se
+
+
+    @pytest.mark.parametrize(
+        "method, extra", [("integers", 0), ("multinomial", 1)],
+        ids=["at-cutoff", "above-cutoff"],
+    )
+    def test_branch_matches_brute_force_insertion(self, method, extra):
+        # mean zero count and mean weighted mass, sampler against hash
+        # insertion, on each side of the index-throw cutoff
+        cfg = SketchConfig(p=4, q=6)
+        n = INDEX_THROW_LOAD * cfg.m + extra
+        draws = 4000
+        weights = np.exp2(-np.arange(cfg.q + 2, dtype=float))
+        seed = RngSeed(12, stream_id=extra)
+        zero_a, mass_a = np.empty(draws), np.empty(draws)
+        for t in range(draws):
+            gen = RecordingGenerator(seed.generator(t))
+            h = sample_sketch(n, cfg, gen).histogram()
+            assert gen.used[0] == method
+            zero_a[t], mass_a[t] = h.c0, h.counts @ weights
+        rng = np.random.default_rng(13 + extra)
+        zero_b, mass_b = np.empty(draws), np.empty(draws)
+        for t in range(draws):
+            s = Sketch(cfg)
+            s.insert_many(rng.integers(0, 2**64, size=n, dtype=np.uint64))
+            h = s.histogram()
+            zero_b[t], mass_b[t] = h.c0, h.counts @ weights
+        for a, b in ((zero_a, zero_b), (mass_a, mass_b)):
+            se = math.sqrt(a.var(ddof=1) / draws + b.var(ddof=1) / draws)
+            assert abs(a.mean() - b.mean()) <= 3.0 * se
+
+    @pytest.mark.parametrize("q", [0, 3, 60])
+    def test_both_branches_fill_exactly_the_occupied_registers(self, q):
+        cfg = SketchConfig(p=4, q=q)
+        cutoff = INDEX_THROW_LOAD * cfg.m
+        for n in (1, cutoff, cutoff + 1, 1000 * cfg.m):
+            method = "integers" if n <= cutoff else "multinomial"
+            for t in range(50):
+                gen = RecordingGenerator(RngSeed(14, stream_id=n).generator(t))
+                regs = sample_sketch(n, cfg, gen).registers
+                assert gen.used[0] == method
+                assert regs.dtype == np.uint8
+                assert gen.counts.sum() == n
+                occupied = gen.counts > 0
+                assert np.all(regs[~occupied] == 0)
+                assert np.all((regs[occupied] >= 1) & (regs[occupied] <= q + 1))
 
 
 class TestSampleJointPair:
