@@ -17,15 +17,13 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .errors import (
     OutOfDomainError,
     RangeError,
     UnsupportedConfigError,
     ZeroRegistersExhaustedError,
 )
-from .sketch import RegisterHistogram, SketchConfig
+from .sketch import RegisterHistogram, SketchConfig, pow2_weights
 
 ALPHA_INF = 1.0 / (2.0 * math.log(2.0))
 
@@ -34,8 +32,7 @@ def raw_estimate(h: RegisterHistogram, config: SketchConfig) -> float:
     """Harmonic-mean estimate alpha_inf * m^2 / sum_{k=0}^{q+1} C_k 2^-k."""
     h.check(config)
     m = config.m
-    weights = np.exp2(-np.arange(config.q + 2, dtype=float))
-    denom = float(h.counts @ weights)
+    denom = float(h.counts @ pow2_weights(config.q))
     return ALPHA_INF * m * m / denom
 
 

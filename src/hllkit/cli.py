@@ -49,6 +49,7 @@ JOINT_COLUMNS = (
     "impr_a,impr_b,impr_x,impr_u,failures"
 )
 JOINT_ESTIMATORS = ("incl-excl", "joint-ml")
+MAX_CARDINALITY = 2**63 - 1  # the samplers draw element counts as int64
 
 DOMAIN_ERRORS = (
     OutOfDomainError,
@@ -101,8 +102,20 @@ def _parse_cards(text: str):
             start, end, points = float(parts[1]), float(parts[2]), int(parts[3])
         except ValueError:
             raise _CliUsageError(f"cards list {text!r} has a non-numeric field")
-        if start <= 0 or end <= 0 or points < 1:
-            raise _CliUsageError(f"cards list {text!r} needs positive bounds")
+        if not (0 < start <= MAX_CARDINALITY and 0 < end <= MAX_CARDINALITY):
+            raise _CliUsageError(
+                f"cards list {text!r} needs positive bounds below 2^63"
+            )
+        if points < 1:
+            raise _CliUsageError(f"cards list {text!r} needs at least one point")
+        # the rounded grid holds at most this many distinct cardinalities;
+        # checked before np.geomspace allocates POINTS floats
+        distinct = abs(round(end) - round(start)) + 1
+        if points > distinct:
+            raise _CliUsageError(
+                f"cards list {text!r} asks for {points} points, but only "
+                f"{distinct} integers lie between its bounds"
+            )
         grid = np.geomspace(start, end, points)
         cards = []
         for value in np.rint(grid).astype(int):
@@ -116,7 +129,7 @@ def _parse_cards(text: str):
             cards.append(int(token))
         except ValueError:
             raise _CliUsageError(f"invalid cardinality {token!r}") from None
-        if cards[-1] < 0:
+        if not 0 <= cards[-1] <= MAX_CARDINALITY:
             raise _CliUsageError(f"invalid cardinality {token!r}")
     return cards
 

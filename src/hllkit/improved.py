@@ -29,7 +29,7 @@ import numpy as np
 
 from .classic import ALPHA_INF
 from .errors import DomainError
-from .sketch import RegisterHistogram, SketchConfig
+from .sketch import RegisterHistogram, SketchConfig, pow2_weights
 
 LN2 = math.log(2.0)
 
@@ -126,10 +126,6 @@ def _high(saturated: int, m: int, q: int) -> float:
     return m * tau(1.0 - saturated / m) * 2.0**-q
 
 
-def _mid_weights(q: int) -> np.ndarray:
-    return np.exp2(-np.arange(1, q + 1, dtype=float))
-
-
 def _corrected(counts, m: int, low: float, high: float, mid_weights) -> float:
     """alpha_inf m^2 / (low + sum_{k=1..q} C_k 2^-k + high), with its two limits.
 
@@ -151,7 +147,11 @@ def improved_estimate(h: RegisterHistogram, config: SketchConfig) -> float:
     m, q = config.m, config.q
     counts = h.counts
     return _corrected(
-        counts, m, _low(counts[0], m), _high(counts[q + 1], m, q), _mid_weights(q)
+        counts,
+        m,
+        _low(counts[0], m),
+        _high(counts[q + 1], m, q),
+        pow2_weights(q)[1:-1],
     )
 
 
@@ -166,7 +166,7 @@ class ImprovedEstimator:
     def __init__(self, config: SketchConfig, precompute: bool = False):
         self.config = config
         m, q = config.m, config.q
-        self._mid_weights = _mid_weights(q)
+        self._mid_weights = pow2_weights(q)[1:-1]
         self._tables = None
         if precompute:
             c = range(m + 1)

@@ -44,7 +44,7 @@ from .errors import (
 )
 from .improved import improved_estimate
 from .ml import SolverConfig
-from .sketch import RegisterHistogram, Sketch, SketchConfig
+from .sketch import RegisterHistogram, Sketch, SketchConfig, pow2_weights
 
 JOINT_MAX_ITERATIONS = 500
 MAX_LOG_STEP = 4.0  # largest step in a log-rate: a factor e**4 in the rate
@@ -160,8 +160,8 @@ class _JointTerms:
 
     def __init__(self, stat: JointStatistic, config: SketchConfig):
         m, q = config.m, config.q
-        levels = np.arange(q + 2)
-        scale = np.exp2(-np.minimum(levels, q).astype(float)) / m
+        pow2 = pow2_weights(q)[: q + 1] / m
+        scale = np.append(pow2, pow2[q])  # 1/(m 2^min(k,q)) for k = 0..q+1
         strict = np.array(
             [stat.c1_less, stat.c2_less, stat.c1_greater, stat.c2_greater],
             dtype=float,
@@ -178,7 +178,6 @@ class _JointTerms:
         self.eq_c = stat.c_equal[ks].astype(float)
         self.eq_s = scale[ks]
         self.eq_cs = self.eq_c * self.eq_s
-        pow2 = np.exp2(-levels[: q + 1].astype(float)) / m
         self.w = np.array([
             (stat.c1_less + stat.c_equal + stat.c1_greater)[: q + 1] @ pow2,
             (stat.c2_less + stat.c_equal + stat.c2_greater)[: q + 1] @ pow2,
@@ -363,8 +362,9 @@ def _joint_estimates(s1: Sketch, s2: Sketch, solver: SolverConfig | None):
         return ie, JointEstimate(0.0, 0.0, 0.0)  # both sketches untouched
     if stat.c_equal[q + 1] == m:
         return ie, JointEstimate(0.0, 0.0, math.inf)  # nothing but saturation
-    if h1[q + 1] == m or h2[q + 1] == m:
-        # one side fully saturated: its exclusive rate is unbounded
+    if hu[q + 1] == m:
+        # a side or the union fully saturated (the inclusion-exclusion start
+        # point is then infinite): an exclusive rate is unbounded
         raise DegenerateHistogramError("saturated")
     lam0 = np.maximum(np.array([ie.a, ie.b, ie.x]), 1.0)
     with np.errstate(all="ignore"):

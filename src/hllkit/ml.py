@@ -27,7 +27,7 @@ from .errors import (
     NoConvergenceError,
     RangeError,
 )
-from .sketch import RegisterHistogram, SketchConfig
+from .sketch import RegisterHistogram, SketchConfig, pow2_weights
 
 
 @dataclass(frozen=True)
@@ -77,11 +77,12 @@ def _weights(h: RegisterHistogram, config: SketchConfig):
     q = config.q
     m = config.m
     counts = h.counts
+    pow2 = pow2_weights(q)
     ks = np.nonzero(counts[1:])[0] + 1  # value levels 1..q+1 with C_k > 0
     c = counts[ks].astype(float)
-    scale = np.exp2(-np.minimum(ks, q).astype(float)) / m  # 1/(m 2^min(k,q))
+    scale = pow2[np.minimum(ks, q)] / m  # 1/(m 2^min(k,q))
     # linear term weight: sum_{k=0}^q C_k 2^-k
-    w = float(counts[: q + 1] @ np.exp2(-np.arange(q + 1, dtype=float)))
+    w = float(counts[: q + 1] @ pow2[: q + 1])
     return ks, c, scale, w
 
 
@@ -118,7 +119,7 @@ def ml_bracket(h: RegisterHistogram, config: SketchConfig) -> Bracket:
         raise DegenerateHistogramError("zero")
     if h.saturated == m:
         raise DegenerateHistogramError("saturated")
-    mid = float(counts[1 : q + 1] @ np.exp2(-np.arange(1, q + 1, dtype=float)))
+    mid = float(counts[1 : q + 1] @ pow2_weights(q)[1 : q + 1])
     sat_w = float(counts[q + 1]) * 2.0 ** -(q + 1)
     lower = m * (m - c0) / (c0 + 1.5 * mid + sat_w)
     upper = m * (m - c0) / (c0 + mid)

@@ -1,14 +1,17 @@
 """Seeded Monte-Carlo harness for sketch error experiments.
 
 Instead of inserting n hashed elements one by one, ``sample_sketch`` draws a
-sketch state directly from the register law implied by uniform hashing: the
-per-register element counts, then one inverse-CDF draw per occupied register
-from P(K <= k) = (1 - 2^-min(k,q))^count.  The counts follow the
-multinomial(n, 1/m) law; up to ``INDEX_THROW_LOAD`` = 4 elements per
-register they are drawn as the bincount of n uniform register indices, above
-that by ``multinomial``, whose O(m) binomial draws then cost less than n
-index draws.  Both are distributionally exact, and a draw costs
-O(min(n, 4m)) for the counts plus O(m), which is what makes
+sketch state directly from the register law implied by uniform hashing.  Up
+to ``INDEX_THROW_LOAD`` = 4 elements per register it takes the per-register
+element counts from the bincount of n uniform register indices, then makes
+one inverse-CDF draw per occupied register from
+P(K <= k) = (1 - 2^-min(k,q))^count: O(n) work.  Above that it follows the
+hashing process level by level: one multinomial gives the number of
+elements at each hash level, the first 2m elements are thrown onto all
+registers, and the rest only onto the shrinking list of zero registers,
+each level's share of them drawn as one binomial, until no zero register is
+left.  That is about O(m) uniform draws plus O(q) binomials, whatever n is.
+Both ways are distributionally exact, which is what makes
 large-cardinality sweeps tractable.  Correctness against brute-force hash
 insertion is enforced by tests and the acceptance suite.
 
@@ -37,12 +40,11 @@ from .joint import (  # noqa: F401
     joint_ml_estimate,
 )
 from .ml import SolverConfig, ml_estimate
-from .sketch import Sketch, SketchConfig
+from .sketch import Sketch, SketchConfig, pow2_weights
 
 DEFAULT_QUANTILES = (0.01, 0.05, 0.25, 0.75, 0.95, 0.99)
 # Elements per register up to which sample_sketch draws the counts from index
-# throws: n index draws beat multinomial's m binomial draws up to about 24m,
-# and this cutoff keeps the index path's temporaries (about 12n bytes) O(m).
+# throws: this cutoff keeps the index path's temporaries (about 12n bytes) O(m).
 INDEX_THROW_LOAD = 4
 
 
@@ -86,11 +88,10 @@ def sample_sketch(
         raise ValueError(f"cardinality {n} must be non-negative")
     m, q = config.m, config.q
     sketch = Sketch(config)
-    if n > 0:
-        if n <= INDEX_THROW_LOAD * m:
-            counts = np.bincount(gen.integers(0, m, size=n), minlength=m)
-        else:
-            counts = gen.multinomial(n, np.full(m, 1.0 / m))
+    if n > INDEX_THROW_LOAD * m:
+        _throw_levels(sketch._regs, n, q, gen)
+    elif n > 0:
+        counts = np.bincount(gen.integers(0, m, size=n), minlength=m)
         occupied = np.nonzero(counts)[0]
         u = gen.random(occupied.size)
         # invert P(K <= k) = (1 - 2^-k)^count at u, then clip to [1, q+1]: the
@@ -99,6 +100,42 @@ def sample_sketch(
             t = -np.log2(-np.expm1(np.log(u) / counts[occupied]))
         sketch._regs[occupied] = np.clip(np.ceil(t), 1.0, float(q + 1))
     return sketch
+
+
+def _throw_levels(regs, n, q, gen):
+    """Set the zero registers ``regs`` as n uniformly hashed elements would.
+
+    An element's hash level, the value it offers its register, is k with
+    probability 2^-k for k <= q and 2^-q for k = q+1, and a register keeps
+    the largest level that lands on it.  One multinomial gives the size of
+    each level.  The first 2m elements, from the top level down, are thrown
+    onto all registers at once, which sets most of them.  Every later
+    element is at or below the levels already set, so it can only change a
+    zero register: of c elements spread over ``domain`` registers,
+    Binomial(c, |U| / domain) land on the zero list U, uniformly.  The walk
+    goes down the levels that way, at most m elements per throw, and stops
+    once U is empty.  Memory is O(m) for any n: the first throw's 2m
+    indices are the largest temporary.
+    """
+    m = regs.size
+    pow2 = pow2_weights(q)
+    levels = np.arange(q + 1, 0, -1, dtype=np.uint8)
+    counts = gen.multinomial(n, np.append(pow2[1 : q + 1], pow2[q]))[::-1]
+    before = np.cumsum(counts) - counts
+    first = np.minimum(counts, np.maximum(2 * m - before, 0))  # share of the first 2m
+    np.maximum.at(
+        regs, gen.integers(0, m, size=first.sum()), np.repeat(levels, first)
+    )
+    zeros = np.nonzero(regs == 0)[0]
+    for level, c in zip(levels.tolist(), (counts - first).tolist()):
+        domain = m
+        while c and zeros.size:
+            c = int(gen.binomial(c, zeros.size / domain))
+            domain = zeros.size
+            throw = min(c, m)
+            regs[zeros[gen.integers(0, domain, size=throw)]] = level
+            zeros = zeros[regs[zeros] == 0]
+            c -= throw
 
 
 def sample_joint_pair(
@@ -180,8 +217,11 @@ def _summarize(errors, n, trials, failures, quantiles):
         qs = tuple((float(p), nan) for p in quantiles)
         return ErrorReport(n, trials, nan, nan, nan, nan, qs, failures)
     arr = np.asarray(errors)
-    stddev = float(np.std(arr, ddof=1)) if arr.size > 1 else 0.0
-    qvals = np.quantile(arr, quantiles) if quantiles else np.array([])
+    # infinite errors (a saturated sketch) give nan spreads and quantiles
+    # between infinities: that is the reported value, not a warning
+    with np.errstate(invalid="ignore"):
+        stddev = float(np.std(arr, ddof=1)) if arr.size > 1 else 0.0
+        qvals = np.quantile(arr, quantiles) if quantiles else np.array([])
     return ErrorReport(
         cardinality=n,
         trials=trials,

@@ -26,6 +26,15 @@ VERSION = 1
 
 P_MIN, P_MAX = 2, 26
 HASH_BITS = 64
+# 2^-k for k = 0..HASH_BITS, built once and shared read-only; powers of two
+# are exact, so every sum over a slice is the same as over a fresh table
+_POW2 = np.exp2(-np.arange(HASH_BITS + 1, dtype=float))
+_POW2.flags.writeable = False
+
+
+def pow2_weights(q: int) -> np.ndarray:
+    """Read-only 2^-k for every register value k = 0..q+1."""
+    return _POW2[: q + 2]
 
 
 @dataclass(frozen=True)

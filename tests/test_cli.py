@@ -8,12 +8,14 @@ CSV schemas.
 
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hllkit import Sketch, SketchConfig, improved_estimate
+from hllkit.cli import main
 
 DATA = Path(__file__).parent / "data"
 
@@ -269,6 +271,58 @@ class TestSimulate:
         assert r.returncode == 0, r.stderr
         row = csv_row(r.stdout)
         assert row[0] == "improved" and row[5] == "inf" and row[-1] == "0"
+
+    def test_infinite_errors_print_no_warning(self):
+        # numpy warnings turned into errors: the row is still nan where the
+        # spread between infinite errors is undefined, and stderr stays empty
+        r = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "hllkit", "simulate",
+             "--p", "4", "--q", "1", "--cards", "100000", "--trials", "3",
+             "--estimators", "improved", "--seed", "1"],
+            capture_output=True, text=True, timeout=300,
+        )
+        assert r.returncode == 0 and r.stderr == ""
+        assert r.stdout == (
+            SIMULATE_HEADER
+            + "\nimproved,4,1,100000,3,inf,inf,nan,inf,nan,nan,nan,nan,nan,nan,0\n"
+        )
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "logspace:1:10:10000000000000",  # more points than integers
+            "logspace:5:5:2",
+            "logspace:1:1e300:5",  # beyond the int64 element counts
+            "logspace:1:inf:5",
+            "logspace:1:nan:5",
+            "logspace:1:10:0",
+            "10000000000000000000",
+        ],
+    )
+    def test_cards_beyond_the_grid_exit_1_without_allocating(self, spec, capsys):
+        tracemalloc.start()
+        try:
+            rc = main([
+                "simulate", "--p", "8", "--q", "16", "--cards", spec,
+                "--trials", "4", "--seed", "1", "--estimators", "raw",
+            ])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1
+        assert peak < 1 << 20
+
+    def test_logspace_grid_at_the_distinct_limit(self):
+        r = run_cli(
+            "simulate", "--p", "8", "--q", "16",
+            "--cards", "logspace:10:20:11", "--trials", "4",
+            "--seed", "2", "--estimators", "raw",
+        )
+        assert r.returncode == 0, r.stderr
+        cards = [int(line.split(",")[3]) for line in r.stdout.splitlines()[1:]]
+        assert cards == sorted(set(cards)) and cards[0] == 10 and cards[-1] == 20
 
 
 class TestJointSimulate:

@@ -466,6 +466,23 @@ class TestSharedStatistic:
         with pytest.raises(HllError):
             joint_ml_estimate(s1, s2)
 
+    def test_saturated_union_fails_before_the_fit(self):
+        # pairs whose union is fully saturated while neither side is: the
+        # start point would be (inf, inf, 1), so no fit is attempted
+        cfg = SketchConfig(4, 2)
+        saturated = 0
+        for t in range(20):
+            s1, s2 = sample_joint_pair(60, 60, 60, cfg, np.random.default_rng(t))
+            union = s1.merge(s2).registers
+            sides = (s1.registers, s2.registers)
+            if np.all(union == cfg.q + 1) and not any(
+                np.all(r == cfg.q + 1) for r in sides
+            ):
+                saturated += 1
+                with pytest.raises(DegenerateHistogramError):
+                    _joint_estimates(s1, s2, None)
+        assert saturated > 0
+
 
 class TestEqualRegisterBounds:
     def test_identical_sets(self):

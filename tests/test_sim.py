@@ -10,6 +10,7 @@ need no stats dependency.
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -44,13 +45,13 @@ def chi2_stat(observed, expected):
 
 
 class RecordingGenerator:
-    """Generator proxy that records which draw methods ran and what the count
-    draw (``integers`` or ``multinomial``) returned."""
+    """Generator proxy that records which draw methods ran and what each
+    ``integers`` or ``multinomial`` draw returned."""
 
     def __init__(self, gen):
         self._gen = gen
         self.used = []
-        self.counts = None
+        self.draws = []
 
     def __getattr__(self, name):
         method = getattr(self._gen, name)
@@ -58,15 +59,88 @@ class RecordingGenerator:
         def call(*args, **kwargs):
             self.used.append(name)
             out = method(*args, **kwargs)
-            if name == "multinomial":
-                self.counts = out
-            elif name == "integers":
-                self.counts = np.bincount(out, minlength=args[1])
+            if name in ("integers", "multinomial"):
+                self.draws.append(out)
             return out
 
         return call
 
 
+def hit_registers(index_draws, m):
+    """Registers the level walk's index draws landed on.
+
+    The first draw indexes all m registers; each later one indexes the zero
+    list, in register order, of the registers no earlier draw had hit.
+    """
+    first, *later = index_draws
+    hit = np.zeros(m, dtype=bool)
+    hit[first] = True
+    for positions in later:
+        hit[np.nonzero(~hit)[0][positions]] = True
+    return hit
+
+
+def register_law(cfg, n):
+    """Exact probability of every register vector after n hashed elements,
+    one element at a time: a uniform register, and a value k with
+    probability 2^-min(k, q), k = 1..q+1, that the register keeps if larger."""
+    level_probs = [(k, 2.0 ** -min(k, cfg.q)) for k in range(1, cfg.q + 2)]
+    law = {bytes(cfg.m): 1.0}
+    for _ in range(n):
+        nxt = {}
+        for key, prob in law.items():
+            for r in range(cfg.m):
+                for k, pk in level_probs:
+                    regs = bytearray(key)
+                    regs[r] = max(regs[r], k)
+                    new = bytes(regs)
+                    nxt[new] = nxt.get(new, 0.0) + prob * pk / cfg.m
+        law = nxt
+    return law
+
+
+def chi2_against_law(exact, observed, draws):
+    """Chi-square statistic and degrees of freedom, states with an expected
+    count below 5 pooled into one bucket."""
+    obs, exp = [], []
+    pooled_obs = pooled_exp = 0.0
+    for key, prob in exact.items():
+        e = prob * draws
+        o = observed.get(key, 0)
+        if e >= 5.0:
+            obs.append(o)
+            exp.append(e)
+        else:
+            pooled_obs += o
+            pooled_exp += e
+    if pooled_exp > 0:
+        obs.append(pooled_obs)
+        exp.append(pooled_exp)
+    return chi2_stat(obs, exp), len(obs) - 1
+
+
+def assert_matches_insertion(cfg, n, seed, brute_seed, draws=4000, check=None):
+    """Mean zero count and mean weighted mass, sampler against hash
+    insertion, within 3 combined standard errors; ``check`` sees every
+    sampler draw's recording generator."""
+    weights = np.exp2(-np.arange(cfg.q + 2, dtype=float))
+    zero_a, mass_a = np.empty(draws), np.empty(draws)
+    for t in range(draws):
+        gen = RecordingGenerator(seed.generator(t))
+        h = sample_sketch(n, cfg, gen).histogram()
+        if check:
+            check(gen)
+        zero_a[t], mass_a[t] = h.c0, h.counts @ weights
+    rng = np.random.default_rng(brute_seed)
+    zero_b, mass_b = np.empty(draws), np.empty(draws)
+    for t in range(draws):
+        s = Sketch(cfg)
+        s.insert_many(rng.integers(0, 2**64, size=n, dtype=np.uint64))
+        h = s.histogram()
+        zero_b[t], mass_b[t] = h.c0, h.counts @ weights
+    for a, b in ((zero_a, zero_b), (mass_a, mass_b)):
+        se = math.sqrt(a.var(ddof=1) / draws + b.var(ddof=1) / draws)
+        assert abs(a.mean() - b.mean()) <= 3.0 * se
 
 
 class TestSampleSketch:
@@ -116,6 +190,8 @@ class TestSampleSketch:
             exact[key] = exact.get(key, 0.0) + weight
         assert abs(sum(exact.values()) - 1.0) < 1e-12
 
+        assert exact == pytest.approx(register_law(cfg, n))
+
         draws = 100_000
         gen = RngSeed(4).generator(0)
         observed = {}
@@ -124,24 +200,25 @@ class TestSampleSketch:
             key = bytes(s.registers)
             observed[key] = observed.get(key, 0) + 1
         assert set(observed) <= set(exact)
+        stat, df = chi2_against_law(exact, observed, draws)
+        assert stat < chi2_critical(df)
 
-        # pool register states with small expectation into one bucket
-        obs, exp = [], []
-        pooled_obs = pooled_exp = 0.0
-        for key, prob in exact.items():
-            e = prob * draws
-            o = observed.get(key, 0)
-            if e >= 5.0:
-                obs.append(o)
-                exp.append(e)
-            else:
-                pooled_obs += o
-                pooled_exp += e
-        if pooled_exp > 0:
-            obs.append(pooled_obs)
-            exp.append(pooled_exp)
-        stat = chi2_stat(obs, exp)
-        assert stat < chi2_critical(len(obs) - 1)
+    @pytest.mark.parametrize("load", [INDEX_THROW_LOAD, 12], ids=["cutoff", "high"])
+    def test_level_walk_matches_exact_register_law(self, load):
+        # p=2, q=2 above the index-throw cutoff: the law of the whole register
+        # vector, computed element by element, against the level walk
+        cfg = SketchConfig(p=2, q=2)
+        n = load * cfg.m + 1
+        exact = register_law(cfg, n)
+        draws = 20_000
+        seed = RngSeed(18, stream_id=load)
+        observed = {}
+        for t in range(draws):
+            key = bytes(sample_sketch(n, cfg, seed.generator(t)).registers)
+            observed[key] = observed.get(key, 0) + 1
+        assert set(observed) <= set(exact)
+        stat, df = chi2_against_law(exact, observed, draws)
+        assert stat < chi2_critical(df)
 
     def test_matches_brute_force_insertion_moments(self):
         # mean count of untouched registers, sampler vs real hash insertion
@@ -173,45 +250,75 @@ class TestSampleSketch:
         ids=["at-cutoff", "above-cutoff"],
     )
     def test_branch_matches_brute_force_insertion(self, method, extra):
-        # mean zero count and mean weighted mass, sampler against hash
-        # insertion, on each side of the index-throw cutoff
+        # on each side of the index-throw cutoff; above it the first draw is
+        # the level walk's multinomial over the q+1 hash levels
         cfg = SketchConfig(p=4, q=6)
-        n = INDEX_THROW_LOAD * cfg.m + extra
-        draws = 4000
-        weights = np.exp2(-np.arange(cfg.q + 2, dtype=float))
-        seed = RngSeed(12, stream_id=extra)
-        zero_a, mass_a = np.empty(draws), np.empty(draws)
-        for t in range(draws):
-            gen = RecordingGenerator(seed.generator(t))
-            h = sample_sketch(n, cfg, gen).histogram()
+
+        def check(gen):
             assert gen.used[0] == method
-            zero_a[t], mass_a[t] = h.c0, h.counts @ weights
-        rng = np.random.default_rng(13 + extra)
-        zero_b, mass_b = np.empty(draws), np.empty(draws)
-        for t in range(draws):
-            s = Sketch(cfg)
-            s.insert_many(rng.integers(0, 2**64, size=n, dtype=np.uint64))
-            h = s.histogram()
-            zero_b[t], mass_b[t] = h.c0, h.counts @ weights
-        for a, b in ((zero_a, zero_b), (mass_a, mass_b)):
-            se = math.sqrt(a.var(ddof=1) / draws + b.var(ddof=1) / draws)
-            assert abs(a.mean() - b.mean()) <= 3.0 * se
+
+        assert_matches_insertion(
+            cfg, INDEX_THROW_LOAD * cfg.m + extra, RngSeed(12, stream_id=extra),
+            13 + extra, check=check,
+        )
+
+    @pytest.mark.parametrize("q", [0, 1, 6, 60])
+    @pytest.mark.parametrize("load", [INDEX_THROW_LOAD, 100], ids=["cutoff", "high"])
+    def test_level_walk_matches_brute_force_insertion(self, q, load):
+        # just above the cutoff, and at a load where most elements are thinned
+        # away by the binomial draws of the zero-list phase
+        cfg = SketchConfig(p=4, q=q)
+        thinned = []
+
+        def check(gen):
+            assert gen.used[0] == "multinomial"
+            thinned.append("binomial" in gen.used)
+
+        assert_matches_insertion(
+            cfg, load * cfg.m + 1, RngSeed(15, stream_id=q), 16 + q, check=check
+        )
+        assert sum(thinned) > len(thinned) // 2
 
     @pytest.mark.parametrize("q", [0, 3, 60])
     def test_both_branches_fill_exactly_the_occupied_registers(self, q):
         cfg = SketchConfig(p=4, q=q)
         cutoff = INDEX_THROW_LOAD * cfg.m
         for n in (1, cutoff, cutoff + 1, 1000 * cfg.m):
-            method = "integers" if n <= cutoff else "multinomial"
             for t in range(50):
                 gen = RecordingGenerator(RngSeed(14, stream_id=n).generator(t))
                 regs = sample_sketch(n, cfg, gen).registers
-                assert gen.used[0] == method
                 assert regs.dtype == np.uint8
-                assert gen.counts.sum() == n
-                occupied = gen.counts > 0
+                if n <= cutoff:
+                    assert gen.used[0] == "integers"
+                    counts = np.bincount(gen.draws[0], minlength=cfg.m)
+                    assert counts.sum() == n
+                    occupied = counts > 0
+                else:
+                    # per-level sizes, then the register index throws
+                    assert gen.used[0] == "multinomial"
+                    levels, *index_draws = gen.draws
+                    assert levels.size == q + 1 and levels.sum() == n
+                    occupied = hit_registers(index_draws, cfg.m)
+                    # a register holds a level only if that level drew elements
+                    present = np.unique(regs[occupied])
+                    assert np.all(levels[present - 1] > 0)
+                    assert present.max() == np.nonzero(levels)[0].max() + 1
                 assert np.all(regs[~occupied] == 0)
                 assert np.all((regs[occupied] >= 1) & (regs[occupied] <= q + 1))
+
+    @pytest.mark.parametrize("q", [0, 1, 20])
+    def test_level_walk_memory_does_not_grow_with_n(self, q):
+        # the largest temporary is the first throw's 2m indices, whatever n
+        cfg = SketchConfig(p=12, q=q)
+        peaks = []
+        for n in (10**7, 10**15):
+            tracemalloc.start()
+            sample_sketch(n, cfg, RngSeed(17).generator(q))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[1] < 128 * cfg.m
+        # the same up to a few small Python objects
+        assert abs(peaks[1] - peaks[0]) <= 2048
 
 
 class TestSampleJointPair:
