@@ -287,6 +287,20 @@ class TestSimulate:
             + "\nimproved,4,1,100000,3,inf,inf,nan,inf,nan,nan,nan,nan,nan,nan,0\n"
         )
 
+    def test_simulate_leaves_numpy_ma_unimported(self):
+        # np.median and np.quantile would import it through np.unique
+        code = (
+            "import sys; from hllkit.cli import main; "
+            "main(['simulate', '--p', '8', '--q', '16', '--cards', '100,1000', "
+            "'--trials', '5', '--seed', '1', '--estimators', 'raw,improved,ml']); "
+            "print('numpy.ma' in sys.modules)"
+        )
+        r = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=300
+        )
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.splitlines()[-1] == "False"
+
     @pytest.mark.parametrize(
         "spec",
         [
