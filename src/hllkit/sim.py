@@ -23,7 +23,6 @@ count or completion order.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -207,6 +206,10 @@ def _map_trials(worker, indices, threads):
     workers = min(threads, len(indices))
     if workers <= 1:
         return [worker(i) for i in indices]
+    # imported here: it brings in logging, a few ms of `import hllkit` and
+    # over half a megabyte that single-threaded runs never use
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, indices))
 

@@ -416,16 +416,16 @@ class TestRunErrorExperiment:
         assert one == four
 
     def test_workers_capped_at_trial_count(self, monkeypatch):
-        import hllkit.sim as sim
+        import concurrent.futures
 
         sizes = []
 
-        class Recording(sim.ThreadPoolExecutor):
+        class Recording(concurrent.futures.ThreadPoolExecutor):
             def __init__(self, max_workers):
                 sizes.append(max_workers)
                 super().__init__(max_workers=max_workers)
 
-        monkeypatch.setattr(sim, "ThreadPoolExecutor", Recording)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
         run_error_experiment([200], 3, CFG, "improved", RngSeed(14), threads=16)
         run_joint_experiment([(100, 100, 100)], 2, CFG, RngSeed(14), threads=16)
         assert sizes == [3, 2]
