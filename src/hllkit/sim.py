@@ -2,18 +2,13 @@
 
 Instead of inserting n hashed elements one by one, ``sample_sketch`` draws a
 sketch state directly from the register law implied by uniform hashing.  Up
-to ``INDEX_THROW_LOAD`` = 4 elements per register it takes the per-register
-element counts from the bincount of n uniform register indices, then makes
-one inverse-CDF draw per occupied register from
-P(K <= k) = (1 - 2^-min(k,q))^count: O(n) work.  Above that it follows the
-hashing process level by level: one multinomial gives the number of
-elements at each hash level, the first 2m elements are thrown onto all
-registers, and the rest only onto the shrinking list of zero registers,
-each level's share of them drawn as one binomial, until no zero register is
-left.  That is about O(m) uniform draws plus O(q) binomials, whatever n is.
-Both ways are distributionally exact, which is what makes
-large-cardinality sweeps tractable.  Correctness against brute-force hash
-insertion is enforced by tests and the acceptance suite.
+to ``INDEX_THROW_LOAD`` = 4 elements per register it bincounts n uniform
+register indices, then makes one inverse-CDF draw per occupied register from
+P(K <= k) = (1 - 2^-min(k,q))^count: O(n) work.  Above that it walks the
+hash levels (``_throw_levels``): about O(m) uniform draws plus O(q)
+binomials, whatever n is.  Both are distributionally exact, which is what
+makes large-cardinality sweeps tractable.  Correctness against brute-force
+hash insertion is enforced by tests and the acceptance suite.
 
 Determinism: every trial derives its own generator from
 ``(seed, stream_id, trial_index)`` via ``SeedSequence`` spawn keys, so
@@ -215,13 +210,13 @@ def _map_trials(worker, indices, threads):
 
 
 def _median_and_quantiles(arr, quantiles):
-    """``np.median(arr)`` and ``np.quantile(arr, quantiles)``, value for value
-    up to the sign of a zero, from one sorted copy.
+    """``np.median(arr)`` and ``np.quantile(arr, quantiles)`` from one sorted
+    copy, value for value up to the sign of a zero.
 
-    Both numpy functions call ``np.unique``, whose first use imports
-    numpy.ma (10 ms, over 1 MB) that nothing else here needs.  Quantiles use
-    numpy's default linear interpolation, written the way numpy's ``_lerp``
-    writes it, so the rounding is the same.
+    Both numpy functions call ``np.unique``, whose first use imports numpy.ma
+    (about 10 ms and over a megabyte) that nothing else here needs.  The
+    interpolation is numpy's default linear one, in the form numpy's
+    ``_lerp`` computes it, so the rounding is the same.
     """
     s = np.sort(arr)
     if np.isnan(s[-1]):  # nan sorts last, and numpy then reports nan
