@@ -31,6 +31,7 @@ from .errors import (
 )
 from .joint import inclusion_exclusion_estimate, joint_ml_estimate
 from .sim import (
+    MAX_CARDINALITY,
     SINGLE_ESTIMATORS,
     RngSeed,
     run_error_experiment,
@@ -49,7 +50,6 @@ JOINT_COLUMNS = (
     "impr_a,impr_b,impr_x,impr_u,failures"
 )
 JOINT_ESTIMATORS = ("incl-excl", "joint-ml")
-MAX_CARDINALITY = 2**63 - 1  # the samplers draw element counts as int64
 
 DOMAIN_ERRORS = (
     OutOfDomainError,
@@ -146,7 +146,7 @@ def _parse_configs(text: str):
             triple = tuple(int(f) for f in fields)
         except ValueError:
             raise _CliUsageError(f"invalid configuration triple {part!r}") from None
-        if any(v < 0 for v in triple):
+        if not all(0 <= v <= MAX_CARDINALITY for v in triple):
             raise _CliUsageError(f"invalid configuration triple {part!r}")
         configs.append(triple)
     return configs

@@ -116,27 +116,20 @@ def zeta(x):
     return total
 
 
-def _low(c0: int, m: int) -> float:
-    """Zero-register term m sigma(C0/m); +inf when every register is zero."""
-    return m * sigma(c0 / m)
+def _corrected(counts, m: int, q: int) -> float:
+    """alpha_inf m^2 / (m sigma(C0/m) + sum_{k=1..q} C_k 2^-k
+    + m tau(1 - C_{q+1}/m) 2^-q) for counts already checked against (m, q).
 
-
-def _high(saturated: int, m: int, q: int) -> float:
-    """Saturated-register term m tau(1 - C_{q+1}/m) 2^-q."""
-    return m * tau(1.0 - saturated / m) * 2.0**-q
-
-
-def _corrected(counts, m: int, low: float, high: float, mid_weights) -> float:
-    """alpha_inf m^2 / (low + sum_{k=1..q} C_k 2^-k + high), with its two limits.
-
-    An untouched sketch (low = +inf) gives exactly 0; a fully saturated one
-    makes the denominator 0 and gives +inf, as ``ml_estimate`` does.
+    An untouched sketch gives exactly 0; a fully saturated one makes the
+    denominator 0 and gives +inf, as ``ml_estimate`` does.
     """
-    if low == math.inf:
+    if counts[0] == m:
         return 0.0
-    if counts[-1] == m:
+    if counts[q + 1] == m:
         return math.inf
-    mid = float(counts[1:-1] @ mid_weights)
+    low = m * sigma(counts[0] / m)
+    mid = float(counts[1:-1] @ pow2_weights(q)[1:-1])
+    high = m * tau(1.0 - counts[q + 1] / m) * 2.0**-q
     return ALPHA_INF * m * m / (low + mid + high)
 
 
@@ -144,44 +137,14 @@ def improved_estimate(h: RegisterHistogram, config: SketchConfig) -> float:
     """Corrected harmonic-mean estimate: 0 for an untouched sketch, +inf for a
     fully saturated one."""
     h.check(config)
-    m, q = config.m, config.q
-    counts = h.counts
-    return _corrected(
-        counts,
-        m,
-        _low(counts[0], m),
-        _high(counts[q + 1], m, q),
-        pow2_weights(q)[1:-1],
-    )
+    return _corrected(h.counts, config.m, config.q)
 
 
 class ImprovedEstimator:
-    """Reusable corrected estimator for one configuration.
+    """``improved_estimate`` bound to one configuration, called as ``est(h)``."""
 
-    With ``precompute=True`` the two series corrections are tabulated for
-    all m+1 possible counts, trading O(m) setup for O(q) per estimate.
-    The tables are immutable and safe to share across threads.
-    """
-
-    def __init__(self, config: SketchConfig, precompute: bool = False):
+    def __init__(self, config: SketchConfig):
         self.config = config
-        m, q = config.m, config.q
-        self._mid_weights = pow2_weights(q)[1:-1]
-        self._tables = None
-        if precompute:
-            c = range(m + 1)
-            self._tables = (
-                np.array([_low(v, m) for v in c]),
-                np.array([_high(v, m, q) for v in c]),
-            )
 
     def __call__(self, h: RegisterHistogram) -> float:
-        h.check(self.config)
-        m, q = self.config.m, self.config.q
-        counts = h.counts
-        c0, saturated = int(counts[0]), int(counts[q + 1])
-        if self._tables is not None:
-            low, high = float(self._tables[0][c0]), float(self._tables[1][saturated])
-        else:
-            low, high = _low(c0, m), _high(saturated, m, q)
-        return _corrected(counts, m, low, high, self._mid_weights)
+        return improved_estimate(h, self.config)

@@ -42,9 +42,9 @@ from .errors import (
     DomainError,
     NoConvergenceError,
 )
-from .improved import improved_estimate
+from .improved import _corrected, improved_estimate
 from .ml import SolverConfig
-from .sketch import RegisterHistogram, Sketch, SketchConfig, pow2_weights
+from .sketch import Sketch, SketchConfig, pow2_weights
 
 JOINT_MAX_ITERATIONS = 500
 MAX_LOG_STEP = 4.0  # largest step in a log-rate: a factor e**4 in the rate
@@ -120,11 +120,8 @@ def joint_statistic(s1: Sketch, s2: Sketch) -> JointStatistic:
     )
 
 
-def _inclusion_exclusion(est, h1, h2, hu, config: SketchConfig) -> JointEstimate:
-    """Overlap from the estimates of both histograms and their union's."""
-    n1 = est(h1, config)
-    n2 = est(h2, config)
-    nu = est(hu, config)
+def _overlap(n1: float, n2: float, nu: float) -> JointEstimate:
+    """Inclusion-exclusion: (a, b, x) from the sizes of both sides and their union."""
     return JointEstimate(a=nu - n2, b=nu - n1, x=n1 + n2 - nu)
 
 
@@ -138,13 +135,10 @@ def inclusion_exclusion_estimate(
     """
     if s1.config != s2.config:
         raise ConfigMismatchError(f"cannot pair {s1.config} with {s2.config}")
-    return _inclusion_exclusion(
-        estimator or improved_estimate,
-        s1.histogram(),
-        s2.histogram(),
-        s1.merge(s2).histogram(),
-        s1.config,
-    )
+    config = s1.config
+    h1, h2, hu = s1.histogram(), s2.histogram(), s1.merge(s2).histogram()
+    est = estimator or improved_estimate
+    return _overlap(est(h1, config), est(h2, config), est(hu, config))
 
 
 class _JointTerms:
@@ -351,13 +345,7 @@ def _joint_estimates(s1: Sketch, s2: Sketch, solver: SolverConfig | None):
     h1 = stat.c1_less + stat.c_equal + stat.c1_greater
     h2 = stat.c2_less + stat.c_equal + stat.c2_greater
     hu = stat.c1_greater + stat.c_equal + stat.c2_greater
-    ie = _inclusion_exclusion(
-        improved_estimate,
-        RegisterHistogram(h1),
-        RegisterHistogram(h2),
-        RegisterHistogram(hu),
-        config,
-    )
+    ie = _overlap(_corrected(h1, m, q), _corrected(h2, m, q), _corrected(hu, m, q))
     if stat.c_equal[0] == m:
         return ie, JointEstimate(0.0, 0.0, 0.0)  # both sketches untouched
     if stat.c_equal[q + 1] == m:

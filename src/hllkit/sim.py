@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .classic import linear_counting_estimate, original_estimate, raw_estimate
-from .errors import HllError
+from .errors import HllError, RangeError
 from .improved import improved_estimate
 # inclusion_exclusion_estimate and joint_ml_estimate are not called here, but
 # bench/tracing.py wraps them under these module-level names
@@ -40,6 +40,7 @@ DEFAULT_QUANTILES = (0.01, 0.05, 0.25, 0.75, 0.95, 0.99)
 # Elements per register up to which sample_sketch draws the counts from index
 # throws: this cutoff keeps the index path's temporaries (about 12n bytes) O(m).
 INDEX_THROW_LOAD = 4
+MAX_CARDINALITY = 2**63 - 1  # the samplers draw element counts as int64
 
 
 def _linear_from_histogram(hist, config):
@@ -74,12 +75,18 @@ class RngSeed:
         return np.random.default_rng(seq)
 
 
+def _check_cardinality(n) -> int:
+    """n as an int, or RangeError unless it is an integer in [0, MAX_CARDINALITY]."""
+    if not (isinstance(n, (int, np.integer)) and 0 <= n <= MAX_CARDINALITY):
+        raise RangeError(f"cardinality {n!r} is not an integer in [0, 2**63 - 1]")
+    return int(n)
+
+
 def sample_sketch(
     n: int, config: SketchConfig, gen: np.random.Generator
 ) -> Sketch:
     """Exact draw of a sketch filled with n distinct uniformly hashed elements."""
-    if n < 0:
-        raise ValueError(f"cardinality {n} must be non-negative")
+    n = _check_cardinality(n)
     m, q = config.m, config.q
     sketch = Sketch(config)
     if n > INDEX_THROW_LOAD * m:
@@ -281,7 +288,7 @@ def run_error_experiment(
     if not all(0.0 <= p <= 1.0 for p in quantiles):
         raise ValueError(f"quantiles {quantiles} must lie in [0, 1]")
     fn = _resolve_estimator(estimator)
-    cards = [int(n) for n in cardinalities]
+    cards = [_check_cardinality(n) for n in cardinalities]
     reports = []
     for ci, n in enumerate(cards):
 
@@ -321,6 +328,9 @@ def run_joint_experiment(
     """Paired inclusion-exclusion vs joint-ML error table, one row per triple."""
     if trials < 2:
         raise ValueError(f"need at least 2 trials, got {trials}")
+    configurations = [
+        [_check_cardinality(c) for c in triple] for triple in configurations
+    ]
     rows = []
     for gi, (card_a, card_b, card_x) in enumerate(configurations):
         truth = (card_a, card_b, card_x, card_a + card_b + card_x)

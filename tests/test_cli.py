@@ -367,6 +367,14 @@ class TestJointSimulate:
         assert r.returncode == 1
         assert "10,,5" in r.stderr
 
+    def test_triple_above_int64_exits_1(self):
+        r = run_cli(
+            "joint-simulate", "--p", "8", "--q", "16",
+            "--configs", "9223372036854775808,1,1", "--trials", "4", "--seed", "6",
+        )
+        assert r.returncode == 1
+        assert r.stderr.startswith("error: invalid configuration triple")
+
     def test_seed_and_thread_determinism(self):
         base = (
             "joint-simulate", "--p", "8", "--q", "16",

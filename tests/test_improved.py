@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hllkit.classic import ALPHA_INF, linear_counting_estimate, raw_estimate
-from hllkit.errors import DomainError
+from hllkit.errors import DomainError, RangeError
 from hllkit.improved import ImprovedEstimator, improved_estimate, sigma, tau, zeta
 from hllkit.sketch import RegisterHistogram, SketchConfig
 
@@ -157,7 +157,6 @@ class TestImprovedEstimate:
         entry_points = [
             lambda h: improved_estimate(h, cfg),
             ImprovedEstimator(cfg),
-            ImprovedEstimator(cfg, precompute=True),
         ]
         saturated = np.zeros(q + 2, dtype=np.int64)
         saturated[-1] = cfg.m
@@ -191,21 +190,27 @@ class TestImprovedEstimate:
         assert rel.std(ddof=1) <= 0.022
 
 
-class TestImprovedEstimatorTables:
-    def test_precomputed_matches_direct(self):
-        cfg = SketchConfig(4, 6)
-        table = ImprovedEstimator(cfg, precompute=True)
-        direct = ImprovedEstimator(cfg)
+class TestImprovedEstimatorBinding:
+    def test_matches_improved_estimate_exactly(self):
         rng = np.random.default_rng(23)
-        for _ in range(200):
-            counts = rng.multinomial(cfg.m, np.full(cfg.q + 2, 1 / (cfg.q + 2)))
-            h = RegisterHistogram(counts)
-            assert table(h) == pytest.approx(direct(h), rel=1e-12)
-            assert direct(h) == pytest.approx(improved_estimate(h, cfg), rel=1e-15)
+        for cfg in (SketchConfig(4, 6), SketchConfig(8, 20)):
+            est = ImprovedEstimator(cfg)
+            for _ in range(100):
+                counts = rng.multinomial(cfg.m, rng.dirichlet(np.ones(cfg.q + 2)))
+                h = RegisterHistogram(counts)
+                assert est(h) == improved_estimate(h, cfg)
 
-    def test_fresh_gives_zero_with_tables(self):
+    def test_fresh_is_zero_and_saturated_is_infinite(self):
         cfg = SketchConfig(4, 2)
-        table = ImprovedEstimator(cfg, precompute=True)
+        est = ImprovedEstimator(cfg)
         counts = np.zeros(cfg.q + 2, dtype=np.int64)
         counts[0] = cfg.m
-        assert table(RegisterHistogram(counts)) == 0.0
+        assert est(RegisterHistogram(counts)) == 0.0
+        assert est(RegisterHistogram(counts[::-1])) == math.inf
+
+    def test_histogram_is_checked_against_its_configuration(self):
+        est = ImprovedEstimator(SketchConfig(4, 2))
+        with pytest.raises(RangeError):
+            est(RegisterHistogram([16, 0, 0]))  # q+2 = 4 bins wanted
+        with pytest.raises(RangeError):
+            est(RegisterHistogram([15, 0, 0, 0]))  # mass 15, m = 16

@@ -1,8 +1,10 @@
 """Properties that span modules.
 
-Raising one register never lowers a cardinality estimate, and decoding any
-byte string, in the library or through ``hllkit inspect``, either succeeds
-or fails with a typed error and its documented exit code.
+Raising one register never lowers a cardinality estimate; merging is
+idempotent, commutative and associative, on the registers and on every
+estimate; and decoding any byte string, in the library or through
+``hllkit inspect``, either succeeds or fails with a typed error and its
+documented exit code.
 """
 
 import contextlib
@@ -12,26 +14,35 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hllkit.classic import raw_estimate
 from hllkit.cli import main
-from hllkit.errors import FormatError, RangeError
+from hllkit.errors import FormatError, HllError, RangeError
 from hllkit.improved import improved_estimate
 from hllkit.ml import SolverConfig, ml_estimate
 from hllkit.sim import sample_sketch
 from hllkit.sketch import MAGIC, Sketch, SketchConfig
 
 
+def _config_and_rng(draw):
+    cfg = SketchConfig(draw(st.sampled_from([4, 6, 8])), draw(st.integers(0, 24)))
+    return cfg, np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+
+def _registers(draw, cfg, rng):
+    """Registers of a sampled sketch, or uniform values in a drawn range."""
+    if draw(st.booleans()):
+        n = draw(st.integers(0, 10**7))
+        return sample_sketch(n, cfg, rng).registers.copy()
+    lo = draw(st.integers(0, cfg.q + 1))
+    hi = draw(st.integers(lo, cfg.q + 1))
+    return rng.integers(lo, hi + 1, size=cfg.m).astype(np.uint8)
+
+
 @st.composite
 def register_raises(draw):
     """A register array, one register below q+1 in it, and a higher value."""
-    cfg = SketchConfig(draw(st.sampled_from([4, 6, 8])), draw(st.integers(0, 24)))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    if draw(st.booleans()):
-        n = draw(st.integers(0, 10**7))
-        regs = sample_sketch(n, cfg, rng).registers.copy()
-    else:
-        lo = draw(st.integers(0, cfg.q + 1))
-        hi = draw(st.integers(lo, cfg.q + 1))
-        regs = rng.integers(lo, hi + 1, size=cfg.m).astype(np.uint8)
+    cfg, rng = _config_and_rng(draw)
+    regs = _registers(draw, cfg, rng)
     below = np.flatnonzero(regs <= cfg.q)
     if below.size == 0:
         regs[draw(st.integers(0, cfg.m - 1))] = draw(st.integers(0, cfg.q))
@@ -52,6 +63,38 @@ def test_raising_a_register_never_lowers_an_estimate(case):
     # estimate is only known to within a relative delta of its root
     delta = SolverConfig().delta(cfg.m)
     assert ml_estimate(h1, cfg) >= ml_estimate(h0, cfg) * (1.0 - delta)
+
+
+@st.composite
+def sketch_triples(draw):
+    """Three sketches of one configuration."""
+    cfg, rng = _config_and_rng(draw)
+    return [Sketch.from_registers(cfg, _registers(draw, cfg, rng)) for _ in range(3)]
+
+
+def _estimates(sketch):
+    """raw, improved and ML estimates as exact reprs, or the error each raised."""
+    h, cfg = sketch.histogram(), sketch.config
+    out = []
+    for estimate in (raw_estimate, improved_estimate, ml_estimate):
+        try:
+            out.append(repr(estimate(h, cfg)))
+        except HllError as e:
+            out.append(type(e).__name__)
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(sketch_triples())
+def test_merge_is_idempotent_commutative_and_associative(sketches):
+    a, b, c = sketches
+    for left, right in (
+        (a.merge(a), a),
+        (a.merge(b), b.merge(a)),
+        (a.merge(b).merge(c), a.merge(b.merge(c))),
+    ):
+        assert np.array_equal(left.registers, right.registers)
+        assert _estimates(left) == _estimates(right)
 
 
 @st.composite

@@ -15,7 +15,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hllkit.errors import ZeroRegistersExhaustedError
+from hllkit.errors import RangeError, ZeroRegistersExhaustedError
 from hllkit.improved import improved_estimate
 from hllkit.sim import (
     DEFAULT_QUANTILES,
@@ -150,8 +150,20 @@ class TestSampleSketch:
         assert not s.registers.any()
 
     def test_negative_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(RangeError):
             sample_sketch(-1, CFG, RngSeed(1).generator(0))
+
+    @pytest.mark.parametrize("n", [2**63, 1000.0, 1e9, 10.7, "10", None])
+    def test_non_int64_cardinality_rejected(self, n):
+        with pytest.raises(RangeError):
+            sample_sketch(n, CFG, RngSeed(1).generator(0))
+
+    def test_int64_limit_and_numpy_ints_accepted(self):
+        gen = RngSeed(1).generator(0)
+        assert (sample_sketch(2**63 - 1, CFG, gen).registers > 0).all()
+        a = sample_sketch(np.int64(300), CFG, RngSeed(1).generator(1))
+        b = sample_sketch(300, CFG, RngSeed(1).generator(1))
+        assert np.array_equal(a.registers, b.registers)
 
     def test_single_element_occupies_one_register(self):
         gen = RngSeed(2).generator(0)
@@ -457,6 +469,17 @@ class TestRunErrorExperiment:
         with pytest.raises(ValueError):
             run_error_experiment([10], 1, CFG, "improved", RngSeed(18))
 
+    @pytest.mark.parametrize("cards", [[10.7], [10.0], [10, -1], [2**63]])
+    def test_non_integral_cardinality_rejected(self, cards):
+        with pytest.raises(RangeError):
+            run_error_experiment(cards, 5, CFG, "improved", RngSeed(18))
+
+    def test_numpy_int_cardinalities_accepted(self):
+        a = run_error_experiment(np.array([10, 500]), 5, CFG, "improved", RngSeed(18))
+        b = run_error_experiment([10, 500], 5, CFG, "improved", RngSeed(18))
+        assert a == b
+        assert all(type(r.cardinality) is int for r in a)
+
     @pytest.mark.parametrize("quantiles", [(1.5,), (0.5, -0.1)])
     def test_quantiles_outside_unit_interval_rejected(self, quantiles):
         with pytest.raises(ValueError):
@@ -525,6 +548,16 @@ class TestRunJointExperiment:
     def test_too_few_trials_rejected(self):
         with pytest.raises(ValueError):
             run_joint_experiment([(10, 10, 10)], 1, CFG, RngSeed(23))
+
+    @pytest.mark.parametrize("triple", [(10, 10, 10.5), (10.0, 10, 10), (10, -1, 10)])
+    def test_non_integral_cardinality_rejected(self, triple):
+        with pytest.raises(RangeError):
+            run_joint_experiment([(10, 10, 10), triple], 2, CFG, RngSeed(23))
+
+    def test_numpy_int_cardinalities_accepted(self):
+        a = run_joint_experiment([np.array([300, 200, 100])], 4, CFG, RngSeed(23))
+        b = run_joint_experiment([(300, 200, 100)], 4, CFG, RngSeed(23))
+        assert a == b
 
 
 class TestErrorReportType:
