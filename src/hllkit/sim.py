@@ -198,7 +198,7 @@ def _resolve_estimator(selector):
     try:
         return SINGLE_ESTIMATORS[selector]
     except KeyError:
-        raise ValueError(
+        raise RangeError(
             f"unknown estimator {selector!r}; choose from "
             f"{sorted(SINGLE_ESTIMATORS)}"
         ) from None
@@ -284,9 +284,9 @@ def run_error_experiment(
     ``RngSeed`` see identical sketches for every estimator choice.
     """
     if trials < 2:
-        raise ValueError(f"need at least 2 trials, got {trials}")
+        raise RangeError(f"need at least 2 trials, got {trials}")
     if not all(0.0 <= p <= 1.0 for p in quantiles):
-        raise ValueError(f"quantiles {quantiles} must lie in [0, 1]")
+        raise RangeError(f"quantiles {quantiles} must lie in [0, 1]")
     fn = _resolve_estimator(estimator)
     cards = [_check_cardinality(n) for n in cardinalities]
     reports = []
@@ -327,7 +327,7 @@ def run_joint_experiment(
 ):
     """Paired inclusion-exclusion vs joint-ML error table, one row per triple."""
     if trials < 2:
-        raise ValueError(f"need at least 2 trials, got {trials}")
+        raise RangeError(f"need at least 2 trials, got {trials}")
     configurations = [
         [_check_cardinality(c) for c in triple] for triple in configurations
     ]

@@ -175,8 +175,19 @@ class Sketch:
         np.maximum.at(self._regs, idx, value)
 
     def histogram(self) -> RegisterHistogram:
-        counts = np.bincount(self._regs, minlength=self.config.q + 2)
-        return RegisterHistogram(counts)
+        """Count of registers at each value 0..q+1.
+
+        ``bincount`` reads the registers two bytes at a time (m is even), so it
+        visits m/2 elements and fills a (q+2, 256) table of byte pairs, of
+        which only the first q+2 columns can be non-zero.  Value k is counted
+        by the pairs with k in one byte (row k) plus those with k in the other
+        (column k).  The fold is symmetric in the two bytes, so byte order
+        does not matter.
+        """
+        q2 = self.config.q + 2
+        pairs = np.bincount(self._regs.view(np.uint16), minlength=256 * q2)
+        pairs = pairs.reshape(q2, 256)[:, :q2]
+        return RegisterHistogram(pairs.sum(0) + pairs.sum(1))
 
     def merge(self, other: "Sketch") -> "Sketch":
         """Pure register-wise maximum; inputs are left untouched."""
@@ -206,16 +217,17 @@ class Sketch:
         if not P_MIN <= p <= P_MAX or p + q > HASH_BITS:
             raise RangeError(f"serialized parameters p={p}, q={q} out of range")
         config = SketchConfig(p, q)
-        body = data[7:]
-        if len(body) != config.m:
+        if len(data) - 7 != config.m:
             raise FormatError(
-                f"expected {config.m} register bytes, got {len(body)}"
+                f"expected {config.m} register bytes, got {len(data) - 7}"
             )
-        regs = np.frombuffer(body, dtype=np.uint8)
+        regs = np.frombuffer(data, dtype=np.uint8, offset=7)
         if regs.max() > config.max_register:
             raise RangeError("register value exceeds q+1")
-        sk = cls(config)
-        sk._regs[:] = regs  # copy: frombuffer is read-only and aliases ``data``
+        # one copy, with no zero fill first: frombuffer aliases ``data``
+        sk = cls.__new__(cls)
+        sk.config = config
+        sk._regs = regs.copy()
         return sk
 
     def __eq__(self, other):
@@ -258,8 +270,12 @@ def _is_hash(x) -> bool:
 
 
 def _bit_length_u64(v: np.ndarray) -> np.ndarray:
-    """Bit length of each uint64 (0 for 0) as uint8: smear the top one bit down, count."""
-    v = v | (v >> 1)
-    for shift in (2, 4, 8, 16, 32):
-        v |= v >> shift
-    return np.bitwise_count(v)
+    """Bit length of each uint64 (0 for 0) as uint8, read from the float exponent.
+
+    A float64 keeps the top one bit and the 52 bits below it; the next bit
+    down decides whether the conversion rounds up, possibly to the next power
+    of two.  ``v >> 53`` has a one in that place, so ``v & ~(v >> 53)``
+    clears it (and otherwise only bits further down), and the exponent is
+    then exact for every uint64.
+    """
+    return np.frexp((v & ~(v >> 53)).astype(np.float64))[1].astype(np.uint8)

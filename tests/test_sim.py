@@ -462,11 +462,11 @@ class TestRunErrorExperiment:
         assert r.mean_rel_err == pytest.approx(42.0 / 10 - 1.0)
 
     def test_unknown_estimator_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(RangeError):
             run_error_experiment([10], 5, CFG, "nope", RngSeed(17))
 
     def test_too_few_trials_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(RangeError):
             run_error_experiment([10], 1, CFG, "improved", RngSeed(18))
 
     @pytest.mark.parametrize("cards", [[10.7], [10.0], [10, -1], [2**63]])
@@ -482,7 +482,7 @@ class TestRunErrorExperiment:
 
     @pytest.mark.parametrize("quantiles", [(1.5,), (0.5, -0.1)])
     def test_quantiles_outside_unit_interval_rejected(self, quantiles):
-        with pytest.raises(ValueError):
+        with pytest.raises(RangeError):
             run_error_experiment(
                 [10], 5, CFG, "improved", RngSeed(18), quantiles=quantiles
             )
@@ -546,7 +546,7 @@ class TestRunJointExperiment:
         assert row.rmse_ml[2] < 0.5
 
     def test_too_few_trials_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(RangeError):
             run_joint_experiment([(10, 10, 10)], 1, CFG, RngSeed(23))
 
     @pytest.mark.parametrize("triple", [(10, 10, 10.5), (10.0, 10, 10), (10, -1, 10)])

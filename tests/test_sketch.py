@@ -1,16 +1,23 @@
 """Sketch structure: insertion bit layout, merge lattice, histogram, serialization."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hllkit.errors import ConfigMismatchError, FormatError, RangeError
+from hllkit.sim import RngSeed, sample_sketch
 from hllkit.sketch import RegisterHistogram, Sketch, SketchConfig, _bit_length_u64, merge
 
 HASHES = st.integers(min_value=0, max_value=2**64 - 1)
-# 0, every power of two, every 2**k - 1 (including 2**64 - 1)
-BIT_EDGES = sorted({0} | {1 << k for k in range(64)} | {(1 << k) - 1 for k in range(1, 65)})
+# 0, every power of two, every 2**k - 1 (including 2**64 - 1), and around
+# 2**k - 2**(k-54), which lie half way between two float64 values
+BIT_EDGES = sorted(
+    {0} | {1 << k for k in range(64)} | {(1 << k) - 1 for k in range(1, 65)}
+    | {(1 << k) - (1 << (k - 54)) + d for k in range(54, 65) for d in (-1, 0, 1)}
+)
 
 
 def spread_hashes(p):
@@ -268,6 +275,21 @@ class TestHistogram:
         b.insert_many(rng.integers(0, 2**64, 500, dtype=np.uint64))
         assert a.merge(b).histogram().total() == 64
 
+    @given(st.sampled_from([(2, 0), (2, 62), (4, 60), (12, 20), (16, 16), (16, 48)]),
+           st.sampled_from(["random", "zero", "saturated"]), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_counts_match_bytewise_bincount(self, pq, fill, seed):
+        p, q = pq
+        m = 1 << p
+        rng = np.random.default_rng(seed)
+        regs = {
+            "random": rng.integers(0, rng.integers(1, q + 3), m),
+            "zero": np.zeros(m, dtype=int),
+            "saturated": np.full(m, q + 1),
+        }[fill]
+        sk = Sketch.from_registers(SketchConfig(p, q), regs)
+        assert sk.histogram().counts.tolist() == np.bincount(regs, minlength=q + 2).tolist()
+
     def test_check_rejects_wrong_shape_or_mass(self):
         with pytest.raises(RangeError):
             RegisterHistogram([1, 2, 3]).check(SketchConfig(2, 0))  # mass != 4
@@ -337,6 +359,14 @@ class TestSerialization:
         assert bytes(blob) == before
         assert decoded != sk
 
+    def test_mutating_source_bytearray_leaves_sketch(self):
+        sk = make(4, 6)
+        sk.insert(5 << 60)
+        blob = bytearray(sk.to_bytes())
+        decoded = Sketch.from_bytes(blob)
+        blob[7:] = bytes([6]) * 16
+        assert decoded == sk
+
     @given(st.lists(HASHES, max_size=50))
     @settings(max_examples=50, deadline=None)
     def test_roundtrip_property(self, hashes):
@@ -375,3 +405,41 @@ class TestFromRegisters:
         a, b = make(), make()
         a.insert(42)
         assert merge(a, b) == a
+
+
+class TestKernelDigests:
+    """sha256 of registers and histogram counts, pinned: any change to the
+    insertion, histogram or sampling kernels that moves one bit fails here."""
+
+    @staticmethod
+    def _feed(digest, sk):
+        digest.update(sk.registers.tobytes())
+        digest.update(sk.histogram().counts.astype("<i8").tobytes())
+
+    @pytest.mark.parametrize("p,q,want", [
+        (12, 20, "6303e3c3bbb94829bd55617b0bdac6a9bc688e089a0db87728f749d18f0c1f68"),
+        (16, 16, "f903e6b9da574ba68ca30a4a7e86dffe19da039122a66589cc36e119adf95620"),
+        (4, 60, "ffe51150bd2e3d9e0eace88709684785dc4c372b635fab79b15d2487f0885fad"),
+    ])
+    def test_insert_many(self, p, q, want):
+        # uniform hashes, then the same shifted right by 0..63 bits, so that
+        # every bit length and the saturated value all occur
+        rng = np.random.default_rng(p * 100 + q)
+        sk = make(p, q)
+        digest = hashlib.sha256()
+        for size in (1 << (p - 2), 1 << p, 1 << (p + 2)):
+            h = rng.integers(0, 2**64, size=size, dtype=np.uint64)
+            shifts = rng.integers(0, 64, size=size, dtype=np.uint64)
+            sk.insert_many(h)
+            self._feed(digest, sk)
+            sk.insert_many(h >> shifts)
+            self._feed(digest, sk)
+        assert digest.hexdigest() == want
+
+    def test_sample_sketch_error_curve_grid(self):
+        config, rng = SketchConfig(12, 20), RngSeed(2017)
+        digest = hashlib.sha256()
+        for i, n in enumerate(int(v) for v in np.rint(np.geomspace(1, 1e7, 22))):
+            self._feed(digest, sample_sketch(n, config, rng.generator(i)))
+        assert digest.hexdigest() == (
+            "32932dba0bfac301d49885757dfce5af3a8996747a58c81d6764c97407766e9c")
