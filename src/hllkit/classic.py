@@ -48,8 +48,8 @@ def linear_counting_estimate(c0: int, m: int) -> float:
 def large_range_correction(raw: float, bits: int) -> float:
     """Collision correction -2^bits * ln(1 - raw / 2^bits) near hash-space saturation."""
     space = 2.0**bits
-    if raw < 0:
-        raise OutOfDomainError(f"raw estimate {raw} is negative")
+    if not raw >= 0:  # nan fails this test too
+        raise OutOfDomainError(f"raw estimate {raw} is negative or nan")
     if raw >= space:
         raise OutOfDomainError(
             f"raw estimate {raw} is at or beyond the 2^{bits} hash space; correction undefined"

@@ -1,6 +1,7 @@
 """Command-line front end: estimate, simulate, joint-simulate, inspect.
 
-Exit codes: 0 success; 1 invalid flags or malformed option syntax; for
+Exit codes: 0 success; 1 invalid flags, malformed option syntax or any
+other ``RangeError`` (a parameter out of range); for
 ``estimate`` additionally 2 unreadable/corrupt sketch file, 3 sketch
 config mismatch, 4 estimator domain failure (e.g. the large-range
 correction leaving its domain).
@@ -152,18 +153,6 @@ def _parse_configs(text: str):
     return configs
 
 
-def _sketch_config(p: int, q: int) -> SketchConfig:
-    try:
-        return SketchConfig(p=p, q=q)
-    except RangeError as exc:
-        raise _CliUsageError(str(exc)) from None
-
-
-def _check_threads(threads: int) -> None:
-    if threads < 1:
-        raise _CliUsageError(f"--threads must be at least 1, got {threads}")
-
-
 def cmd_estimate(args) -> int:
     joint = args.estimator in JOINT_ESTIMATORS
     if joint and not args.sketch2:
@@ -231,11 +220,8 @@ def cmd_inspect(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    cfg = _sketch_config(args.p, args.q)
+    cfg = SketchConfig(args.p, args.q)
     cards = _parse_cards(args.cards)
-    if args.trials < 2:
-        raise _CliUsageError("--trials must be at least 2")
-    _check_threads(args.threads)
     names = [n.strip() for n in args.estimators.split(",") if n.strip()]
     if not names:
         raise _CliUsageError("--estimators must name at least one estimator")
@@ -264,24 +250,17 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_joint_simulate(args) -> int:
-    cfg = _sketch_config(args.p, args.q)
+    cfg = SketchConfig(args.p, args.q)
     configs = _parse_configs(args.configs)
-    if args.trials < 2:
-        raise _CliUsageError("--trials must be at least 2")
-    _check_threads(args.threads)
+    rows = run_joint_experiment(
+        configs, args.trials, cfg, RngSeed(args.seed), threads=args.threads
+    )
     lines = [JOINT_COLUMNS]
-    if configs:
-        rows = run_joint_experiment(
-            configs, args.trials, cfg, RngSeed(args.seed), threads=args.threads
+    for r in rows:
+        stats = ",".join(_fmt(v) for v in (*r.rmse_ie, *r.rmse_ml, *r.improvement))
+        lines.append(
+            f"{r.card_a},{r.card_b},{r.card_x},{r.trials},{stats},{r.failures}"
         )
-        for r in rows:
-            stats = ",".join(
-                _fmt(v) for v in (*r.rmse_ie, *r.rmse_ml, *r.improvement)
-            )
-            lines.append(
-                f"{r.card_a},{r.card_b},{r.card_x},{r.trials},"
-                f"{stats},{r.failures}"
-            )
     _emit(lines, args.out)
     return 0
 
@@ -347,7 +326,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _CliUsageError as exc:
+    except (_CliUsageError, RangeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -88,7 +88,7 @@ def _weights(h: RegisterHistogram, config: SketchConfig):
 
 def log_likelihood(lam: float, h: RegisterHistogram, config: SketchConfig) -> float:
     """Poisson-model log-likelihood of rate lam for this histogram."""
-    if lam <= 0:
+    if not lam > 0:  # nan fails this test too
         raise DomainError(f"rate {lam} must be positive")
     h.check(config)
     _, c, scale, w = _weights(h, config)
@@ -100,7 +100,7 @@ def log_likelihood(lam: float, h: RegisterHistogram, config: SketchConfig) -> fl
 
 def ml_root_function(lam: float, h: RegisterHistogram, config: SketchConfig) -> float:
     """Monotone decreasing f whose unique root is the ML estimate; f(0) = m - C0."""
-    if lam < 0:
+    if not lam >= 0:  # nan fails this test too
         raise DomainError(f"rate {lam} must be non-negative")
     h.check(config)
     if lam == 0:

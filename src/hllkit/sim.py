@@ -1,12 +1,9 @@
 """Seeded Monte-Carlo harness for sketch error experiments.
 
 Instead of inserting n hashed elements one by one, ``sample_sketch`` draws a
-sketch state directly from the register law implied by uniform hashing.  Up
-to ``INDEX_THROW_LOAD`` = 4 elements per register it bincounts n uniform
-register indices, then makes one inverse-CDF draw per occupied register from
-P(K <= k) = (1 - 2^-min(k,q))^count: O(n) work.  Above that it walks the
-hash levels (``_throw_levels``): about O(m) uniform draws plus O(q)
-binomials, whatever n is.  Both are distributionally exact, which is what
+sketch state directly from the register law implied by uniform hashing: it
+walks the hash levels from the top down, with about O(m) uniform draws plus
+O(q) binomials for any n.  The draw is distributionally exact, which is what
 makes large-cardinality sweeps tractable.  Correctness against brute-force
 hash insertion is enforced by tests and the acceptance suite.
 
@@ -37,14 +34,11 @@ from .ml import SolverConfig, ml_estimate
 from .sketch import Sketch, SketchConfig, pow2_weights
 
 DEFAULT_QUANTILES = (0.01, 0.05, 0.25, 0.75, 0.95, 0.99)
-# Elements per register up to which sample_sketch draws the counts from index
-# throws: this cutoff keeps the index path's temporaries (about 12n bytes) O(m).
-INDEX_THROW_LOAD = 4
 MAX_CARDINALITY = 2**63 - 1  # the samplers draw element counts as int64
 
 
 def _linear_from_histogram(hist, config):
-    return linear_counting_estimate(hist.c0, config.m)
+    return linear_counting_estimate(hist.check(config).c0, config.m)
 
 
 SINGLE_ESTIMATORS = {
@@ -68,6 +62,11 @@ class RngSeed:
     seed: int
     stream_id: int = 0
 
+    def __post_init__(self):
+        for name, value in (("seed", self.seed), ("stream_id", self.stream_id)):
+            if not _is_int_at_least(value, 0):
+                raise RangeError(f"{name} {value!r} is not an integer >= 0")
+
     def generator(self, trial_index: int) -> np.random.Generator:
         seq = np.random.SeedSequence(
             entropy=self.seed, spawn_key=(self.stream_id, trial_index)
@@ -75,9 +74,21 @@ class RngSeed:
         return np.random.default_rng(seq)
 
 
+def _is_int_at_least(value, low) -> bool:
+    return isinstance(value, (int, np.integer)) and value >= low
+
+
+def _check_runner(trials, threads) -> None:
+    """RangeError unless trials is an integer >= 2 and threads one >= 1."""
+    if not _is_int_at_least(trials, 2):
+        raise RangeError(f"trials {trials!r} is not an integer >= 2")
+    if not _is_int_at_least(threads, 1):
+        raise RangeError(f"threads {threads!r} is not an integer >= 1")
+
+
 def _check_cardinality(n) -> int:
     """n as an int, or RangeError unless it is an integer in [0, MAX_CARDINALITY]."""
-    if not (isinstance(n, (int, np.integer)) and 0 <= n <= MAX_CARDINALITY):
+    if not (_is_int_at_least(n, 0) and n <= MAX_CARDINALITY):
         raise RangeError(f"cardinality {n!r} is not an integer in [0, 2**63 - 1]")
     return int(n)
 
@@ -85,26 +96,7 @@ def _check_cardinality(n) -> int:
 def sample_sketch(
     n: int, config: SketchConfig, gen: np.random.Generator
 ) -> Sketch:
-    """Exact draw of a sketch filled with n distinct uniformly hashed elements."""
-    n = _check_cardinality(n)
-    m, q = config.m, config.q
-    sketch = Sketch(config)
-    if n > INDEX_THROW_LOAD * m:
-        _throw_levels(sketch._regs, n, q, gen)
-    elif n > 0:
-        counts = np.bincount(gen.integers(0, m, size=n), minlength=m)
-        occupied = np.nonzero(counts)[0]
-        u = gen.random(occupied.size)
-        # invert P(K <= k) = (1 - 2^-k)^count at u, then clip to [1, q+1]: the
-        # clip is the range check, so the values go straight into the registers
-        with np.errstate(divide="ignore"):
-            t = -np.log2(-np.expm1(np.log(u) / counts[occupied]))
-        sketch._regs[occupied] = np.clip(np.ceil(t), 1.0, float(q + 1))
-    return sketch
-
-
-def _throw_levels(regs, n, q, gen):
-    """Set the zero registers ``regs`` as n uniformly hashed elements would.
+    """Exact draw of a sketch filled with n distinct uniformly hashed elements.
 
     An element's hash level, the value it offers its register, is k with
     probability 2^-k for k <= q and 2^-q for k = q+1, and a register keeps
@@ -118,7 +110,10 @@ def _throw_levels(regs, n, q, gen):
     once U is empty.  Memory is O(m) for any n: the first throw's 2m
     indices are the largest temporary.
     """
-    m = regs.size
+    n = _check_cardinality(n)
+    m, q = config.m, config.q
+    sketch = Sketch(config)
+    regs = sketch._regs
     pow2 = pow2_weights(q)
     levels = np.arange(q + 1, 0, -1, dtype=np.uint8)
     counts = gen.multinomial(n, np.append(pow2[1 : q + 1], pow2[q]))[::-1]
@@ -137,6 +132,7 @@ def _throw_levels(regs, n, q, gen):
             regs[zeros[gen.integers(0, domain, size=throw)]] = level
             zeros = zeros[regs[zeros] == 0]
             c -= throw
+    return sketch
 
 
 def sample_joint_pair(
@@ -283,8 +279,7 @@ def run_error_experiment(
     the substream for global index ``i * trials + t``, so runs with the same
     ``RngSeed`` see identical sketches for every estimator choice.
     """
-    if trials < 2:
-        raise RangeError(f"need at least 2 trials, got {trials}")
+    _check_runner(trials, threads)
     if not all(0.0 <= p <= 1.0 for p in quantiles):
         raise RangeError(f"quantiles {quantiles} must lie in [0, 1]")
     fn = _resolve_estimator(estimator)
@@ -326,8 +321,7 @@ def run_joint_experiment(
     solver: SolverConfig | None = None,
 ):
     """Paired inclusion-exclusion vs joint-ML error table, one row per triple."""
-    if trials < 2:
-        raise RangeError(f"need at least 2 trials, got {trials}")
+    _check_runner(trials, threads)
     configurations = [
         [_check_cardinality(c) for c in triple] for triple in configurations
     ]

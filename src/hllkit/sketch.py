@@ -45,6 +45,9 @@ class SketchConfig:
     q: int
 
     def __post_init__(self):
+        ints = (int, np.integer)
+        if not (isinstance(self.p, ints) and isinstance(self.q, ints)):
+            raise RangeError(f"p={self.p!r} and q={self.q!r} must be integers")
         if not P_MIN <= self.p <= P_MAX:
             raise RangeError(f"p={self.p} outside [{P_MIN}, {P_MAX}]")
         if self.q < 0:
@@ -67,7 +70,10 @@ class RegisterHistogram:
     __slots__ = ("counts",)
 
     def __init__(self, counts):
-        self.counts = np.asarray(counts, dtype=np.int64)
+        counts = np.asarray(counts)
+        if not _is_integral(counts):
+            raise RangeError("histogram counts must be integers")
+        self.counts = counts.astype(np.int64, copy=False)
         if self.counts.ndim != 1 or self.counts.size < 2:
             raise RangeError("histogram needs one count per register value 0..q+1")
         if np.any(self.counts < 0):
@@ -122,14 +128,13 @@ class Sketch:
         """Build a sketch from explicit register values (validated).
 
         Integer and bool arrays pass on their dtype; float values must be
-        integral, and anything else raises RangeError rather than being cast.
+        finite integers, and anything else raises RangeError rather than being
+        cast.
         """
         arr = np.asarray(values)
         if arr.shape != (config.m,):
             raise RangeError(f"expected {config.m} register values, got {arr.shape}")
-        if arr.dtype.kind not in "iub" and not (
-            arr.dtype.kind == "f" and np.array_equal(arr, np.floor(arr))
-        ):
+        if not _is_integral(arr):
             raise RangeError("register values must be integers")
         if arr.size and (np.any(arr < 0) or np.any(arr > config.max_register)):
             raise RangeError(f"register values must lie in 0..{config.max_register}")
@@ -263,6 +268,16 @@ def _hash_array(hashes) -> np.ndarray:
     if h.ndim == 1 and all(_is_hash(x) for x in hashes):
         return np.array([int(x) for x in hashes], dtype=np.uint64)
     raise RangeError("hash values must be integers in [0, 2**64)")
+
+
+def _is_integral(arr: np.ndarray) -> bool:
+    """True for integer and bool arrays, on their dtype alone, and for float
+    arrays whose values are all finite integers."""
+    if arr.dtype.kind in "iub":
+        return True
+    return arr.dtype.kind == "f" and bool(
+        np.all(np.isfinite(arr) & (arr == np.floor(arr)))
+    )
 
 
 def _is_hash(x) -> bool:

@@ -132,6 +132,10 @@ class TestLargeRangeCorrection:
         with pytest.raises(OutOfDomainError):
             large_range_correction(-1.0, 32)
 
+    def test_nan_raw_rejected(self):
+        with pytest.raises(OutOfDomainError):
+            large_range_correction(math.nan, 32)
+
     def test_expands_the_estimate(self):
         # correction inverts collision shrinkage, so it must exceed its input
         for raw in (1e6, 1e9, 4e9):

@@ -263,6 +263,16 @@ class TestSimulate:
         assert r.stderr.startswith("error:") and r.stderr.count("\n") == 1
 
 
+    @pytest.mark.parametrize("seed", ["-1", "-5"])
+    def test_negative_seed_exit_1(self, seed):
+        r = run_cli(
+            "simulate", "--p", "8", "--q", "16", "--cards", "10",
+            "--trials", "4", "--seed", seed, "--estimators", "raw",
+        )
+        assert r.returncode == 1
+        assert r.stdout == ""
+        assert r.stderr.startswith("error:") and r.stderr.count("\n") == 1
+
     def test_fully_saturated_sketches_exit_0(self):
         r = run_cli(
             "simulate", "--p", "4", "--q", "1", "--cards", "100000",
@@ -398,6 +408,25 @@ class TestJointSimulate:
         assert r.stdout == ""
         assert r.stderr.startswith("error:") and r.stderr.count("\n") == 1
 
+
+    @pytest.mark.parametrize("seed", ["-1", "-5"])
+    def test_negative_seed_exit_1(self, seed):
+        r = run_cli(
+            "joint-simulate", "--p", "8", "--q", "16",
+            "--configs", "200,200,200", "--trials", "4", "--seed", seed,
+        )
+        assert r.returncode == 1
+        assert r.stdout == ""
+        assert r.stderr.startswith("error:") and r.stderr.count("\n") == 1
+
+    def test_too_few_trials_with_no_configurations_exit_1(self):
+        r = run_cli(
+            "joint-simulate", "--p", "8", "--q", "16", "--configs", "",
+            "--trials", "1", "--seed", "6",
+        )
+        assert r.returncode == 1
+        assert r.stdout == ""
+        assert r.stderr.startswith("error:") and r.stderr.count("\n") == 1
 
     def test_fully_saturated_sketches_exit_0(self):
         r = run_cli(

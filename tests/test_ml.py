@@ -129,6 +129,10 @@ class TestLogLikelihood:
         with pytest.raises(DomainError):
             log_likelihood(-1.0, h, CFG)
 
+    def test_rejects_nan_rate(self):
+        with pytest.raises(DomainError):
+            log_likelihood(math.nan, fresh(CFG), CFG)
+
     def test_concave_in_log_rate(self):
         for h in random_hists(10, CFG, seed=4):
             ts = np.linspace(math.log(10.0), math.log(1e8), 40)
@@ -161,6 +165,10 @@ class TestRootFunction:
     def test_rejects_negative_rate(self):
         with pytest.raises(DomainError):
             ml_root_function(-0.5, fresh(CFG), CFG)
+
+    def test_rejects_nan_rate(self):
+        with pytest.raises(DomainError):
+            ml_root_function(math.nan, fresh(CFG), CFG)
 
     def test_monotone_decreasing_and_convex(self):
         for h in random_hists(10, CFG, seed=11):

@@ -19,7 +19,7 @@ from hllkit.errors import RangeError, ZeroRegistersExhaustedError
 from hllkit.improved import improved_estimate
 from hllkit.sim import (
     DEFAULT_QUANTILES,
-    INDEX_THROW_LOAD,
+    SINGLE_ESTIMATORS,
     ErrorReport,
     RngSeed,
     _median_and_quantiles,
@@ -28,7 +28,7 @@ from hllkit.sim import (
     sample_joint_pair,
     sample_sketch,
 )
-from hllkit.sketch import Sketch, SketchConfig
+from hllkit.sketch import RegisterHistogram, Sketch, SketchConfig
 
 CFG = SketchConfig(p=8, q=16)
 
@@ -144,6 +144,19 @@ def assert_matches_insertion(cfg, n, seed, brute_seed, draws=4000, check=None):
         assert abs(a.mean() - b.mean()) <= 3.0 * se
 
 
+class TestRngSeed:
+    @pytest.mark.parametrize(
+        "seed, stream_id", [(-1, 0), (1.5, 0), ("7", 0), (1, -5), (1, 2.0)]
+    )
+    def test_bad_seed_or_stream_rejected(self, seed, stream_id):
+        with pytest.raises(RangeError):
+            RngSeed(seed, stream_id=stream_id)
+
+    def test_numpy_integer_seed_draws_the_same_stream(self):
+        a = RngSeed(np.int64(3), stream_id=np.uint8(2)).generator(5).random()
+        assert a == RngSeed(3, stream_id=2).generator(5).random()
+
+
 class TestSampleSketch:
     def test_zero_elements_gives_fresh_sketch(self):
         s = sample_sketch(0, CFG, RngSeed(1).generator(0))
@@ -230,9 +243,9 @@ class TestSampleSketch:
         stat = chi2_stat(obs, exp)
         assert stat < chi2_critical(len(obs) - 1)
 
-    @pytest.mark.parametrize("load", [INDEX_THROW_LOAD, 12], ids=["cutoff", "high"])
+    @pytest.mark.parametrize("load", [4, 12], ids=["cutoff", "high"])
     def test_level_walk_matches_exact_register_law(self, load):
-        # p=2, q=2 above the index-throw cutoff: the law of the whole register
+        # p=2, q=2 at n = 4m+1 and 12m+1: the law of the whole register
         # vector, computed element by element, against the level walk
         cfg = SketchConfig(p=2, q=2)
         # the law built element by element against every hash-bit pattern of
@@ -283,28 +296,25 @@ class TestSampleSketch:
             assert abs(a.mean() - b.mean()) <= 3.0 * se
 
 
-    @pytest.mark.parametrize(
-        "method, extra", [("integers", 0), ("multinomial", 1)],
-        ids=["at-cutoff", "above-cutoff"],
-    )
-    def test_branch_matches_brute_force_insertion(self, method, extra):
-        # on each side of the index-throw cutoff; above it the first draw is
-        # the level walk's multinomial over the q+1 hash levels
+    @pytest.mark.parametrize("extra", [0, 1], ids=["at-cutoff", "above-cutoff"])
+    def test_branch_matches_brute_force_insertion(self, extra):
+        # n = 4m and 4m+1; the first draw is the level walk's multinomial
+        # over the q+1 hash levels
         cfg = SketchConfig(p=4, q=6)
 
         def check(gen):
-            assert gen.used[0] == method
+            assert gen.used[0] == "multinomial"
 
         assert_matches_insertion(
-            cfg, INDEX_THROW_LOAD * cfg.m + extra, RngSeed(12, stream_id=extra),
-            13 + extra, check=check,
+            cfg, 4 * cfg.m + extra, RngSeed(12, stream_id=extra), 13 + extra,
+            check=check,
         )
 
     @pytest.mark.parametrize("q", [0, 1, 6, 60])
-    @pytest.mark.parametrize("load", [INDEX_THROW_LOAD, 100], ids=["cutoff", "high"])
+    @pytest.mark.parametrize("load", [4, 100], ids=["cutoff", "high"])
     def test_level_walk_matches_brute_force_insertion(self, q, load):
-        # just above the cutoff, and at a load where most elements are thinned
-        # away by the binomial draws of the zero-list phase
+        # n = 4m+1, and a load where most elements are thinned away by the
+        # binomial draws of the zero-list phase
         cfg = SketchConfig(p=4, q=q)
         thinned = []
 
@@ -319,30 +329,31 @@ class TestSampleSketch:
 
     @pytest.mark.parametrize("q", [0, 3, 60])
     def test_both_branches_fill_exactly_the_occupied_registers(self, q):
+        # every n, from the empty sketch up, is one level walk: per-level
+        # sizes, then the register index throws
         cfg = SketchConfig(p=4, q=q)
-        cutoff = INDEX_THROW_LOAD * cfg.m
-        for n in (1, cutoff, cutoff + 1, 1000 * cfg.m):
+        m = cfg.m
+        for n in (0, 1, 2 * m, 4 * m, 4 * m + 1, 1000 * m):
             for t in range(50):
                 gen = RecordingGenerator(RngSeed(14, stream_id=n).generator(t))
                 regs = sample_sketch(n, cfg, gen).registers
                 assert regs.dtype == np.uint8
-                if n <= cutoff:
-                    assert gen.used[0] == "integers"
-                    counts = np.bincount(gen.draws[0], minlength=cfg.m)
-                    assert counts.sum() == n
-                    occupied = counts > 0
-                else:
-                    # per-level sizes, then the register index throws
-                    assert gen.used[0] == "multinomial"
-                    levels, *index_draws = gen.draws
-                    assert levels.size == q + 1 and levels.sum() == n
-                    occupied = hit_registers(index_draws, cfg.m)
+                assert gen.used[:2] == ["multinomial", "integers"]
+                levels, *index_draws = gen.draws
+                assert levels.size == q + 1 and levels.sum() == n
+                # the first throw takes min(n, 2m) elements; below 2m it is
+                # the only one
+                assert index_draws[0].size == min(n, 2 * m)
+                if n <= 2 * m:
+                    assert len(index_draws) == 1
+                occupied = hit_registers(index_draws, m)
+                assert np.all(regs[~occupied] == 0)
+                assert np.all((regs[occupied] >= 1) & (regs[occupied] <= q + 1))
+                if n:
                     # a register holds a level only if that level drew elements
                     present = np.unique(regs[occupied])
                     assert np.all(levels[present - 1] > 0)
                     assert present.max() == np.nonzero(levels)[0].max() + 1
-                assert np.all(regs[~occupied] == 0)
-                assert np.all((regs[occupied] >= 1) & (regs[occupied] <= q + 1))
 
     @pytest.mark.parametrize("q", [0, 1, 20])
     def test_level_walk_memory_does_not_grow_with_n(self, q):
@@ -469,6 +480,15 @@ class TestRunErrorExperiment:
         with pytest.raises(RangeError):
             run_error_experiment([10], 1, CFG, "improved", RngSeed(18))
 
+    @pytest.mark.parametrize(
+        "trials, threads", [(2.5, 1), (4.0, 1), (4, 0), (4, 1.5), (4, None)]
+    )
+    def test_non_integer_trials_or_threads_rejected(self, trials, threads):
+        with pytest.raises(RangeError):
+            run_error_experiment(
+                [10], trials, CFG, "improved", RngSeed(18), threads=threads
+            )
+
     @pytest.mark.parametrize("cards", [[10.7], [10.0], [10, -1], [2**63]])
     def test_non_integral_cardinality_rejected(self, cards):
         with pytest.raises(RangeError):
@@ -549,6 +569,15 @@ class TestRunJointExperiment:
         with pytest.raises(RangeError):
             run_joint_experiment([(10, 10, 10)], 1, CFG, RngSeed(23))
 
+    @pytest.mark.parametrize(
+        "trials, threads", [(2.5, 1), (4.0, 1), (4, 0), (4, 1.5), (4, None)]
+    )
+    def test_non_integer_trials_or_threads_rejected(self, trials, threads):
+        with pytest.raises(RangeError):
+            run_joint_experiment(
+                [(10, 10, 10)], trials, CFG, RngSeed(23), threads=threads
+            )
+
     @pytest.mark.parametrize("triple", [(10, 10, 10.5), (10.0, 10, 10), (10, -1, 10)])
     def test_non_integral_cardinality_rejected(self, triple):
         with pytest.raises(RangeError):
@@ -558,6 +587,18 @@ class TestRunJointExperiment:
         a = run_joint_experiment([np.array([300, 200, 100])], 4, CFG, RngSeed(23))
         b = run_joint_experiment([(300, 200, 100)], 4, CFG, RngSeed(23))
         assert a == b
+
+
+class TestSingleEstimators:
+    @pytest.mark.parametrize("name", sorted(SINGLE_ESTIMATORS))
+    def test_histogram_of_wrong_mass_rejected(self, name):
+        # p + q = 32 so that the composite estimator reaches its check; the
+        # histogram holds 256 registers, the configuration wants 512
+        cfg = SketchConfig(9, 23)
+        counts = np.zeros(cfg.q + 2, dtype=np.int64)
+        counts[0], counts[3] = 200, 56
+        with pytest.raises(RangeError):
+            SINGLE_ESTIMATORS[name](RegisterHistogram(counts), cfg)
 
 
 class TestErrorReportType:

@@ -41,6 +41,14 @@ class TestConfig:
         with pytest.raises(RangeError):
             SketchConfig(p, q)
 
+    @pytest.mark.parametrize("p,q", [(8, 2.5), (2.5, 3), (8.0, 16), (8, "16"), (None, 0)])
+    def test_non_integer_parameters_rejected(self, p, q):
+        with pytest.raises(RangeError):
+            SketchConfig(p, q)
+
+    def test_numpy_integer_parameters_accepted(self):
+        assert SketchConfig(np.int64(8), np.uint8(16)) == SketchConfig(8, 16)
+
     def test_boundary_parameters_accepted(self):
         SketchConfig(2, 62)
         SketchConfig(26, 38)
@@ -298,6 +306,16 @@ class TestHistogram:
         with pytest.raises(RangeError):
             RegisterHistogram([4, -1, 1])
 
+    @pytest.mark.parametrize(
+        "counts", [[1.5, 2.5], [2.0, np.nan], [2.0, np.inf], ["1", "3"], [1, 2**70]]
+    )
+    def test_non_integral_counts_rejected(self, counts):
+        with pytest.raises(RangeError):
+            RegisterHistogram(counts)
+
+    def test_integral_float_counts_accepted(self):
+        assert RegisterHistogram([1.0, 3.0]) == RegisterHistogram([1, 3])
+
 
 class TestSerialization:
     def test_fresh_roundtrip_and_layout(self):
@@ -442,4 +460,4 @@ class TestKernelDigests:
         for i, n in enumerate(int(v) for v in np.rint(np.geomspace(1, 1e7, 22))):
             self._feed(digest, sample_sketch(n, config, rng.generator(i)))
         assert digest.hexdigest() == (
-            "32932dba0bfac301d49885757dfce5af3a8996747a58c81d6764c97407766e9c")
+            "ae173e113f8da935c18e124ce3935fbf84f9824385d040aec9211106164ba01a")
