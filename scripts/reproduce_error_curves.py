@@ -19,7 +19,6 @@ def run(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true", help="run 100 trials instead of 1000")
     parser.add_argument("--seed", type=int, default=1, help="master seed (default 1)")
-    parser.add_argument("--threads", type=int, default=1, help="worker threads (default 1)")
     parser.add_argument("--out", default="error_curves.csv", help="output CSV path")
     args = parser.parse_args(argv)
     trials = 100 if args.quick else 1000
@@ -32,7 +31,6 @@ def run(argv: list[str] | None = None) -> int:
             "--trials", str(trials),
             "--estimators", "raw,improved,ml",
             "--seed", str(args.seed),
-            "--threads", str(args.threads),
             "--out", args.out,
         ]
     )

@@ -23,7 +23,6 @@ def run(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true", help="run 30 trials instead of 300")
     parser.add_argument("--seed", type=int, default=1, help="master seed (default 1)")
-    parser.add_argument("--threads", type=int, default=1, help="worker threads (default 1)")
     parser.add_argument("--out", default="joint_table.csv", help="output CSV path")
     args = parser.parse_args(argv)
     trials = 30 if args.quick else 300
@@ -35,7 +34,6 @@ def run(argv: list[str] | None = None) -> int:
             "--configs", CONFIGURATIONS,
             "--trials", str(trials),
             "--seed", str(args.seed),
-            "--threads", str(args.threads),
             "--out", args.out,
         ]
     )

@@ -28,7 +28,7 @@ from .errors import (
     UnsupportedConfigError,
     ZeroRegistersExhaustedError,
 )
-from .improved import ImprovedEstimator, improved_estimate, sigma, tau, zeta
+from .improved import improved_estimate, sigma, tau, zeta
 from .joint import (
     JointEstimate,
     JointStatistic,
@@ -69,7 +69,6 @@ __all__ = [
     "ErrorReport",
     "FormatError",
     "HllError",
-    "ImprovedEstimator",
     "JointErrorRow",
     "JointEstimate",
     "JointStatistic",

@@ -1,14 +1,15 @@
 """Command-line front end: estimate, simulate, joint-simulate, inspect.
 
-Exit codes: 0 success; 1 invalid flags, malformed option syntax or any
-other ``RangeError`` (a parameter out of range); for
-``estimate`` additionally 2 unreadable/corrupt sketch file, 3 sketch
+Exit codes: 0 success; 1 invalid flags, malformed option syntax, an
+unwritable ``--out`` or any other ``RangeError`` (a parameter out of range);
+for ``estimate`` additionally 2 unreadable/corrupt sketch file, 3 sketch
 config mismatch, 4 estimator domain failure (e.g. the large-range
 correction leaving its domain).
 
 All numeric CSV output uses ``repr`` of Python floats (shortest
 round-trip form), and randomized commands are byte-reproducible for a
-fixed ``--seed`` regardless of ``--threads``.
+fixed ``--seed``.  Their trials run serially in one thread; ``--threads``
+is accepted for compatibility (an integer >= 1) and changes nothing.
 """
 
 from __future__ import annotations
@@ -82,6 +83,17 @@ def _fmt(value) -> str:
 
 def _load_sketch(path: str) -> Sketch:
     return Sketch.from_bytes(Path(path).read_bytes())
+
+
+def _check_run_flags(args):
+    """Exit 1 before any trial runs on --threads below 1 or an unwritable --out."""
+    if args.threads < 1:
+        raise _CliUsageError(f"--threads {args.threads} is not an integer >= 1")
+    if args.out:
+        try:  # append mode: an existing file is left as it is
+            open(args.out, "a").close()
+        except OSError as exc:
+            raise _CliUsageError(f"cannot write {args.out}: {exc.strerror}") from None
 
 
 def _emit(lines, out_path):
@@ -232,11 +244,10 @@ def cmd_simulate(args) -> int:
                 f"{','.join(sorted(SINGLE_ESTIMATORS))}"
             )
     seed = RngSeed(args.seed)
+    _check_run_flags(args)
     lines = [SIMULATE_COLUMNS]
     for name in names:
-        reports = run_error_experiment(
-            cards, args.trials, cfg, name, seed, threads=args.threads
-        )
+        reports = run_error_experiment(cards, args.trials, cfg, name, seed)
         for r in reports:
             qvals = ",".join(_fmt(v) for _, v in r.quantiles)
             lines.append(
@@ -252,9 +263,9 @@ def cmd_simulate(args) -> int:
 def cmd_joint_simulate(args) -> int:
     cfg = SketchConfig(args.p, args.q)
     configs = _parse_configs(args.configs)
-    rows = run_joint_experiment(
-        configs, args.trials, cfg, RngSeed(args.seed), threads=args.threads
-    )
+    seed = RngSeed(args.seed)
+    _check_run_flags(args)
+    rows = run_joint_experiment(configs, args.trials, cfg, seed)
     lines = [JOINT_COLUMNS]
     for r in rows:
         stats = ",".join(_fmt(v) for v in (*r.rmse_ie, *r.rmse_ml, *r.improvement))

@@ -138,13 +138,3 @@ def improved_estimate(h: RegisterHistogram, config: SketchConfig) -> float:
     fully saturated one."""
     h.check(config)
     return _corrected(h.counts, config.m, config.q)
-
-
-class ImprovedEstimator:
-    """``improved_estimate`` bound to one configuration, called as ``est(h)``."""
-
-    def __init__(self, config: SketchConfig):
-        self.config = config
-
-    def __call__(self, h: RegisterHistogram) -> float:
-        return improved_estimate(h, self.config)

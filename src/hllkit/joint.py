@@ -46,7 +46,7 @@ from .improved import _corrected, improved_estimate
 from .ml import SolverConfig
 from .sketch import Sketch, SketchConfig, pow2_weights
 
-JOINT_MAX_ITERATIONS = 500
+JOINT_SOLVER = SolverConfig(max_iterations=500)
 MAX_LOG_STEP = 4.0  # largest step in a log-rate: a factor e**4 in the rate
 _PAIR_BLOCK = 8192  # registers per bincount in joint_statistic (64 KB of indices)
 # Rates each strict-order count group depends on: a+x, b+x, a, b.
@@ -67,9 +67,6 @@ class JointStatistic:
     c2_less: np.ndarray
     c2_greater: np.ndarray
     c_equal: np.ndarray
-
-    def total_pairs(self) -> int:
-        return int(self.c_equal.sum() + self.c1_less.sum() + self.c1_greater.sum())
 
 
 @dataclass(frozen=True)
@@ -125,20 +122,11 @@ def _overlap(n1: float, n2: float, nu: float) -> JointEstimate:
     return JointEstimate(a=nu - n2, b=nu - n1, x=n1 + n2 - nu)
 
 
-def inclusion_exclusion_estimate(
-    s1: Sketch, s2: Sketch, estimator=None
-) -> JointEstimate:
-    """Overlap from three single-sketch estimates; components may be negative.
-
-    ``estimator(histogram, config) -> float`` defaults to the bias-corrected
-    single-sketch estimator.
-    """
-    if s1.config != s2.config:
-        raise ConfigMismatchError(f"cannot pair {s1.config} with {s2.config}")
-    config = s1.config
-    h1, h2, hu = s1.histogram(), s2.histogram(), s1.merge(s2).histogram()
-    est = estimator or improved_estimate
-    return _overlap(est(h1, config), est(h2, config), est(hu, config))
+def inclusion_exclusion_estimate(s1: Sketch, s2: Sketch) -> JointEstimate:
+    """Overlap from three bias-corrected single-sketch estimates; components
+    may be negative."""
+    hists = (s1.histogram(), s2.histogram(), s1.merge(s2).histogram())
+    return _overlap(*(improved_estimate(h, s1.config) for h in hists))
 
 
 class _JointTerms:
@@ -261,18 +249,18 @@ def _cholesky_solve(a, g):
     return [d1, d2, d3]
 
 
-def _maximize(terms: _JointTerms, lam0, solver: SolverConfig) -> np.ndarray:
+def _maximize(terms: _JointTerms, lam0) -> np.ndarray:
     """Damped Newton ascent of the log-likelihood over log-rates.
 
-    Stops once the Newton decrement g·d is at most ``solver.epsilon**2``;
+    Stops once the Newton decrement g·d is at most ``JOINT_SOLVER.epsilon**2``;
     each step is capped at MAX_LOG_STEP in log space and backtracked until
     it meets the Armijo condition.
     """
     phi = np.log(lam0)
     lam = lam0
     f, g, hess = terms.evaluate(lam)
-    tol = solver.epsilon**2
-    for _ in range(solver.max_iterations):
+    tol = JOINT_SOLVER.epsilon**2
+    for _ in range(JOINT_SOLVER.max_iterations):
         d = _newton_direction(g, hess)
         if d is None:
             raise NoConvergenceError(f"non-finite curvature at rates {lam}")
@@ -292,7 +280,7 @@ def _maximize(terms: _JointTerms, lam0, solver: SolverConfig) -> np.ndarray:
             raise NoConvergenceError("line search found no ascent off the optimum")
         phi, lam, f, g, hess = trial, lam_trial, f_trial, g_trial, h_trial
     raise NoConvergenceError(
-        f"no convergence in {solver.max_iterations} iterations"
+        f"no convergence in {JOINT_SOLVER.max_iterations} iterations"
     )
 
 
@@ -322,26 +310,21 @@ def joint_gradient(
         return np.array(_JointTerms(stat, config).evaluate(lam)[1])
 
 
-def joint_ml_estimate(
-    s1: Sketch, s2: Sketch, solver: SolverConfig | None = None
-) -> JointEstimate:
+def joint_ml_estimate(s1: Sketch, s2: Sketch) -> JointEstimate:
     """Maximum-likelihood overlap estimate from the paired-register statistic."""
-    return _joint_estimates(s1, s2, solver)[1]
+    return _joint_estimates(s1, s2)[1]
 
 
-def _joint_estimates(s1: Sketch, s2: Sketch, solver: SolverConfig | None):
+def _joint_estimates(s1: Sketch, s2: Sketch):
     """Inclusion-exclusion and joint-ML estimates from one paired statistic.
 
     The inclusion-exclusion estimate (with the corrected single-sketch
     estimator) is also the fit's start point; its three histograms are read
     off the statistic, a union register being the larger of its pair.
     """
-    if s1.config != s2.config:
-        raise ConfigMismatchError(f"cannot pair {s1.config} with {s2.config}")
-    solver = solver or SolverConfig(max_iterations=JOINT_MAX_ITERATIONS)
+    stat = joint_statistic(s1, s2)
     config = s1.config
     m, q = config.m, config.q
-    stat = joint_statistic(s1, s2)
     h1 = stat.c1_less + stat.c_equal + stat.c1_greater
     h2 = stat.c2_less + stat.c_equal + stat.c2_greater
     hu = stat.c1_greater + stat.c_equal + stat.c2_greater
@@ -356,7 +339,7 @@ def _joint_estimates(s1: Sketch, s2: Sketch, solver: SolverConfig | None):
         raise DegenerateHistogramError("saturated")
     lam0 = np.maximum(np.array([ie.a, ie.b, ie.x]), 1.0)
     with np.errstate(all="ignore"):
-        lam = _maximize(_JointTerms(stat, config), lam0, solver)
+        lam = _maximize(_JointTerms(stat, config), lam0)
     return ie, JointEstimate(a=float(lam[0]), b=float(lam[1]), x=float(lam[2]))
 
 

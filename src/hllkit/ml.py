@@ -38,10 +38,11 @@ class SolverConfig:
     max_iterations: int = 64
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise RangeError(f"epsilon={self.epsilon} must be positive")
-        if self.max_iterations < 1:
-            raise RangeError("max_iterations must be >= 1")
+        eps, cap = self.epsilon, self.max_iterations
+        if not (isinstance(eps, (int, float, np.floating)) and 0 < eps < math.inf):
+            raise RangeError(f"epsilon {eps!r} is not a finite number > 0")
+        if not (isinstance(cap, (int, np.integer)) and cap >= 1):
+            raise RangeError(f"max_iterations {cap!r} is not an integer >= 1")
 
     def delta(self, m: int) -> float:
         return self.epsilon / math.sqrt(m)
@@ -98,6 +99,17 @@ def log_likelihood(lam: float, h: RegisterHistogram, config: SketchConfig) -> fl
     return float(c @ logs - lam * w / config.m)
 
 
+def _root_function(h: RegisterHistogram, config: SketchConfig):
+    """The root function of a checked histogram, for rates lam > 0."""
+    _, c, scale, w = _weights(h, config)
+    lin = w / config.m
+
+    def f(lam):
+        return float(c @ _u_over_expm1(lam * scale) - lam * lin)
+
+    return f
+
+
 def ml_root_function(lam: float, h: RegisterHistogram, config: SketchConfig) -> float:
     """Monotone decreasing f whose unique root is the ML estimate; f(0) = m - C0."""
     if not lam >= 0:  # nan fails this test too
@@ -105,13 +117,16 @@ def ml_root_function(lam: float, h: RegisterHistogram, config: SketchConfig) -> 
     h.check(config)
     if lam == 0:
         return float(config.m - h.c0)
-    _, c, scale, w = _weights(h, config)
-    return float(c @ _u_over_expm1(lam * scale) - lam * w / config.m)
+    return _root_function(h, config)(lam)
 
 
 def ml_bracket(h: RegisterHistogram, config: SketchConfig) -> Bracket:
     """Closed-form bounds enclosing the ML rate (ratio at most 3/2 apart)."""
-    h.check(config)
+    return _bracket(h.check(config), config)
+
+
+def _bracket(h: RegisterHistogram, config: SketchConfig) -> Bracket:
+    """``ml_bracket`` of a histogram already checked against ``config``."""
     m, q = config.m, config.q
     counts = h.counts
     c0 = h.c0
@@ -161,15 +176,8 @@ def ml_estimate(
         return 0.0
     if h.saturated == m:
         return math.inf
-    bracket = ml_bracket(h, config)
-    delta = solver.delta(m)
-    _, c, scale, w = _weights(h, config)
-    lin = w / m
-
-    def f(lam):
-        return float(c @ _u_over_expm1(lam * scale) - lam * lin)
-
+    f, lower = _root_function(h, config), _bracket(h, config).lower
     root, _ = _secant_solve(
-        f, bracket.lower, float(m - h.c0), delta, solver.max_iterations
+        f, lower, float(m - h.c0), solver.delta(m), solver.max_iterations
     )
     return root

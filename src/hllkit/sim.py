@@ -9,8 +9,8 @@ hash insertion is enforced by tests and the acceptance suite.
 
 Determinism: every trial derives its own generator from
 ``(seed, stream_id, trial_index)`` via ``SeedSequence`` spawn keys, so
-results are bit-identical for a fixed ``RngSeed`` regardless of thread
-count or completion order.
+results are bit-identical for a fixed ``RngSeed``.  Trials run serially,
+in index order.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .joint import (  # noqa: F401
     inclusion_exclusion_estimate,
     joint_ml_estimate,
 )
-from .ml import SolverConfig, ml_estimate
+from .ml import ml_estimate
 from .sketch import Sketch, SketchConfig, pow2_weights
 
 DEFAULT_QUANTILES = (0.01, 0.05, 0.25, 0.75, 0.95, 0.99)
@@ -78,12 +78,10 @@ def _is_int_at_least(value, low) -> bool:
     return isinstance(value, (int, np.integer)) and value >= low
 
 
-def _check_runner(trials, threads) -> None:
-    """RangeError unless trials is an integer >= 2 and threads one >= 1."""
+def _check_trials(trials) -> None:
+    """RangeError unless trials is an integer >= 2."""
     if not _is_int_at_least(trials, 2):
         raise RangeError(f"trials {trials!r} is not an integer >= 2")
-    if not _is_int_at_least(threads, 1):
-        raise RangeError(f"threads {threads!r} is not an integer >= 1")
 
 
 def _check_cardinality(n) -> int:
@@ -200,18 +198,6 @@ def _resolve_estimator(selector):
         ) from None
 
 
-def _map_trials(worker, indices, threads):
-    workers = min(threads, len(indices))
-    if workers <= 1:
-        return [worker(i) for i in indices]
-    # imported here: it brings in logging, a few ms of `import hllkit` and
-    # over half a megabyte that single-threaded runs never use
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, indices))
-
-
 def _median_and_quantiles(arr, quantiles):
     """``np.median(arr)`` and ``np.quantile(arr, quantiles)`` from one sorted
     copy, value for value up to the sign of a zero.
@@ -237,17 +223,17 @@ def _median_and_quantiles(arr, quantiles):
     return median, np.where(gamma >= 0.5, b - diff * (1 - gamma), a + diff * gamma)
 
 
-def _summarize(errors, n, trials, failures, quantiles):
+def _summarize(errors, n, trials, failures):
     if not errors:
         nan = float("nan")
-        qs = tuple((float(p), nan) for p in quantiles)
+        qs = tuple((p, nan) for p in DEFAULT_QUANTILES)
         return ErrorReport(n, trials, nan, nan, nan, nan, qs, failures)
     arr = np.asarray(errors)
     # infinite errors (a saturated sketch) give nan spreads and quantiles
     # between infinities: that is the reported value, not a warning
     with np.errstate(invalid="ignore"):
         stddev = float(np.std(arr, ddof=1)) if arr.size > 1 else 0.0
-        median, qvals = _median_and_quantiles(arr, quantiles)
+        median, qvals = _median_and_quantiles(arr, DEFAULT_QUANTILES)
     return ErrorReport(
         cardinality=n,
         trials=trials,
@@ -255,9 +241,7 @@ def _summarize(errors, n, trials, failures, quantiles):
         median_rel_err=float(median),
         stddev_rel_err=stddev,
         rmse_rel=float(np.sqrt(np.mean(arr * arr))),
-        quantiles=tuple(
-            (float(p), float(v)) for p, v in zip(quantiles, qvals)
-        ),
+        quantiles=tuple((p, float(v)) for p, v in zip(DEFAULT_QUANTILES, qvals)),
         failures=failures,
     )
 
@@ -268,9 +252,6 @@ def run_error_experiment(
     config: SketchConfig,
     estimator,
     rng: RngSeed,
-    *,
-    threads: int = 1,
-    quantiles=DEFAULT_QUANTILES,
 ):
     """Estimator error statistics over sampled sketches, one report per n.
 
@@ -279,9 +260,7 @@ def run_error_experiment(
     the substream for global index ``i * trials + t``, so runs with the same
     ``RngSeed`` see identical sketches for every estimator choice.
     """
-    _check_runner(trials, threads)
-    if not all(0.0 <= p <= 1.0 for p in quantiles):
-        raise RangeError(f"quantiles {quantiles} must lie in [0, 1]")
+    _check_trials(trials)
     fn = _resolve_estimator(estimator)
     cards = [_check_cardinality(n) for n in cardinalities]
     reports = []
@@ -296,11 +275,9 @@ def run_error_experiment(
                 return None
             return (est - n) / n if n > 0 else est
 
-        outcomes = _map_trials(worker, range(trials), threads)
+        outcomes = [worker(t) for t in range(trials)]
         errors = [e for e in outcomes if e is not None]
-        reports.append(
-            _summarize(errors, n, trials, trials - len(errors), quantiles)
-        )
+        reports.append(_summarize(errors, n, trials, trials - len(errors)))
     return reports
 
 
@@ -316,12 +293,9 @@ def run_joint_experiment(
     trials: int,
     config: SketchConfig,
     rng: RngSeed,
-    *,
-    threads: int = 1,
-    solver: SolverConfig | None = None,
 ):
     """Paired inclusion-exclusion vs joint-ML error table, one row per triple."""
-    _check_runner(trials, threads)
+    _check_trials(trials)
     configurations = [
         [_check_cardinality(c) for c in triple] for triple in configurations
     ]
@@ -333,12 +307,12 @@ def run_joint_experiment(
             gen = rng.generator(base + t)
             s1, s2 = sample_joint_pair(card_a, card_b, card_x, config, gen)
             try:
-                ie, ml = _joint_estimates(s1, s2, solver)
+                ie, ml = _joint_estimates(s1, s2)
             except HllError:
                 return None
             return _joint_errors(ie, truth), _joint_errors(ml, truth)
 
-        outcomes = _map_trials(worker, range(trials), threads)
+        outcomes = [worker(t) for t in range(trials)]
         kept = [o for o in outcomes if o is not None]
         if kept:
             ie_err = np.asarray([o[0] for o in kept])

@@ -437,6 +437,53 @@ class TestJointSimulate:
         assert len(r.stdout.strip().splitlines()) == 2
 
 
+SIMULATION_ARGS = {
+    "simulate": [
+        "simulate", "--p", "8", "--q", "16", "--cards", "100",
+        "--trials", "4", "--seed", "1", "--estimators", "raw",
+    ],
+    "joint-simulate": [
+        "joint-simulate", "--p", "8", "--q", "16", "--configs", "100,100,100",
+        "--trials", "4", "--seed", "1",
+    ],
+}
+
+
+class TestSimulationCommands:
+    @pytest.mark.parametrize(
+        "command, runner",
+        [("simulate", "run_error_experiment"),
+         ("joint-simulate", "run_joint_experiment")],
+    )
+    def test_unwritable_out_exits_1_before_any_trial(
+        self, command, runner, tmp_path, monkeypatch, capsys
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"{runner} ran before --out was checked")
+
+        monkeypatch.setattr(f"hllkit.cli.{runner}", refuse)
+        out = tmp_path / "missing" / "x.csv"
+        assert main([*SIMULATION_ARGS[command], "--out", str(out)]) == 1
+        stdout, stderr = capsys.readouterr()
+        assert stdout == ""
+        assert stderr.startswith("error:") and stderr.count("\n") == 1
+        assert not out.parent.exists()
+
+    @pytest.mark.parametrize("command", sorted(SIMULATION_ARGS))
+    def test_threads_flag_starts_no_thread_pool(self, command):
+        argv = SIMULATION_ARGS[command] + ["--threads", "4"]
+        code = (
+            "import sys; from hllkit.cli import main; "
+            f"rc = main({argv!r}); "
+            "print(rc, 'concurrent.futures' in sys.modules)"
+        )
+        r = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=300
+        )
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.splitlines()[-1] == "0 False"
+
+
 class TestGoldenFiles:
     def test_simulate_schema_pinned(self):
         golden = (DATA / "simulate_golden.csv").read_text()

@@ -7,7 +7,7 @@ import pytest
 
 from hllkit.classic import ALPHA_INF, linear_counting_estimate, raw_estimate
 from hllkit.errors import DomainError, RangeError
-from hllkit.improved import ImprovedEstimator, improved_estimate, sigma, tau, zeta
+from hllkit.improved import _corrected, improved_estimate, sigma, tau, zeta
 from hllkit.sketch import RegisterHistogram, SketchConfig
 
 # frozen from an independent 50-digit evaluation of the defining series
@@ -156,7 +156,7 @@ class TestImprovedEstimate:
         cfg = SketchConfig(4, q)
         entry_points = [
             lambda h: improved_estimate(h, cfg),
-            ImprovedEstimator(cfg),
+            lambda h: _corrected(h.counts, cfg.m, cfg.q),  # the joint fit's path
         ]
         saturated = np.zeros(q + 2, dtype=np.int64)
         saturated[-1] = cfg.m
@@ -189,28 +189,16 @@ class TestImprovedEstimate:
         assert abs(rel.mean()) <= 0.005
         assert rel.std(ddof=1) <= 0.022
 
-
-class TestImprovedEstimatorBinding:
-    def test_matches_improved_estimate_exactly(self):
-        rng = np.random.default_rng(23)
-        for cfg in (SketchConfig(4, 6), SketchConfig(8, 20)):
-            est = ImprovedEstimator(cfg)
-            for _ in range(100):
-                counts = rng.multinomial(cfg.m, rng.dirichlet(np.ones(cfg.q + 2)))
-                h = RegisterHistogram(counts)
-                assert est(h) == improved_estimate(h, cfg)
-
     def test_fresh_is_zero_and_saturated_is_infinite(self):
         cfg = SketchConfig(4, 2)
-        est = ImprovedEstimator(cfg)
         counts = np.zeros(cfg.q + 2, dtype=np.int64)
         counts[0] = cfg.m
-        assert est(RegisterHistogram(counts)) == 0.0
-        assert est(RegisterHistogram(counts[::-1])) == math.inf
+        assert improved_estimate(RegisterHistogram(counts), cfg) == 0.0
+        assert improved_estimate(RegisterHistogram(counts[::-1]), cfg) == math.inf
 
     def test_histogram_is_checked_against_its_configuration(self):
-        est = ImprovedEstimator(SketchConfig(4, 2))
+        cfg = SketchConfig(4, 2)
         with pytest.raises(RangeError):
-            est(RegisterHistogram([16, 0, 0]))  # q+2 = 4 bins wanted
+            improved_estimate(RegisterHistogram([16, 0, 0]), cfg)  # 4 bins wanted
         with pytest.raises(RangeError):
-            est(RegisterHistogram([15, 0, 0, 0]))  # mass 15, m = 16
+            improved_estimate(RegisterHistogram([15, 0, 0, 0]), cfg)  # mass 15, m = 16

@@ -26,6 +26,7 @@ from hllkit.joint import (
     JointStatistic,
     _joint_estimates,
     _JointTerms,
+    _overlap,
     equal_register_probability_bounds,
     inclusion_exclusion_estimate,
     joint_gradient,
@@ -95,7 +96,7 @@ class TestJointStatistic:
         s1, s2 = overlapping_pair(rng, CFG, na, nb, nx)
         stat = joint_statistic(s1, s2)
         m = CFG.m
-        assert stat.total_pairs() == m
+        assert (stat.c1_less + stat.c_equal + stat.c1_greater).sum() == m
         assert (stat.c2_less + stat.c_equal + stat.c2_greater).sum() == m
         # strict inequalities pair up across orientations
         assert stat.c1_less.sum() == stat.c2_greater.sum()
@@ -112,29 +113,24 @@ class TestJointStatistic:
         assert stat.c1_greater[0] == 0 and stat.c2_greater[0] == 0
 
     def test_config_mismatch(self):
-        with pytest.raises(ConfigMismatchError):
-            joint_statistic(Sketch(CFG), Sketch(SketchConfig(p=9, q=16)))
+        other = Sketch(SketchConfig(p=9, q=16))
+        for fn in (joint_statistic, inclusion_exclusion_estimate, joint_ml_estimate):
+            with pytest.raises(ConfigMismatchError):
+                fn(Sketch(CFG), other)
 
 
 class TestInclusionExclusion:
     def test_exact_arithmetic(self):
-        # stub estimator keyed on which sketch it sees
-        rng = np.random.default_rng(1)
-        s1, s2 = overlapping_pair(rng, CFG, 400, 400, 200)
-        u = s1.merge(s2)
-        table = {
-            s1.histogram().counts.tobytes(): 100.0,
-            s2.histogram().counts.tobytes(): 100.0,
-            u.histogram().counts.tobytes(): 150.0,
-        }
-
-        def stub(hist, config):
-            return table[hist.counts.tobytes()]
-
-        est = inclusion_exclusion_estimate(s1, s2, estimator=stub)
+        est = _overlap(100.0, 100.0, 150.0)
         assert est.a == 50.0 and est.b == 50.0 and est.x == 50.0
         assert est.union == 150.0
         assert not est.has_negative
+        # the corrected estimator on both sides and on their union
+        rng = np.random.default_rng(1)
+        s1, s2 = overlapping_pair(rng, CFG, 400, 400, 200)
+        sides = (s1, s2, s1.merge(s2))
+        want = _overlap(*(improved_estimate(s.histogram(), CFG) for s in sides))
+        assert inclusion_exclusion_estimate(s1, s2) == want
 
     def test_identical_sketches_zero_exclusive(self):
         rng = np.random.default_rng(2)
@@ -147,13 +143,6 @@ class TestInclusionExclusion:
         est = JointEstimate(a=10.0, b=5.0, x=-1.0)
         assert est.has_negative
         assert est.union == 14.0
-
-    def test_default_estimator_is_bias_corrected(self):
-        rng = np.random.default_rng(3)
-        s1, s2 = overlapping_pair(rng, CFG, 1000, 1000, 500)
-        got = inclusion_exclusion_estimate(s1, s2)
-        explicit = inclusion_exclusion_estimate(s1, s2, estimator=improved_estimate)
-        assert (got.a, got.b, got.x) == (explicit.a, explicit.b, explicit.x)
 
 
 class TestJointLikelihood:
@@ -449,7 +438,7 @@ class TestSharedStatistic:
         for t in range(20):
             s1, s2 = sample_joint_pair(*cards, cfg, np.random.default_rng(t))
             try:
-                ie, _ = _joint_estimates(s1, s2, None)
+                ie, _ = _joint_estimates(s1, s2)
             except HllError:
                 continue  # a failed trial scores neither method
             public = inclusion_exclusion_estimate(s1, s2)
@@ -480,7 +469,7 @@ class TestSharedStatistic:
             ):
                 saturated += 1
                 with pytest.raises(DegenerateHistogramError):
-                    _joint_estimates(s1, s2, None)
+                    _joint_estimates(s1, s2)
         assert saturated > 0
 
 

@@ -115,6 +115,28 @@ class TestSolverConfig:
         with pytest.raises(RangeError):
             Bracket(2.0, 1.0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("epsilon", math.nan),
+            ("epsilon", math.inf),
+            ("epsilon", -math.inf),
+            ("epsilon", 0.0),
+            ("epsilon", -1e-3),
+            ("epsilon", "0.01"),
+            ("max_iterations", 2.5),
+            ("max_iterations", None),
+            ("max_iterations", 0),
+        ],
+    )
+    def test_bad_value_is_a_range_error(self, field, value):
+        with pytest.raises(RangeError):
+            SolverConfig(**{field: value})
+
+    def test_numpy_scalars_accepted(self):
+        solver = SolverConfig(epsilon=np.float64(1e-2), max_iterations=np.int64(64))
+        assert solver.delta(4096) == SolverConfig().delta(4096)
+
 
 class TestLogLikelihood:
     def test_fresh_sketch_is_minus_lambda(self):

@@ -429,30 +429,6 @@ class TestRunErrorExperiment:
         b = run_error_experiment([500], 40, CFG, "improved", RngSeed(13, stream_id=1))
         assert a != b
 
-    def test_thread_count_does_not_change_output(self):
-        one = run_error_experiment(
-            [200, 2000], 60, CFG, "improved", RngSeed(14), threads=1
-        )
-        four = run_error_experiment(
-            [200, 2000], 60, CFG, "improved", RngSeed(14), threads=4
-        )
-        assert one == four
-
-    def test_workers_capped_at_trial_count(self, monkeypatch):
-        import concurrent.futures
-
-        sizes = []
-
-        class Recording(concurrent.futures.ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-                super().__init__(max_workers=max_workers)
-
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
-        run_error_experiment([200], 3, CFG, "improved", RngSeed(14), threads=16)
-        run_joint_experiment([(100, 100, 100)], 2, CFG, RngSeed(14), threads=16)
-        assert sizes == [3, 2]
-
     def test_failures_counted_not_raised(self):
         # every register is hit at this load, so the zero-register estimator
         # has nothing to work with and every trial fails
@@ -480,14 +456,10 @@ class TestRunErrorExperiment:
         with pytest.raises(RangeError):
             run_error_experiment([10], 1, CFG, "improved", RngSeed(18))
 
-    @pytest.mark.parametrize(
-        "trials, threads", [(2.5, 1), (4.0, 1), (4, 0), (4, 1.5), (4, None)]
-    )
-    def test_non_integer_trials_or_threads_rejected(self, trials, threads):
+    @pytest.mark.parametrize("trials", [2.5, 4.0])
+    def test_non_integer_trials_rejected(self, trials):
         with pytest.raises(RangeError):
-            run_error_experiment(
-                [10], trials, CFG, "improved", RngSeed(18), threads=threads
-            )
+            run_error_experiment([10], trials, CFG, "improved", RngSeed(18))
 
     @pytest.mark.parametrize("cards", [[10.7], [10.0], [10, -1], [2**63]])
     def test_non_integral_cardinality_rejected(self, cards):
@@ -499,13 +471,6 @@ class TestRunErrorExperiment:
         b = run_error_experiment([10, 500], 5, CFG, "improved", RngSeed(18))
         assert a == b
         assert all(type(r.cardinality) is int for r in a)
-
-    @pytest.mark.parametrize("quantiles", [(1.5,), (0.5, -0.1)])
-    def test_quantiles_outside_unit_interval_rejected(self, quantiles):
-        with pytest.raises(RangeError):
-            run_error_experiment(
-                [10], 5, CFG, "improved", RngSeed(18), quantiles=quantiles
-            )
 
     def test_median_and_quantiles_match_numpy(self):
         # sizes 1..40 with ties, infinities of both signs and nan
@@ -553,12 +518,6 @@ class TestRunJointExperiment:
         again = run_joint_experiment(configs, 20, CFG, RngSeed(20))
         assert rows == again
 
-    def test_thread_invariance(self):
-        configs = [(2000, 2000, 200)]
-        one = run_joint_experiment(configs, 24, CFG, RngSeed(21), threads=1)
-        four = run_joint_experiment(configs, 24, CFG, RngSeed(21), threads=4)
-        assert one == four
-
     def test_identical_pair_configuration(self):
         (row,) = run_joint_experiment([(0, 0, 800)], 15, CFG, RngSeed(22))
         # exclusive estimates from inclusion-exclusion cancel exactly
@@ -569,14 +528,10 @@ class TestRunJointExperiment:
         with pytest.raises(RangeError):
             run_joint_experiment([(10, 10, 10)], 1, CFG, RngSeed(23))
 
-    @pytest.mark.parametrize(
-        "trials, threads", [(2.5, 1), (4.0, 1), (4, 0), (4, 1.5), (4, None)]
-    )
-    def test_non_integer_trials_or_threads_rejected(self, trials, threads):
+    @pytest.mark.parametrize("trials", [2.5, 4.0])
+    def test_non_integer_trials_rejected(self, trials):
         with pytest.raises(RangeError):
-            run_joint_experiment(
-                [(10, 10, 10)], trials, CFG, RngSeed(23), threads=threads
-            )
+            run_joint_experiment([(10, 10, 10)], trials, CFG, RngSeed(23))
 
     @pytest.mark.parametrize("triple", [(10, 10, 10.5), (10.0, 10, 10), (10, -1, 10)])
     def test_non_integral_cardinality_rejected(self, triple):
