@@ -75,7 +75,7 @@ class JointEstimate:
 
     Joint-ML results are always non-negative (the optimizer works on
     log-rates); inclusion-exclusion results may carry negative components,
-    reported unclamped and flagged by ``has_negative``.
+    reported unclamped.
     """
 
     a: float
@@ -85,10 +85,6 @@ class JointEstimate:
     @property
     def union(self) -> float:
         return self.a + self.b + self.x
-
-    @property
-    def has_negative(self) -> bool:
-        return self.a < 0 or self.b < 0 or self.x < 0
 
 
 def joint_statistic(s1: Sketch, s2: Sketch) -> JointStatistic:

@@ -265,18 +265,14 @@ def run_error_experiment(
     cards = [_check_cardinality(n) for n in cardinalities]
     reports = []
     for ci, n in enumerate(cards):
-
-        def worker(t, n=n, base=ci * trials):
-            gen = rng.generator(base + t)
-            sketch = sample_sketch(n, config, gen)
+        errors = []
+        for t in range(trials):
+            sketch = sample_sketch(n, config, rng.generator(ci * trials + t))
             try:
                 est = fn(sketch.histogram(), config)
             except HllError:
-                return None
-            return (est - n) / n if n > 0 else est
-
-        outcomes = [worker(t) for t in range(trials)]
-        errors = [e for e in outcomes if e is not None]
+                continue
+            errors.append((est - n) / n if n > 0 else est)
         reports.append(_summarize(errors, n, trials, trials - len(errors)))
     return reports
 
@@ -302,18 +298,15 @@ def run_joint_experiment(
     rows = []
     for gi, (card_a, card_b, card_x) in enumerate(configurations):
         truth = (card_a, card_b, card_x, card_a + card_b + card_x)
-
-        def worker(t, base=gi * trials):
-            gen = rng.generator(base + t)
+        kept = []
+        for t in range(trials):
+            gen = rng.generator(gi * trials + t)
             s1, s2 = sample_joint_pair(card_a, card_b, card_x, config, gen)
             try:
                 ie, ml = _joint_estimates(s1, s2)
             except HllError:
-                return None
-            return _joint_errors(ie, truth), _joint_errors(ml, truth)
-
-        outcomes = [worker(t) for t in range(trials)]
-        kept = [o for o in outcomes if o is not None]
+                continue
+            kept.append((_joint_errors(ie, truth), _joint_errors(ml, truth)))
         if kept:
             ie_err = np.asarray([o[0] for o in kept])
             ml_err = np.asarray([o[1] for o in kept])

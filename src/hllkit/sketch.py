@@ -218,10 +218,7 @@ class Sketch:
             raise FormatError(f"bad magic {data[:4]!r}")
         if data[4] != VERSION:
             raise FormatError(f"unsupported version {data[4]}")
-        p, q = data[5], data[6]
-        if not P_MIN <= p <= P_MAX or p + q > HASH_BITS:
-            raise RangeError(f"serialized parameters p={p}, q={q} out of range")
-        config = SketchConfig(p, q)
+        config = SketchConfig(data[5], data[6])
         if len(data) - 7 != config.m:
             raise FormatError(
                 f"expected {config.m} register bytes, got {len(data) - 7}"

@@ -138,6 +138,15 @@ class TestEstimate:
         # no zero registers left for the occupancy estimator
         r = run_cli("estimate", "--sketch", str(sat), "--estimator", "linear")
         assert r.returncode == 4
+        # a saturated union leaves the joint likelihood nothing to fit
+        part = tmp_path / "part.hlls"
+        write_sketch(part, cfg32, 100)
+        r = run_cli(
+            "estimate", "--sketch", str(sat), "--sketch2", str(part),
+            "--estimator", "joint-ml",
+        )
+        assert r.returncode == 4
+        assert "degenerate register histogram" in r.stderr
 
     def test_usage_errors_exit_1(self, tmp_path):
         f = tmp_path / "a.hlls"
@@ -321,6 +330,8 @@ class TestSimulate:
             "logspace:1:nan:5",
             "logspace:1:10:0",
             "10000000000000000000",
+            "-5",
+            "10,-5",
         ],
     )
     def test_cards_beyond_the_grid_exit_1_without_allocating(self, spec, capsys):
@@ -383,7 +394,16 @@ class TestJointSimulate:
             "--configs", "9223372036854775808,1,1", "--trials", "4", "--seed", "6",
         )
         assert r.returncode == 1
-        assert r.stderr.startswith("error: invalid configuration triple")
+        assert r.stderr.startswith("error: cardinality 9223372036854775808 ")
+
+    def test_negative_triple_exits_1(self, capsys):
+        rc = main([
+            "joint-simulate", "--p", "8", "--q", "16", "--configs", "1,-1,1",
+            "--trials", "4", "--seed", "6",
+        ])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1
 
     def test_seed_and_thread_determinism(self):
         base = (
