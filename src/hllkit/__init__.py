@@ -41,7 +41,6 @@ from .joint import (
 )
 from .ml import (
     Bracket,
-    SolverConfig,
     log_likelihood,
     ml_bracket,
     ml_estimate,
@@ -79,7 +78,6 @@ __all__ = [
     "RngSeed",
     "Sketch",
     "SketchConfig",
-    "SolverConfig",
     "UnsupportedConfigError",
     "ZeroRegistersExhaustedError",
     "equal_register_probability_bounds",

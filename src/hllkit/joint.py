@@ -22,10 +22,11 @@ with D = (1 - X) + X(1-A)(1-B) where A, B, X are the per-rate register CDF
 factors; that grouping is a sum of non-negative terms and is used
 throughout to avoid cancellation.
 
-The fit stops once the Newton decrement g·d is at most epsilon**2, i.e.
-once the next step would be shorter than epsilon standard errors.  A rate
-whose maximum lies at zero then stops mattering on its own: its log-rate
-gradient shrinks with the rate, so no freezing is needed.
+The fit stops once the Newton decrement g·d is at most EPSILON**2 (EPSILON
+from ``ml.py``), i.e. once the next step would be shorter than EPSILON
+standard errors, and raises ``NoConvergenceError`` after JOINT_MAX_ITERATIONS
+(500) steps.  A rate whose maximum lies at zero stops mattering on its own:
+its log-rate gradient shrinks with the rate, so no freezing is needed.
 """
 
 from __future__ import annotations
@@ -42,11 +43,13 @@ from .errors import (
     DomainError,
     NoConvergenceError,
 )
-from .improved import _corrected, improved_estimate
-from .ml import SolverConfig
+# improved_estimate is not called here, but bench/tracing.py wraps it under
+# this module-level name
+from .improved import _corrected, improved_estimate  # noqa: F401
+from .ml import EPSILON
 from .sketch import Sketch, SketchConfig, pow2_weights
 
-JOINT_SOLVER = SolverConfig(max_iterations=500)
+JOINT_MAX_ITERATIONS = 500
 MAX_LOG_STEP = 4.0  # largest step in a log-rate: a factor e**4 in the rate
 _PAIR_BLOCK = 8192  # registers per bincount in joint_statistic (64 KB of indices)
 # Rates each strict-order count group depends on: a+x, b+x, a, b.
@@ -118,11 +121,25 @@ def _overlap(n1: float, n2: float, nu: float) -> JointEstimate:
     return JointEstimate(a=nu - n2, b=nu - n1, x=n1 + n2 - nu)
 
 
+def _histograms(stat: JointStatistic):
+    """Histograms of sketch 1, sketch 2 and their union (the larger of a pair)."""
+    return (
+        stat.c1_less + stat.c_equal + stat.c1_greater,
+        stat.c2_less + stat.c_equal + stat.c2_greater,
+        stat.c1_greater + stat.c_equal + stat.c2_greater,
+    )
+
+
+def _inclusion_exclusion(stat: JointStatistic, config: SketchConfig) -> JointEstimate:
+    """Inclusion-exclusion from the corrected estimator on both sides and their union."""
+    m, q = config.m, config.q
+    return _overlap(*(_corrected(h, m, q) for h in _histograms(stat)))
+
+
 def inclusion_exclusion_estimate(s1: Sketch, s2: Sketch) -> JointEstimate:
     """Overlap from three bias-corrected single-sketch estimates; components
     may be negative."""
-    hists = (s1.histogram(), s2.histogram(), s1.merge(s2).histogram())
-    return _overlap(*(improved_estimate(h, s1.config) for h in hists))
+    return _inclusion_exclusion(joint_statistic(s1, s2), s1.config)
 
 
 class _JointTerms:
@@ -156,11 +173,9 @@ class _JointTerms:
         self.eq_c = stat.c_equal[ks].astype(float)
         self.eq_s = scale[ks]
         self.eq_cs = self.eq_c * self.eq_s
-        self.w = np.array([
-            (stat.c1_less + stat.c_equal + stat.c1_greater)[: q + 1] @ pow2,
-            (stat.c2_less + stat.c_equal + stat.c2_greater)[: q + 1] @ pow2,
-            (stat.c1_less + stat.c_equal + stat.c2_less)[: q + 1] @ pow2,
-        ])
+        h1, h2, _ = _histograms(stat)
+        h_min = stat.c1_less + stat.c_equal + stat.c2_less  # the smaller of a pair
+        self.w = np.array([h[: q + 1] @ pow2 for h in (h1, h2, h_min)])
 
     def evaluate(self, lam: np.ndarray):
         """Log-likelihood at rates ``lam``, and its gradient and Hessian in
@@ -248,15 +263,15 @@ def _cholesky_solve(a, g):
 def _maximize(terms: _JointTerms, lam0) -> np.ndarray:
     """Damped Newton ascent of the log-likelihood over log-rates.
 
-    Stops once the Newton decrement g·d is at most ``JOINT_SOLVER.epsilon**2``;
+    Stops once the Newton decrement g·d is at most ``EPSILON**2``;
     each step is capped at MAX_LOG_STEP in log space and backtracked until
     it meets the Armijo condition.
     """
     phi = np.log(lam0)
     lam = lam0
     f, g, hess = terms.evaluate(lam)
-    tol = JOINT_SOLVER.epsilon**2
-    for _ in range(JOINT_SOLVER.max_iterations):
+    tol = EPSILON**2
+    for _ in range(JOINT_MAX_ITERATIONS):
         d = _newton_direction(g, hess)
         if d is None:
             raise NoConvergenceError(f"non-finite curvature at rates {lam}")
@@ -275,9 +290,7 @@ def _maximize(terms: _JointTerms, lam0) -> np.ndarray:
         else:
             raise NoConvergenceError("line search found no ascent off the optimum")
         phi, lam, f, g, hess = trial, lam_trial, f_trial, g_trial, h_trial
-    raise NoConvergenceError(
-        f"no convergence in {JOINT_SOLVER.max_iterations} iterations"
-    )
+    raise NoConvergenceError(f"no convergence in {JOINT_MAX_ITERATIONS} iterations")
 
 
 def _check_rates(est: JointEstimate) -> np.ndarray:
@@ -312,30 +325,22 @@ def joint_ml_estimate(s1: Sketch, s2: Sketch) -> JointEstimate:
 
 
 def _joint_estimates(s1: Sketch, s2: Sketch):
-    """Inclusion-exclusion and joint-ML estimates from one paired statistic.
-
-    The inclusion-exclusion estimate (with the corrected single-sketch
-    estimator) is also the fit's start point; its three histograms are read
-    off the statistic, a union register being the larger of its pair.
-    """
+    """Inclusion-exclusion and joint-ML estimates from one paired statistic;
+    the inclusion-exclusion estimate is also the fit's start point."""
     stat = joint_statistic(s1, s2)
     config = s1.config
     m, q = config.m, config.q
-    h1 = stat.c1_less + stat.c_equal + stat.c1_greater
-    h2 = stat.c2_less + stat.c_equal + stat.c2_greater
-    hu = stat.c1_greater + stat.c_equal + stat.c2_greater
-    ie = _overlap(_corrected(h1, m, q), _corrected(h2, m, q), _corrected(hu, m, q))
+    ie = _inclusion_exclusion(stat, config)
     if stat.c_equal[0] == m:
         return ie, JointEstimate(0.0, 0.0, 0.0)  # both sketches untouched
     if stat.c_equal[q + 1] == m:
         return ie, JointEstimate(0.0, 0.0, math.inf)  # nothing but saturation
-    if hu[q + 1] == m:
-        # a side or the union fully saturated (the inclusion-exclusion start
-        # point is then infinite): an exclusive rate is unbounded
+    lam0 = np.array([ie.a, ie.b, ie.x])
+    if not np.isfinite(lam0).all():
+        # a side or the union fully saturated: an exclusive rate is unbounded
         raise DegenerateHistogramError("saturated")
-    lam0 = np.maximum(np.array([ie.a, ie.b, ie.x]), 1.0)
     with np.errstate(all="ignore"):
-        lam = _maximize(_JointTerms(stat, config), lam0)
+        lam = _maximize(_JointTerms(stat, config), np.maximum(lam0, 1.0))
     return ie, JointEstimate(a=float(lam[0]), b=float(lam[1]), x=float(lam[2]))
 
 

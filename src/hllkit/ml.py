@@ -11,7 +11,9 @@ convex function f with f(0) = m - C0, so the maximum is unique and can be
 bracketed in closed form.  The bracket bounds differ by at most 3/2, and a
 secant iteration started at zero and the lower bound walks up to the root
 without overshooting.  Iteration stops once the relative increment
-|l_{t+1} - l_t| / l_{t+1} falls below delta = epsilon/sqrt(m).
+|l_{t+1} - l_t| / l_{t+1} falls below delta = EPSILON/sqrt(m), with the
+fixed EPSILON = 1e-2 that the joint fit in ``joint.py`` reuses; it raises
+``NoConvergenceError`` after ML_MAX_ITERATIONS (64) secant steps.
 """
 
 from __future__ import annotations
@@ -30,22 +32,13 @@ from .errors import (
 from .sketch import RegisterHistogram, SketchConfig, pow2_weights
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    """Stop constant epsilon (threshold delta = epsilon/sqrt(m)) and iteration cap."""
+EPSILON = 1e-2
+ML_MAX_ITERATIONS = 64
 
-    epsilon: float = 1e-2
-    max_iterations: int = 64
 
-    def __post_init__(self):
-        eps, cap = self.epsilon, self.max_iterations
-        if not (isinstance(eps, (int, float, np.floating)) and 0 < eps < math.inf):
-            raise RangeError(f"epsilon {eps!r} is not a finite number > 0")
-        if not (isinstance(cap, (int, np.integer)) and cap >= 1):
-            raise RangeError(f"max_iterations {cap!r} is not an integer >= 1")
-
-    def delta(self, m: int) -> float:
-        return self.epsilon / math.sqrt(m)
+def stop_delta(m: int) -> float:
+    """The secant's relative stop threshold delta = EPSILON/sqrt(m)."""
+    return EPSILON / math.sqrt(m)
 
 
 @dataclass(frozen=True)
@@ -60,17 +53,12 @@ class Bracket:
 
 def _u_over_expm1(u):
     """u / (e^u - 1) elementwise, stable at both ends of the range."""
-    u = np.asarray(u, dtype=float)
-    small = u < 1e-4
-    out = np.empty_like(u)
-    # series 1 - u/2 + u^2/12 has error O(u^4/720)
-    us = u[small]
-    out[small] = 1.0 - us / 2.0 + us * us / 12.0
-    with np.errstate(over="ignore"):
-        ub = u[~small]
-        eb = np.expm1(ub)
-        out[~small] = np.where(np.isfinite(eb), ub / np.where(eb > 0, eb, 1.0), 0.0)
-    return out
+    # e^u overflows past u ~ 710, where the ratio is 0; the cap spares u = inf
+    # an inf/inf.  Both branches are computed, and 0/0 at u = 0 is discarded.
+    u = np.minimum(np.asarray(u, dtype=float), 800.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # series 1 - u/2 + u^2/12 has error O(u^4/720)
+        return np.where(u < 1e-4, 1.0 - u / 2.0 + u * u / 12.0, u / np.expm1(u))
 
 
 def _weights(h: RegisterHistogram, config: SketchConfig):
@@ -115,8 +103,6 @@ def ml_root_function(lam: float, h: RegisterHistogram, config: SketchConfig) -> 
     if not lam >= 0:  # nan fails this test too
         raise DomainError(f"rate {lam} must be non-negative")
     h.check(config)
-    if lam == 0:
-        return float(config.m - h.c0)
     return _root_function(h, config)(lam)
 
 
@@ -163,14 +149,9 @@ def _secant_solve(f, x1, f0_at_zero, delta, max_iterations):
     )
 
 
-def ml_estimate(
-    h: RegisterHistogram,
-    config: SketchConfig,
-    solver: SolverConfig | None = None,
-) -> float:
+def ml_estimate(h: RegisterHistogram, config: SketchConfig) -> float:
     """ML cardinality estimate: 0 for all-zero, +inf for all-saturated registers."""
     h.check(config)
-    solver = solver or SolverConfig()
     m = config.m
     if h.c0 == m:
         return 0.0
@@ -178,6 +159,6 @@ def ml_estimate(
         return math.inf
     f, lower = _root_function(h, config), _bracket(h, config).lower
     root, _ = _secant_solve(
-        f, lower, float(m - h.c0), solver.delta(m), solver.max_iterations
+        f, lower, float(m - h.c0), stop_delta(m), ML_MAX_ITERATIONS
     )
     return root

@@ -91,6 +91,17 @@ def _check_cardinality(n) -> int:
     return int(n)
 
 
+def _check_triple(triple) -> list:
+    """[a, b, x] as ints, or RangeError unless triple holds three cardinalities."""
+    try:
+        cards = [_check_cardinality(c) for c in triple]
+    except TypeError:  # not iterable
+        cards = None
+    if cards is None or len(cards) != 3:
+        raise RangeError(f"configuration {triple!r} is not three cardinalities")
+    return cards
+
+
 def sample_sketch(
     n: int, config: SketchConfig, gen: np.random.Generator
 ) -> Sketch:
@@ -292,9 +303,7 @@ def run_joint_experiment(
 ):
     """Paired inclusion-exclusion vs joint-ML error table, one row per triple."""
     _check_trials(trials)
-    configurations = [
-        [_check_cardinality(c) for c in triple] for triple in configurations
-    ]
+    configurations = [_check_triple(triple) for triple in configurations]
     rows = []
     for gi, (card_a, card_b, card_x) in enumerate(configurations):
         truth = (card_a, card_b, card_x, card_a + card_b + card_x)

@@ -27,7 +27,6 @@ from hllkit import (
     RngSeed,
     Sketch,
     SketchConfig,
-    SolverConfig,
     improved_estimate,
     joint_gradient,
     joint_log_likelihood,
@@ -45,6 +44,7 @@ from hllkit import (
     tau,
     zeta,
 )
+from hllkit.ml import stop_delta
 
 SEED = 20260823
 
@@ -92,7 +92,7 @@ def test_02_sigma_tau_closed_form_identity():
 def test_03_bitmap_limit_matches_zero_register_count():
     config = SketchConfig(p=12, q=0)
     m = config.m
-    delta = SolverConfig().delta(m)
+    delta = stop_delta(m)
     rng = np.random.default_rng(SEED + 3)
     worst_improved = 0.0
     worst_ml = 0.0
@@ -210,17 +210,16 @@ def test_07_error_scaling_across_register_counts():
 
 def test_08_ml_root_bracketing_and_convergence():
     rng = np.random.default_rng(SEED + 8)
-    solver = SolverConfig()
     total = bracket_escapes = residual_violations = convergence_failures = 0
     for count, (p, q) in ((3334, (8, 16)), (3333, (12, 20)), (3333, (16, 16))):
         config = SketchConfig(p=p, q=q)
-        delta = solver.delta(config.m)
+        delta = stop_delta(config.m)
         for _ in range(count):
             lam = math.exp(rng.uniform(math.log(20.0), math.log(20.0 * config.m)))
             h = random_histogram(rng, config, lam)
             bracket = ml_bracket(h, config)
             try:
-                est = ml_estimate(h, config, solver=solver)
+                est = ml_estimate(h, config)
             except Exception:
                 convergence_failures += 1
                 continue

@@ -12,12 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hllkit.joint
 from hllkit.classic import ALPHA_INF
 from hllkit.errors import (
     ConfigMismatchError,
     DegenerateHistogramError,
     DomainError,
     HllError,
+    NoConvergenceError,
 )
 from hllkit.sim import sample_joint_pair
 from hllkit.improved import improved_estimate
@@ -34,7 +36,7 @@ from hllkit.joint import (
     joint_ml_estimate,
     joint_statistic,
 )
-from hllkit.ml import SolverConfig, log_likelihood
+from hllkit.ml import log_likelihood, stop_delta
 from hllkit.sketch import Sketch, SketchConfig
 
 CFG = SketchConfig(p=8, q=16)
@@ -303,7 +305,7 @@ class TestJointMl:
         ml = joint_ml_estimate(s1, s2)
         g = joint_gradient(ml, stat, CFG)
         # scale of a stationarity residual: curvature ~ m times step tolerance
-        tol = 5.0 * CFG.m * SolverConfig().delta(CFG.m)
+        tol = 5.0 * CFG.m * stop_delta(CFG.m)
         assert np.max(np.abs(g)) < tol
 
     def test_role_symmetry(self):
@@ -311,7 +313,7 @@ class TestJointMl:
         s1, s2 = overlapping_pair(rng, CFG, 2000, 400, 1000)
         ab = joint_ml_estimate(s1, s2)
         ba = joint_ml_estimate(s2, s1)
-        delta = SolverConfig().delta(CFG.m)
+        delta = stop_delta(CFG.m)
         assert ab.a == pytest.approx(ba.b, rel=20 * delta, abs=1.0)
         assert ab.b == pytest.approx(ba.a, rel=20 * delta, abs=1.0)
         assert ab.x == pytest.approx(ba.x, rel=20 * delta, abs=1.0)
@@ -402,6 +404,14 @@ class TestNewtonFit:
             joint_ml_estimate(s, s)
             assert len(evaluations) < 40
 
+    def test_iteration_cap_raises(self, monkeypatch):
+        rng = np.random.default_rng(18)
+        s1, s2 = overlapping_pair(rng, CFG, 3000, 2500, 2000)
+        monkeypatch.setattr(hllkit.joint, "EPSILON", 1e-12)
+        monkeypatch.setattr(hllkit.joint, "JOINT_MAX_ITERATIONS", 1)
+        with pytest.raises(NoConvergenceError):
+            joint_ml_estimate(s1, s2)
+
     @staticmethod
     def _count_evaluations(monkeypatch):
         calls = []
@@ -420,8 +430,8 @@ def as_array(est: JointEstimate) -> np.ndarray:
 
 
 class TestSharedStatistic:
-    """The inclusion-exclusion estimate read off one pair statistic equals
-    ``inclusion_exclusion_estimate`` (merge and three histograms) bit for bit."""
+    """The inclusion-exclusion estimate read off one pair statistic equals the
+    corrected estimator on both histograms and the merged one, bit for bit."""
 
     @pytest.mark.parametrize(
         "cfg, cards",
@@ -441,8 +451,9 @@ class TestSharedStatistic:
                 ie, _ = _joint_estimates(s1, s2)
             except HllError:
                 continue  # a failed trial scores neither method
-            public = inclusion_exclusion_estimate(s1, s2)
-            assert np.array_equal(as_array(ie), as_array(public), equal_nan=True)
+            sides = (s1.histogram(), s2.histogram(), s1.merge(s2).histogram())
+            want = _overlap(*(improved_estimate(h, cfg) for h in sides))
+            assert np.array_equal(as_array(ie), as_array(want), equal_nan=True)
 
     def test_saturated_union_is_a_typed_error(self):
         # every pair holds one saturated register, neither side is saturated:

@@ -5,11 +5,13 @@ derivative of u/(e^u - 1), cross-checks the secant solver.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from conftest import random_histogram
 
+import hllkit.ml
 from hllkit.errors import (
     DegenerateHistogramError,
     DomainError,
@@ -17,14 +19,15 @@ from hllkit.errors import (
     RangeError,
 )
 from hllkit.ml import (
+    ML_MAX_ITERATIONS,
     Bracket,
-    SolverConfig,
     _secant_solve,
     _weights,
     log_likelihood,
     ml_bracket,
     ml_estimate,
     ml_root_function,
+    stop_delta,
 )
 from hllkit.sketch import RegisterHistogram, SketchConfig
 
@@ -68,12 +71,11 @@ def _root_derivative(lam, h, config):
     return float(c @ (scale * _u_over_expm1_deriv(lam * scale)) - w / config.m)
 
 
-def newton_estimate(h, config, solver=None):
+def newton_estimate(h, config):
     """Newton from the lower bound of the bracket, under the secant's stop rule."""
-    solver = solver or SolverConfig()
-    delta = solver.delta(config.m)
+    delta = stop_delta(config.m)
     x = ml_bracket(h, config).lower
-    for _ in range(solver.max_iterations):
+    for _ in range(ML_MAX_ITERATIONS):
         fx = ml_root_function(x, h, config)
         if fx == 0.0:
             return x
@@ -87,7 +89,7 @@ def newton_estimate(h, config, solver=None):
             return x_new
         x = x_new
     raise NoConvergenceError(
-        f"newton did not meet the stop rule in {solver.max_iterations} iterations"
+        f"newton did not meet the stop rule in {ML_MAX_ITERATIONS} iterations"
     )
 
 
@@ -103,39 +105,9 @@ def random_hists(n, config, seed=0, lo=1.0, hi=None):
     return out
 
 
-class TestSolverConfig:
+class TestStopRule:
     def test_delta(self):
-        assert SolverConfig().delta(4096) == pytest.approx(1e-2 / 64.0, rel=1e-15)
-
-    def test_validation(self):
-        with pytest.raises(RangeError):
-            SolverConfig(epsilon=0.0)
-        with pytest.raises(RangeError):
-            SolverConfig(max_iterations=0)
-        with pytest.raises(RangeError):
-            Bracket(2.0, 1.0)
-
-    @pytest.mark.parametrize(
-        "field, value",
-        [
-            ("epsilon", math.nan),
-            ("epsilon", math.inf),
-            ("epsilon", -math.inf),
-            ("epsilon", 0.0),
-            ("epsilon", -1e-3),
-            ("epsilon", "0.01"),
-            ("max_iterations", 2.5),
-            ("max_iterations", None),
-            ("max_iterations", 0),
-        ],
-    )
-    def test_bad_value_is_a_range_error(self, field, value):
-        with pytest.raises(RangeError):
-            SolverConfig(**{field: value})
-
-    def test_numpy_scalars_accepted(self):
-        solver = SolverConfig(epsilon=np.float64(1e-2), max_iterations=np.int64(64))
-        assert solver.delta(4096) == SolverConfig().delta(4096)
+        assert stop_delta(4096) == pytest.approx(1e-2 / 64.0, rel=1e-15)
 
 
 class TestLogLikelihood:
@@ -198,6 +170,12 @@ class TestRootFunction:
             vals = np.array([ml_root_function(float(l), h, CFG) for l in lams])
             assert np.all(np.diff(vals) <= 1e-12)
 
+    def test_infinite_rate_is_minus_infinity_without_warning(self):
+        h = random_hists(1, CFG, seed=5)[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ml_root_function(math.inf, h, CFG) == -math.inf
+
     def test_no_cancellation_blowup_near_zero(self):
         # tiny rates: f must approach m - C0 smoothly
         h = random_hists(1, CFG, seed=2)[0]
@@ -207,6 +185,10 @@ class TestRootFunction:
 
 
 class TestBracket:
+    def test_inverted_bracket_rejected(self):
+        with pytest.raises(RangeError):
+            Bracket(2.0, 1.0)
+
     def test_single_register_at_one(self):
         counts = np.zeros(CFG.q + 2, dtype=np.int64)
         counts[0] = CFG.m - 1
@@ -257,7 +239,7 @@ class TestMlEstimate:
     def test_q_zero_equals_linear_counting(self):
         cfg = SketchConfig(12, 0)
         m = cfg.m
-        delta = SolverConfig().delta(m)
+        delta = stop_delta(m)
         rng = np.random.default_rng(31)
         for _ in range(100):
             c0 = int(rng.integers(1, m))
@@ -283,14 +265,14 @@ class TestMlEstimate:
                 return float(c @ _u_over_expm1(lam * scale) - lam * lin)
 
             root, iterates = _secant_solve(
-                f, br.lower, float(CFG.m - h.c0), SolverConfig().delta(CFG.m), 64
+                f, br.lower, float(CFG.m - h.c0), stop_delta(CFG.m), 64
             )
             assert iterates[0] == br.lower
             assert all(b > a for a, b in zip(iterates, iterates[1:]))
             assert min(iterates) >= br.lower
 
     def test_residual_consistent_with_stop_rule(self):
-        delta = SolverConfig().delta(CFG.m)
+        delta = stop_delta(CFG.m)
         for h in random_hists(30, CFG, seed=23):
             est = ml_estimate(h, CFG)
             resid = ml_root_function(est, h, CFG)
@@ -298,16 +280,18 @@ class TestMlEstimate:
             assert abs(resid) <= abs(slope) * delta * est * 2.0
 
     def test_secant_and_newton_agree(self):
-        delta = SolverConfig().delta(CFG.m)
+        delta = stop_delta(CFG.m)
         for h in random_hists(30, CFG, seed=29):
             sec = ml_estimate(h, CFG)
             newt = newton_estimate(h, CFG)
             assert abs(sec - newt) <= 2.0 * delta * max(sec, newt)
 
-    def test_iteration_budget_errors_when_tiny(self):
+    def test_iteration_budget_errors_when_tiny(self, monkeypatch):
         h = random_hists(1, CFG, seed=37)[0]
+        monkeypatch.setattr(hllkit.ml, "EPSILON", 1e-12)
+        monkeypatch.setattr(hllkit.ml, "ML_MAX_ITERATIONS", 2)
         with pytest.raises(NoConvergenceError):
-            ml_estimate(h, CFG, SolverConfig(epsilon=1e-12, max_iterations=2))
+            ml_estimate(h, CFG)
 
     def test_monte_carlo_error_profile(self):
         from hllkit.sim import sample_sketch

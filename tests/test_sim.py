@@ -15,6 +15,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import hllkit.sim
 from hllkit.errors import RangeError, ZeroRegistersExhaustedError
 from hllkit.improved import improved_estimate
 from hllkit.sim import (
@@ -535,6 +536,15 @@ class TestRunJointExperiment:
 
     @pytest.mark.parametrize("triple", [(10, 10, 10.5), (10.0, 10, 10), (10, -1, 10)])
     def test_non_integral_cardinality_rejected(self, triple):
+        with pytest.raises(RangeError):
+            run_joint_experiment([(10, 10, 10), triple], 2, CFG, RngSeed(23))
+
+    @pytest.mark.parametrize("triple", [(1, 2), (1, 2, 3, 4), 5])
+    def test_malformed_triple_rejected_before_any_trial(self, triple, monkeypatch):
+        def no_trial(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(hllkit.sim, "sample_joint_pair", no_trial)
         with pytest.raises(RangeError):
             run_joint_experiment([(10, 10, 10), triple], 2, CFG, RngSeed(23))
 
