@@ -97,22 +97,24 @@ def joint_statistic(s1: Sketch, s2: Sketch) -> JointStatistic:
     bins = s1.config.q + 2
     r1, r2 = s1.registers, s2.registers
     # table[i, j]: pairs with sketch-1 value i and sketch-2 value j, counted a
-    # block at a time so the index array bincount needs stays small
+    # block at a time so the index array bincount needs stays small; an index
+    # is below bins**2 <= 4096, so it is formed in uint16
     table = np.zeros(bins * bins, dtype=np.int64)
     for start in range(0, r1.size, _PAIR_BLOCK):
-        pairs = r1[start : start + _PAIR_BLOCK].astype(np.intp)
-        pairs *= bins
+        pairs = r1[start : start + _PAIR_BLOCK] * np.uint16(bins)
         pairs += r2[start : start + _PAIR_BLOCK]
         table += np.bincount(pairs, minlength=bins * bins)
     table = table.reshape(bins, bins)
-    upper = np.triu(table, 1)  # sketch 1 smaller
-    lower = np.tril(table, -1)  # sketch 1 larger
+    # running sums along a row up to its diagonal count the pairs where
+    # sketch 1 is at least its partner; down a column, where sketch 2 is
+    rows, cols = table.cumsum(axis=1), table.cumsum(axis=0)
+    equal, row_upto, col_upto = table.diagonal(), rows.diagonal(), cols.diagonal()
     return JointStatistic(
-        c1_less=upper.sum(axis=1),
-        c1_greater=lower.sum(axis=1),
-        c2_less=lower.sum(axis=0),
-        c2_greater=upper.sum(axis=0),
-        c_equal=table.diagonal().copy(),
+        c1_less=rows[:, -1] - row_upto,
+        c1_greater=row_upto - equal,
+        c2_less=cols[-1] - col_upto,
+        c2_greater=col_upto - equal,
+        c_equal=equal.copy(),
     )
 
 

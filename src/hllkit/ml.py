@@ -54,11 +54,16 @@ class Bracket:
 def _u_over_expm1(u):
     """u / (e^u - 1) elementwise, stable at both ends of the range."""
     # e^u overflows past u ~ 710, where the ratio is 0; the cap spares u = inf
-    # an inf/inf.  Both branches are computed, and 0/0 at u = 0 is discarded.
+    # an inf/inf.  Entries below 1e-4, and the 0/0 at u = 0, are then
+    # overwritten by the series 1 - u/2 + u^2/12, whose error is O(u^4/720).
     u = np.minimum(np.asarray(u, dtype=float), 800.0)
     with np.errstate(over="ignore", invalid="ignore"):
-        # series 1 - u/2 + u^2/12 has error O(u^4/720)
-        return np.where(u < 1e-4, 1.0 - u / 2.0 + u * u / 12.0, u / np.expm1(u))
+        out = np.asarray(u / np.expm1(u))  # a 0-d input gives a scalar here
+        small = u < 1e-4
+        if small.any():
+            us = u[small]
+            out[small] = 1.0 - us / 2.0 + us * us / 12.0
+    return out
 
 
 def _weights(h: RegisterHistogram, config: SketchConfig):

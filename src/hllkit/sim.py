@@ -16,6 +16,7 @@ in index order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -102,6 +103,17 @@ def _check_triple(triple) -> list:
     return cards
 
 
+@lru_cache(maxsize=None)  # q <= 62, so at most 63 entries
+def _level_tables(q: int):
+    """Read-only level law for ``sample_sketch``: the pmf of hash levels
+    1..q+1 and the levels themselves, top level first."""
+    pow2 = pow2_weights(q)
+    pmf = np.append(pow2[1 : q + 1], pow2[q])
+    levels = np.arange(q + 1, 0, -1, dtype=np.uint8)
+    pmf.flags.writeable = levels.flags.writeable = False
+    return pmf, levels
+
+
 def sample_sketch(
     n: int, config: SketchConfig, gen: np.random.Generator
 ) -> Sketch:
@@ -111,7 +123,8 @@ def sample_sketch(
     probability 2^-k for k <= q and 2^-q for k = q+1, and a register keeps
     the largest level that lands on it.  One multinomial gives the size of
     each level.  The first 2m elements, from the top level down, are thrown
-    onto all registers at once, which sets most of them.  Every later
+    onto all registers at once, which sets most of them; for n <= 2m that
+    multinomial and that one index throw are the whole draw.  Every later
     element is at or below the levels already set, so it can only change a
     zero register: of c elements spread over ``domain`` registers,
     Binomial(c, |U| / domain) land on the zero list U, uniformly.  The walk
@@ -120,12 +133,14 @@ def sample_sketch(
     indices are the largest temporary.
     """
     n = _check_cardinality(n)
-    m, q = config.m, config.q
+    m = config.m
     sketch = Sketch(config)
     regs = sketch._regs
-    pow2 = pow2_weights(q)
-    levels = np.arange(q + 1, 0, -1, dtype=np.uint8)
-    counts = gen.multinomial(n, np.append(pow2[1 : q + 1], pow2[q]))[::-1]
+    pmf, levels = _level_tables(config.q)
+    counts = gen.multinomial(n, pmf)[::-1]
+    if n <= 2 * m:
+        np.maximum.at(regs, gen.integers(0, m, size=n), np.repeat(levels, counts))
+        return sketch
     before = np.cumsum(counts) - counts
     first = np.minimum(counts, np.maximum(2 * m - before, 0))  # share of the first 2m
     np.maximum.at(

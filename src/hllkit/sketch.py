@@ -76,7 +76,7 @@ class RegisterHistogram:
         self.counts = counts.astype(np.int64, copy=False)
         if self.counts.ndim != 1 or self.counts.size < 2:
             raise RangeError("histogram needs one count per register value 0..q+1")
-        if np.any(self.counts < 0):
+        if (self.counts < 0).any():
             raise RangeError("histogram counts must be non-negative")
 
     @property
@@ -182,14 +182,17 @@ class Sketch:
     def histogram(self) -> RegisterHistogram:
         """Count of registers at each value 0..q+1.
 
-        ``bincount`` reads the registers two bytes at a time (m is even), so it
-        visits m/2 elements and fills a (q+2, 256) table of byte pairs, of
-        which only the first q+2 columns can be non-zero.  Value k is counted
-        by the pairs with k in one byte (row k) plus those with k in the other
-        (column k).  The fold is symmetric in the two bytes, so byte order
-        does not matter.
+        Small sketches are counted a byte at a time.  Above 256(q+2)
+        registers, ``bincount`` reads them two bytes at a time (m is even), so
+        it visits m/2 elements and fills a (q+2, 256) table of byte pairs, of
+        which only the first q+2 columns can be non-zero; that table is then
+        smaller than the registers.  Value k is counted by the pairs with k in
+        one byte (row k) plus those with k in the other (column k).  The fold
+        is symmetric in the two bytes, so byte order does not matter.
         """
         q2 = self.config.q + 2
+        if self._regs.size <= 256 * q2:
+            return RegisterHistogram(np.bincount(self._regs, minlength=q2))
         pairs = np.bincount(self._regs.view(np.uint16), minlength=256 * q2)
         pairs = pairs.reshape(q2, 256)[:, :q2]
         return RegisterHistogram(pairs.sum(0) + pairs.sum(1))

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hllkit.joint
@@ -113,6 +113,38 @@ class TestJointStatistic:
         # nor above its partner while at zero
         assert stat.c1_less[CFG.q + 1] == 0 and stat.c2_less[CFG.q + 1] == 0
         assert stat.c1_greater[0] == 0 and stat.c2_greater[0] == 0
+
+    # (14, q) has m = 16384, two _PAIR_BLOCKs; (2, 62) is the largest q
+    @given(pq=st.integers(2, 15).flatmap(
+               lambda p: st.tuples(st.just(p), st.integers(0, 64 - p))),
+           share=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+    @example(pq=(14, 16), share=0.5, seed=1)
+    @example(pq=(14, 0), share=0.5, seed=2)
+    @example(pq=(2, 62), share=0.0, seed=3)
+    @example(pq=(8, 0), share=1.0, seed=4)
+    @settings(max_examples=60, deadline=None)
+    def test_counts_match_pair_by_pair(self, pq, share, seed):
+        p, q = pq
+        cfg = SketchConfig(p, q)
+        rng = np.random.default_rng(seed)
+        r1 = rng.integers(0, rng.integers(1, q + 3), cfg.m)
+        r2 = np.where(rng.random(cfg.m) < share, r1, rng.integers(0, q + 2, cfg.m))
+        stat = joint_statistic(Sketch.from_registers(cfg, r1),
+                               Sketch.from_registers(cfg, r2))
+        want = {name: np.zeros(q + 2, dtype=np.int64) for name in
+                ("c1_less", "c1_greater", "c2_less", "c2_greater", "c_equal")}
+        for v1, v2 in zip(r1.tolist(), r2.tolist()):
+            if v1 < v2:
+                want["c1_less"][v1] += 1
+                want["c2_greater"][v2] += 1
+            elif v1 > v2:
+                want["c1_greater"][v1] += 1
+                want["c2_less"][v2] += 1
+            else:
+                want["c_equal"][v1] += 1
+        for name, counts in want.items():
+            got = getattr(stat, name)
+            assert got.dtype == np.int64 and got.tolist() == counts.tolist(), name
 
     def test_config_mismatch(self):
         other = Sketch(SketchConfig(p=9, q=16))

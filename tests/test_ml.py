@@ -10,6 +10,8 @@ import warnings
 import numpy as np
 import pytest
 from conftest import random_histogram
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hllkit.ml
 from hllkit.errors import (
@@ -22,6 +24,7 @@ from hllkit.ml import (
     ML_MAX_ITERATIONS,
     Bracket,
     _secant_solve,
+    _u_over_expm1,
     _weights,
     log_likelihood,
     ml_bracket,
@@ -48,6 +51,25 @@ def saturated(config):
     c = np.zeros(config.q + 2, dtype=np.int64)
     c[-1] = config.m
     return hist(c)
+
+
+def _u_over_expm1_reference(u):
+    """u / (e^u - 1) as one ``np.where`` over both branches, after the cap."""
+    u = np.minimum(np.asarray(u, dtype=float), 800.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.where(u < 1e-4, 1.0 - u / 2.0 + u * u / 12.0, u / np.expm1(u))
+
+
+# 0, subnormals, both sides of the series switch at 1e-4 (one ulp apart), the
+# overflow range of e^u around the cap at 800, inf, and anything in between
+U_VALUES = st.one_of(
+    st.sampled_from([0.0, 5e-324, 2.2250738585072014e-308, np.nextafter(1e-4, 0.0),
+                     1e-4, np.nextafter(1e-4, 1.0), 709.78, 800.0, math.inf]),
+    st.floats(0.0, 2.3e-308),
+    st.floats(0.0, 1e-3),
+    st.floats(700.0, 1000.0),
+    st.floats(0.0, math.inf),
+)
 
 
 def _u_over_expm1_deriv(u):
@@ -176,6 +198,18 @@ class TestRootFunction:
             warnings.simplefilter("error")
             assert ml_root_function(math.inf, h, CFG) == -math.inf
 
+    @given(st.lists(U_VALUES, min_size=1, max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_u_over_expm1_matches_the_two_branch_formula(self, values):
+        u = np.array(values)
+        assert _u_over_expm1(u).tobytes() == _u_over_expm1_reference(u).tobytes()
+
+    @pytest.mark.parametrize("value", [0.0, 5e-324, 1e-4, 0.5, 709.0, 800.0, math.inf])
+    def test_u_over_expm1_zero_dimensional(self, value):
+        got = np.asarray(_u_over_expm1(np.float64(value)))
+        want = _u_over_expm1_reference(np.asarray(value))
+        assert got.shape == () and got.tobytes() == want.tobytes()
+
     def test_no_cancellation_blowup_near_zero(self):
         # tiny rates: f must approach m - C0 smoothly
         h = random_hists(1, CFG, seed=2)[0]
@@ -260,8 +294,6 @@ class TestMlEstimate:
             lin = w / CFG.m
 
             def f(lam):
-                from hllkit.ml import _u_over_expm1
-
                 return float(c @ _u_over_expm1(lam * scale) - lam * lin)
 
             root, iterates = _secant_solve(

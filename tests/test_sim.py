@@ -23,6 +23,7 @@ from hllkit.sim import (
     SINGLE_ESTIMATORS,
     ErrorReport,
     RngSeed,
+    _level_tables,
     _median_and_quantiles,
     run_error_experiment,
     run_joint_experiment,
@@ -355,6 +356,23 @@ class TestSampleSketch:
                     present = np.unique(regs[occupied])
                     assert np.all(levels[present - 1] > 0)
                     assert present.max() == np.nonzero(levels)[0].max() + 1
+
+    @pytest.mark.parametrize("p,q", [(4, 0), (8, 16), (2, 62)])
+    def test_at_most_2m_elements_is_one_multinomial_and_one_throw(self, p, q):
+        cfg = SketchConfig(p, q)
+        for n in (0, 1, cfg.m, 2 * cfg.m):
+            gen = RecordingGenerator(RngSeed(5, stream_id=n).generator(q))
+            sample_sketch(n, cfg, gen)
+            assert gen.used == ["multinomial", "integers"]
+
+    @pytest.mark.parametrize("q", [0, 16, 62])
+    def test_level_tables_reject_writes(self, q):
+        pmf, levels = _level_tables(q)
+        assert pmf.size == levels.size == q + 1
+        for arr in (pmf, levels):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1
+        assert _level_tables(q)[0] is pmf  # built once per q
 
     @pytest.mark.parametrize("q", [0, 1, 20])
     def test_level_walk_memory_does_not_grow_with_n(self, q):

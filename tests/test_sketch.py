@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hllkit.errors import ConfigMismatchError, FormatError, RangeError
-from hllkit.sim import RngSeed, sample_sketch
+from hllkit.sim import RngSeed, sample_joint_pair, sample_sketch
 from hllkit.sketch import RegisterHistogram, Sketch, SketchConfig, _bit_length_u64, merge
 
 HASHES = st.integers(min_value=0, max_value=2**64 - 1)
@@ -283,9 +283,12 @@ class TestHistogram:
         b.insert_many(rng.integers(0, 2**64, 500, dtype=np.uint64))
         assert a.merge(b).histogram().total() == 64
 
-    @given(st.sampled_from([(2, 0), (2, 62), (4, 60), (12, 20), (16, 16), (16, 48)]),
+    # byte counts up to m = 256 (q+2) registers, byte pairs above: (11, 6) and
+    # (10, 2) sit on the switch, (11, 5) and (10, 1) just above it
+    @given(st.sampled_from([(2, 0), (2, 62), (4, 60), (10, 1), (10, 2), (11, 5), (11, 6),
+                            (12, 20), (16, 16), (16, 48)]),
            st.sampled_from(["random", "zero", "saturated"]), st.integers(0, 2**32 - 1))
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=100, deadline=None)
     def test_counts_match_bytewise_bincount(self, pq, fill, seed):
         p, q = pq
         m = 1 << p
@@ -461,3 +464,18 @@ class TestKernelDigests:
             self._feed(digest, sample_sketch(n, config, rng.generator(i)))
         assert digest.hexdigest() == (
             "ae173e113f8da935c18e124ce3935fbf84f9824385d040aec9211106164ba01a")
+
+    def test_sample_joint_pair_joint_table(self):
+        # the four joint-table configurations, 20 trials each, seeded as
+        # run_joint_experiment seeds them: three draws from one generator,
+        # then the two merges
+        config, rng, trials = SketchConfig(12, 16), RngSeed(2017), 20
+        digest = hashlib.sha256()
+        for gi, (a, b, x) in enumerate([(10000, 10000, 10000), (10000, 10000, 100),
+                                        (100, 100, 10000), (100000, 1000, 1000)]):
+            for t in range(trials):
+                s1, s2 = sample_joint_pair(a, b, x, config, rng.generator(gi * trials + t))
+                self._feed(digest, s1)
+                self._feed(digest, s2)
+        assert digest.hexdigest() == (
+            "73c31107ff5358a1ec47430b23602bacab433ad37c18137fcfb32f6d9e12b615")
