@@ -6,8 +6,9 @@ middle band of cardinalities: it overestimates badly while most registers
 are still zero and runs into hash-collision distortion near saturation.
 The original composite method patches both ends, switching to linear
 counting below (5/2)m and to a logarithmic correction above 2^32/30.  The
-switchover constants are tied to 32 relevant hash bits, so the composite
-is restricted to p + q = 32 here.
+switchover constants and the correction's hash space are tied to 32
+relevant hash bits (a fixed 2^32), so the composite is restricted to
+p + q = 32 here.
 
 Uses the limit constant alpha_inf = 1/(2 ln 2) throughout; the small
 finite-m bias of that choice is dwarfed by the estimation error itself.
@@ -26,6 +27,7 @@ from .errors import (
 from .sketch import RegisterHistogram, SketchConfig, pow2_weights
 
 ALPHA_INF = 1.0 / (2.0 * math.log(2.0))
+_HASH_SPACE = 2.0**32  # the composite method's 32 relevant hash bits
 
 
 def raw_estimate(h: RegisterHistogram, config: SketchConfig) -> float:
@@ -45,23 +47,24 @@ def linear_counting_estimate(c0: int, m: int) -> float:
     return m * math.log(m / c0)
 
 
-def large_range_correction(raw: float, bits: int) -> float:
-    """Collision correction -2^bits * ln(1 - raw / 2^bits) near hash-space saturation."""
-    space = 2.0**bits
+def large_range_correction(raw: float) -> float:
+    """Collision correction -2^32 * ln(1 - raw / 2^32) near saturation of the
+    fixed 2^32 hash space."""
     if not raw >= 0:  # nan fails this test too
         raise OutOfDomainError(f"raw estimate {raw} is negative or nan")
-    if raw >= space:
+    if raw >= _HASH_SPACE:
         raise OutOfDomainError(
-            f"raw estimate {raw} is at or beyond the 2^{bits} hash space; correction undefined"
+            f"raw estimate {raw} is at or beyond the 2^32 hash space; correction undefined"
         )
-    return -space * math.log1p(-raw / space)
+    return -_HASH_SPACE * math.log1p(-raw / _HASH_SPACE)
 
 
 def original_estimate(h: RegisterHistogram, config: SketchConfig) -> float:
     """Composite estimator with the empirical switchovers (requires p + q = 32).
 
     Low range (raw <= 2.5m with zero registers left): linear counting.
-    High range (raw > 2^32/30): large-range correction.  Otherwise: raw.
+    High range (raw > 2^32/30): large-range correction in the fixed 2^32
+    hash space.  Otherwise: raw.
     """
     if config.p + config.q != 32:
         raise UnsupportedConfigError(
@@ -70,6 +73,6 @@ def original_estimate(h: RegisterHistogram, config: SketchConfig) -> float:
     raw = raw_estimate(h, config)
     if raw <= 2.5 * config.m and h.c0 > 0:
         return linear_counting_estimate(h.c0, config.m)
-    if raw > 2.0**32 / 30.0:
-        return large_range_correction(raw, 32)
+    if raw > _HASH_SPACE / 30.0:
+        return large_range_correction(raw)
     return raw

@@ -1,10 +1,10 @@
 """Command-line front end: estimate, simulate, joint-simulate, inspect.
 
-Exit codes: 0 success; 1 invalid flags, malformed option syntax, an
-unwritable ``--out`` or any other ``RangeError`` (a parameter out of range);
-for ``estimate`` additionally 2 unreadable/corrupt sketch file, 3 sketch
-config mismatch, 4 any other ``HllError`` an estimator raises (e.g. the
-large-range correction leaving its domain).
+Exit codes, mapped from errors by ``_EXIT_CODES`` alone: 0 success; 1 invalid
+flags, malformed option syntax, an unwritable ``--out`` or any other
+``RangeError`` (a parameter out of range); 2 unreadable/corrupt sketch file;
+3 sketch config mismatch; 4 any other ``HllError`` an estimator raises (e.g.
+the large-range correction leaving its domain).
 
 Range rules have one owner, the library: an out-of-range cardinality in
 ``--cards`` or ``--configs`` parses here and is rejected by the runner with
@@ -19,6 +19,7 @@ is accepted for compatibility (an integer >= 1) and changes nothing.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -48,8 +49,20 @@ JOINT_COLUMNS = (
 JOINT_ESTIMATORS = ("incl-excl", "joint-ml")
 
 
-class _CliUsageError(Exception):
+class _CliUsageError(HllError):
     pass
+
+
+class _ReadError(HllError):
+    pass
+
+
+_EXIT_CODES = (  # checked in order, the first match wins
+    ((_CliUsageError, RangeError), 1),
+    (_ReadError, 2),
+    (ConfigMismatchError, 3),
+    (HllError, 4),
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -67,7 +80,10 @@ def _fmt(value) -> str:
 
 
 def _load_sketch(path: str) -> Sketch:
-    return Sketch.from_bytes(Path(path).read_bytes())
+    try:
+        return Sketch.from_bytes(Path(path).read_bytes())
+    except (FormatError, RangeError, OSError) as exc:
+        raise _ReadError(f"cannot read sketch: {exc}") from None
 
 
 def _check_run_flags(args):
@@ -75,10 +91,13 @@ def _check_run_flags(args):
     if args.threads < 1:
         raise _CliUsageError(f"--threads {args.threads} is not an integer >= 1")
     if args.out:
+        made = not os.path.exists(args.out)
         try:  # append mode: an existing file is left as it is
             open(args.out, "a").close()
         except OSError as exc:
             raise _CliUsageError(f"cannot write {args.out}: {exc.strerror}") from None
+        if made:  # a run rejected later leaves no file, nor a dangling link's target
+            os.remove(os.path.realpath(args.out))
 
 
 def _emit(lines, out_path):
@@ -135,14 +154,11 @@ def _parse_configs(text: str):
     if text == "":
         return configs
     for part in text.split(";"):
-        fields = part.split(",")
-        if len(fields) != 3:
-            raise _CliUsageError(f"invalid configuration triple {part!r}")
-        try:
-            triple = tuple(int(f) for f in fields)
+        try:  # a field that is no integer, or not three fields
+            a, b, x = (int(f) for f in part.split(","))
         except ValueError:
             raise _CliUsageError(f"invalid configuration triple {part!r}") from None
-        configs.append(triple)
+        configs.append((a, b, x))
     return configs
 
 
@@ -154,60 +170,42 @@ def cmd_estimate(args) -> int:
         raise _CliUsageError(
             f"estimator {args.estimator} works on a single sketch; drop --sketch2"
         )
-    try:
-        s1 = _load_sketch(args.sketch)
-        s2 = _load_sketch(args.sketch2) if args.sketch2 else None
-    except (FormatError, RangeError, OSError) as exc:
-        print(f"error: cannot read sketch: {exc}", file=sys.stderr)
-        return 2
+    s1 = _load_sketch(args.sketch)
+    s2 = _load_sketch(args.sketch2) if args.sketch2 else None
     cfg = s1.config
-    try:
-        if joint:
-            fn = (
-                joint_ml_estimate
-                if args.estimator == "joint-ml"
-                else inclusion_exclusion_estimate
-            )
-            est = fn(s1, s2)
-            print(
-                f"{args.estimator} estimates (p={cfg.p}, q={cfg.q}): "
-                f"a={_fmt(est.a)} b={_fmt(est.b)} x={_fmt(est.x)} "
-                f"union={_fmt(est.union)}"
-            )
-            print("estimator,p,q,a,b,x,union")
-            print(
-                f"{args.estimator},{cfg.p},{cfg.q},{_fmt(est.a)},"
-                f"{_fmt(est.b)},{_fmt(est.x)},{_fmt(est.union)}"
-            )
-        else:
-            value = SINGLE_ESTIMATORS[args.estimator](s1.histogram(), cfg)
-            print(
-                f"{args.estimator} estimate (p={cfg.p}, q={cfg.q}): {_fmt(value)}"
-            )
-            print("estimator,p,q,estimate")
-            print(f"{args.estimator},{cfg.p},{cfg.q},{_fmt(value)}")
-    except ConfigMismatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except HllError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+    if joint:
+        fn = (
+            joint_ml_estimate
+            if args.estimator == "joint-ml"
+            else inclusion_exclusion_estimate
+        )
+        est = fn(s1, s2)
+        print(
+            f"{args.estimator} estimates (p={cfg.p}, q={cfg.q}): "
+            f"a={_fmt(est.a)} b={_fmt(est.b)} x={_fmt(est.x)} "
+            f"union={_fmt(est.union)}"
+        )
+        print("estimator,p,q,a,b,x,union")
+        print(
+            f"{args.estimator},{cfg.p},{cfg.q},{_fmt(est.a)},"
+            f"{_fmt(est.b)},{_fmt(est.x)},{_fmt(est.union)}"
+        )
+    else:
+        value = SINGLE_ESTIMATORS[args.estimator](s1.histogram(), cfg)
+        print(f"{args.estimator} estimate (p={cfg.p}, q={cfg.q}): {_fmt(value)}")
+        print("estimator,p,q,estimate")
+        print(f"{args.estimator},{cfg.p},{cfg.q},{_fmt(value)}")
     return 0
 
 
 def cmd_inspect(args) -> int:
-    try:
-        sketch = _load_sketch(args.sketch)
-    except (FormatError, RangeError, OSError) as exc:
-        print(f"error: cannot read sketch: {exc}", file=sys.stderr)
-        return 2
+    sketch = _load_sketch(args.sketch)
     cfg = sketch.config
-    hist = sketch.histogram()
     print(f"p: {cfg.p}")
     print(f"q: {cfg.q}")
     print(f"registers: {cfg.m}")
     print("value,count")
-    for value, count in enumerate(hist.counts):
+    for value, count in enumerate(sketch.histogram().counts):
         print(f"{value},{int(count)}")
     return 0
 
@@ -279,37 +277,32 @@ def build_parser() -> _Parser:
     ins.set_defaults(func=cmd_inspect)
 
     simp = sub.add_parser("simulate", help="single-sketch estimator error sweep")
-    simp.add_argument("--p", type=int, required=True)
-    simp.add_argument("--q", type=int, required=True)
     simp.add_argument(
         "--cards",
         required=True,
         help="comma list of cardinalities or logspace:START:END:POINTS",
     )
-    simp.add_argument("--trials", type=int, required=True)
-    simp.add_argument("--seed", type=int, required=True)
     simp.add_argument(
         "--estimators", required=True, help="comma list, e.g. raw,improved,ml"
     )
-    simp.add_argument("--out", help="write CSV here instead of stdout")
-    simp.add_argument("--threads", type=int, default=1)
     simp.set_defaults(func=cmd_simulate)
 
     joint = sub.add_parser(
         "joint-simulate", help="two-sketch overlap estimator comparison"
     )
-    joint.add_argument("--p", type=int, required=True)
-    joint.add_argument("--q", type=int, required=True)
     joint.add_argument(
         "--configs",
         required=True,
         help="semicolon-separated a,b,x cardinality triples",
     )
-    joint.add_argument("--trials", type=int, required=True)
-    joint.add_argument("--seed", type=int, required=True)
-    joint.add_argument("--out", help="write CSV here instead of stdout")
-    joint.add_argument("--threads", type=int, default=1)
     joint.set_defaults(func=cmd_joint_simulate)
+    for run in (simp, joint):
+        run.add_argument("--p", type=int, required=True)
+        run.add_argument("--q", type=int, required=True)
+        run.add_argument("--trials", type=int, required=True)
+        run.add_argument("--seed", type=int, required=True)
+        run.add_argument("--out", help="write CSV here instead of stdout")
+        run.add_argument("--threads", type=int, default=1)
     return parser
 
 
@@ -318,10 +311,6 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (_CliUsageError, RangeError) as exc:
+    except HllError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+        return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))

@@ -40,9 +40,9 @@ class DegenerateHistogramError(HllError):
     ``"saturated"`` when every register sits at its maximum value.
     """
 
-    def __init__(self, kind: str, message: str | None = None):
+    def __init__(self, kind: str):
         self.kind = kind
-        super().__init__(message or f"degenerate register histogram ({kind})")
+        super().__init__(f"degenerate register histogram ({kind})")
 
 
 class NoConvergenceError(HllError):

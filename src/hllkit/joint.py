@@ -42,6 +42,7 @@ from .errors import (
     DegenerateHistogramError,
     DomainError,
     NoConvergenceError,
+    RangeError,
 )
 # improved_estimate is not called here, but bench/tracing.py wraps it under
 # this module-level name
@@ -295,30 +296,32 @@ def _maximize(terms: _JointTerms, lam0) -> np.ndarray:
     raise NoConvergenceError(f"no convergence in {JOINT_MAX_ITERATIONS} iterations")
 
 
-def _check_rates(est: JointEstimate) -> np.ndarray:
+def _evaluate(est: JointEstimate, stat: JointStatistic, config: SketchConfig):
+    """``_JointTerms.evaluate`` at ``est``; DomainError unless the rates are
+    positive, RangeError unless ``stat`` pairs two sketches of ``config``."""
     if not (est.a > 0 and est.b > 0 and est.x > 0):
         raise DomainError(
             f"rates ({est.a}, {est.b}, {est.x}) must all be positive"
         )
-    return np.array([est.a, est.b, est.x])
+    for h in _histograms(stat)[:2]:
+        if h.size != config.q + 2 or h.sum() != config.m:
+            raise RangeError(f"joint statistic does not fit {config}")
+    with np.errstate(all="ignore"):
+        return _JointTerms(stat, config).evaluate(np.array([est.a, est.b, est.x]))
 
 
 def joint_log_likelihood(
     est: JointEstimate, stat: JointStatistic, config: SketchConfig
 ) -> float:
     """Joint log-likelihood of the three rates given the paired-register counts."""
-    lam = _check_rates(est)
-    with np.errstate(all="ignore"):
-        return _JointTerms(stat, config).evaluate(lam)[0]
+    return _evaluate(est, stat, config)[0]
 
 
 def joint_gradient(
     est: JointEstimate, stat: JointStatistic, config: SketchConfig
 ) -> np.ndarray:
     """Gradient of the joint log-likelihood in log-rate coordinates."""
-    lam = _check_rates(est)
-    with np.errstate(all="ignore"):
-        return np.array(_JointTerms(stat, config).evaluate(lam)[1])
+    return np.array(_evaluate(est, stat, config)[1])
 
 
 def joint_ml_estimate(s1: Sketch, s2: Sketch) -> JointEstimate:

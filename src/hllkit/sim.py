@@ -69,6 +69,8 @@ class RngSeed:
                 raise RangeError(f"{name} {value!r} is not an integer >= 0")
 
     def generator(self, trial_index: int) -> np.random.Generator:
+        if not _is_int_at_least(trial_index, 0):
+            raise RangeError(f"trial index {trial_index!r} is not an integer >= 0")
         seq = np.random.SeedSequence(
             entropy=self.seed, spawn_key=(self.stream_id, trial_index)
         )
@@ -217,7 +219,7 @@ def _resolve_estimator(selector):
         return selector
     try:
         return SINGLE_ESTIMATORS[selector]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable selector
         raise RangeError(
             f"unknown estimator {selector!r}; choose from "
             f"{sorted(SINGLE_ESTIMATORS)}"

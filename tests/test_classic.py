@@ -115,31 +115,31 @@ class TestLinearCounting:
 
 class TestLargeRangeCorrection:
     def test_zero_is_fixed_point(self):
-        assert large_range_correction(0.0, 32) == 0.0
+        assert large_range_correction(0.0) == 0.0
 
     def test_half_space(self):
-        assert large_range_correction(2.0**31, 32) == pytest.approx(
+        assert large_range_correction(2.0**31) == pytest.approx(
             2977044471.8195720715, rel=1e-12
         )
 
     def test_at_and_beyond_space_undefined(self):
         with pytest.raises(OutOfDomainError):
-            large_range_correction(2.0**32, 32)
+            large_range_correction(2.0**32)
         with pytest.raises(OutOfDomainError):
-            large_range_correction(2.0**32 + 1, 32)
+            large_range_correction(2.0**32 + 1)
 
     def test_negative_raw_rejected(self):
         with pytest.raises(OutOfDomainError):
-            large_range_correction(-1.0, 32)
+            large_range_correction(-1.0)
 
     def test_nan_raw_rejected(self):
         with pytest.raises(OutOfDomainError):
-            large_range_correction(math.nan, 32)
+            large_range_correction(math.nan)
 
     def test_expands_the_estimate(self):
         # correction inverts collision shrinkage, so it must exceed its input
         for raw in (1e6, 1e9, 4e9):
-            assert large_range_correction(raw, 32) > raw
+            assert large_range_correction(raw) > raw
 
 
 class TestOriginalEstimate:

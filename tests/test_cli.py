@@ -14,8 +14,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import hllkit.errors
 from hllkit import Sketch, SketchConfig, improved_estimate
 from hllkit.cli import main
+from hllkit.errors import HllError
+from hllkit.sim import SINGLE_ESTIMATORS
 
 DATA = Path(__file__).parent / "data"
 
@@ -162,6 +165,32 @@ class TestEstimate:
         ]
         for args in cases:
             assert run_cli(*args).returncode == 1
+
+    @pytest.mark.parametrize(
+        "kind",
+        [
+            cls for cls in vars(hllkit.errors).values()
+            if isinstance(cls, type) and issubclass(cls, HllError)
+        ],
+        ids=lambda cls: cls.__name__,
+    )
+    def test_estimator_errors_exit_with_the_documented_code(
+        self, kind, tmp_path, monkeypatch, capsys
+    ):
+        f = tmp_path / "a.hlls"
+        write_sketch(f, SketchConfig(p=8, q=16), 100)
+
+        def fail(hist, config):
+            raise kind("zero")
+
+        monkeypatch.setitem(SINGLE_ESTIMATORS, "ml", fail)
+        code = main(["estimate", "--sketch", str(f), "--estimator", "ml"])
+        # the module docstring: 1 a RangeError, 3 a config mismatch, 4 any
+        # other HllError an estimator raises
+        assert code == {"RangeError": 1, "ConfigMismatchError": 3}.get(kind.__name__, 4)
+        stdout, stderr = capsys.readouterr()
+        assert stdout == ""
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1
 
 
 class TestInspect:
@@ -488,6 +517,30 @@ class TestSimulationCommands:
         assert stdout == ""
         assert stderr.startswith("error:") and stderr.count("\n") == 1
         assert not out.parent.exists()
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [("simulate", "--trials", "1"), ("joint-simulate", "--configs", "10,10,-3")],
+    )
+    @pytest.mark.parametrize("before", ["nothing", "file", "dangling-link"])
+    def test_rejected_run_leaves_out_as_it_was(
+        self, command, flag, value, before, tmp_path, capsys
+    ):
+        out = tmp_path / "x.csv"
+        # the runner rejects the value after the --out check has run
+        argv = [*SIMULATION_ARGS[command], "--out", str(out)]
+        argv[argv.index(flag) + 1] = value
+        if before == "file":
+            out.write_bytes(b"kept\n")
+        elif before == "dangling-link":
+            out.symlink_to(tmp_path / "target.csv")
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        if before == "file":
+            assert out.read_bytes() == b"kept\n"
+        else:
+            assert out.is_symlink() == (before == "dangling-link")
+            assert not (tmp_path / "target.csv").exists() and not out.exists()
 
     @pytest.mark.parametrize("command", sorted(SIMULATION_ARGS))
     def test_threads_flag_starts_no_thread_pool(self, command):

@@ -20,6 +20,7 @@ from hllkit.errors import (
     DomainError,
     HllError,
     NoConvergenceError,
+    RangeError,
 )
 from hllkit.sim import sample_joint_pair
 from hllkit.improved import improved_estimate
@@ -190,6 +191,18 @@ class TestJointLikelihood:
                 joint_log_likelihood(bad, stat, CFG)
             with pytest.raises(DomainError):
                 joint_gradient(bad, stat, CFG)
+
+    @pytest.mark.parametrize(
+        "config",
+        [SketchConfig(4, 16), SketchConfig(8, 20)],
+        ids=["fewer-registers", "more-bins"],
+    )
+    @pytest.mark.parametrize("fn", [joint_log_likelihood, joint_gradient])
+    def test_statistic_of_another_config_rejected(self, config, fn):
+        rng = np.random.default_rng(4)
+        stat = joint_statistic(*overlapping_pair(rng, CFG, 300, 400, 200))
+        with pytest.raises(RangeError):
+            fn(JointEstimate(300.0, 400.0, 200.0), stat, config)
 
     def test_role_swap_symmetry(self):
         rng = np.random.default_rng(5)

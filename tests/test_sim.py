@@ -159,6 +159,20 @@ class TestRngSeed:
         assert a == RngSeed(3, stream_id=2).generator(5).random()
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: RngSeed(1).generator(-1),
+        lambda: RngSeed(1).generator(1.5),
+        lambda: run_error_experiment([5], 3, CFG, ["raw"], RngSeed(1)),
+    ],
+    ids=["negative-trial-index", "float-trial-index", "unhashable-estimator"],
+)
+def test_bad_arguments_raise_range_error_not_a_raw_exception(call):
+    with pytest.raises(RangeError):
+        call()
+
+
 class TestSampleSketch:
     def test_zero_elements_gives_fresh_sketch(self):
         s = sample_sketch(0, CFG, RngSeed(1).generator(0))
