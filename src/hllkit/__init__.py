@@ -32,20 +32,13 @@ from .improved import improved_estimate, sigma, tau, zeta
 from .joint import (
     JointEstimate,
     JointStatistic,
-    equal_register_probability_bounds,
     inclusion_exclusion_estimate,
     joint_gradient,
     joint_log_likelihood,
     joint_ml_estimate,
     joint_statistic,
 )
-from .ml import (
-    Bracket,
-    log_likelihood,
-    ml_bracket,
-    ml_estimate,
-    ml_root_function,
-)
+from .ml import Bracket, ml_bracket, ml_estimate, ml_root_function
 from .sim import (
     ErrorReport,
     JointErrorRow,
@@ -55,7 +48,7 @@ from .sim import (
     sample_joint_pair,
     sample_sketch,
 )
-from .sketch import RegisterHistogram, Sketch, SketchConfig, merge
+from .sketch import RegisterHistogram, Sketch, SketchConfig
 
 __version__ = "0.1.0"
 
@@ -80,7 +73,6 @@ __all__ = [
     "SketchConfig",
     "UnsupportedConfigError",
     "ZeroRegistersExhaustedError",
-    "equal_register_probability_bounds",
     "improved_estimate",
     "inclusion_exclusion_estimate",
     "joint_gradient",
@@ -89,8 +81,6 @@ __all__ = [
     "joint_statistic",
     "large_range_correction",
     "linear_counting_estimate",
-    "log_likelihood",
-    "merge",
     "ml_bracket",
     "ml_estimate",
     "ml_root_function",

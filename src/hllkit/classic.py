@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .errors import (
     OutOfDomainError,
     RangeError,
@@ -40,6 +42,9 @@ def raw_estimate(h: RegisterHistogram, config: SketchConfig) -> float:
 
 def linear_counting_estimate(c0: int, m: int) -> float:
     """Occupancy-based estimate m * ln(m / C0) from the zero-register count."""
+    ints = (int, np.integer)
+    if not (isinstance(c0, ints) and isinstance(m, ints)):
+        raise RangeError(f"c0={c0!r} and m={m!r} must be integers")
     if c0 == 0:
         raise ZeroRegistersExhaustedError("no zero registers left; linear counting undefined")
     if not 1 <= c0 <= m:

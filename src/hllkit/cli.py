@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -255,6 +256,7 @@ def cmd_joint_simulate(args) -> int:
     return 0
 
 
+@cache  # one tree per process: parse_args leaves it as it found it
 def build_parser() -> _Parser:
     parser = _Parser(
         prog="hllkit",
@@ -307,9 +309,8 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except HllError as exc:
         print(f"error: {exc}", file=sys.stderr)

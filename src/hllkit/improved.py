@@ -101,11 +101,14 @@ def tau(x: float) -> float:
 def zeta(x):
     """Periodic mean-1 oscillation ln(2) * sum_k 2^(k+x) exp(-2^(k+x)).
 
-    Accepts a scalar or an array.  The bilateral sum is truncated to
-    k in [-64, 64] around the fractional part of x; the omitted tails are
-    far below every tolerance used in this package.
+    Accepts a finite scalar or an array of finite values (DomainError
+    otherwise).  The bilateral sum is truncated to k in [-64, 64] around the
+    fractional part of x; the omitted tails are far below every tolerance
+    used in this package.
     """
     arr = np.asarray(x, dtype=float)
+    if not np.isfinite(arr).all():
+        raise DomainError(f"zeta argument {x!r} is not finite")
     frac = arr - np.floor(arr)  # period 1
     k = np.arange(-64, 65, dtype=float)
     u = np.exp2(frac[..., None] + k)

@@ -36,7 +36,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classic import ALPHA_INF
 from .errors import (
     ConfigMismatchError,
     DegenerateHistogramError,
@@ -48,7 +47,7 @@ from .errors import (
 # this module-level name
 from .improved import _corrected, improved_estimate  # noqa: F401
 from .ml import EPSILON
-from .sketch import Sketch, SketchConfig, pow2_weights
+from .sketch import Sketch, SketchConfig, level_weights
 
 JOINT_MAX_ITERATIONS = 500
 MAX_LOG_STEP = 4.0  # largest step in a log-rate: a factor e**4 in the rate
@@ -157,9 +156,8 @@ class _JointTerms:
     __slots__ = ("inc", "c", "s", "cs", "cs2", "eq_c", "eq_s", "eq_cs", "w")
 
     def __init__(self, stat: JointStatistic, config: SketchConfig):
-        m, q = config.m, config.q
-        pow2 = pow2_weights(q)[: q + 1] / m
-        scale = np.append(pow2, pow2[q])  # 1/(m 2^min(k,q)) for k = 0..q+1
+        q = config.q
+        scale = level_weights(q) / config.m  # 1/(m 2^min(k,q)) for k = 0..q+1
         strict = np.array(
             [stat.c1_less, stat.c2_less, stat.c1_greater, stat.c2_greater],
             dtype=float,
@@ -178,7 +176,7 @@ class _JointTerms:
         self.eq_cs = self.eq_c * self.eq_s
         h1, h2, _ = _histograms(stat)
         h_min = stat.c1_less + stat.c_equal + stat.c2_less  # the smaller of a pair
-        self.w = np.array([h[: q + 1] @ pow2 for h in (h1, h2, h_min)])
+        self.w = np.array([h[: q + 1] @ scale[: q + 1] for h in (h1, h2, h_min)])
 
     def evaluate(self, lam: np.ndarray):
         """Log-likelihood at rates ``lam``, and its gradient and Hessian in
@@ -347,19 +345,3 @@ def _joint_estimates(s1: Sketch, s2: Sketch):
     with np.errstate(all="ignore"):
         lam = _maximize(_JointTerms(stat, config), np.maximum(lam0, 1.0))
     return ie, JointEstimate(a=float(lam[0]), b=float(lam[1]), x=float(lam[2]))
-
-
-def equal_register_probability_bounds(jaccard_distance: float):
-    """Bounds on the equal-register probability at a given relative difference.
-
-    The input is D = (|S1 \\ S2| + |S2 \\ S1|) / |S1 ∪ S2| in [0, 1]; the
-    probability of a register pair agreeing is squeezed between the two
-    returned values (identical sets give (1, 1), disjoint sets drive the
-    lower bound to exactly 0).
-    """
-    d = jaccard_distance
-    if not 0.0 <= d <= 1.0:
-        raise DomainError(f"relative difference {d} outside [0, 1]")
-    lower = 1.0 + 2.0 * ALPHA_INF * math.log(1.0 - d / 2.0)
-    upper = 1.0 + 2.0 * ALPHA_INF * math.log(1.0 - d / 2.0 + d * d / 16.0)
-    return lower, upper

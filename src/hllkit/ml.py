@@ -29,7 +29,7 @@ from .errors import (
     NoConvergenceError,
     RangeError,
 )
-from .sketch import RegisterHistogram, SketchConfig, pow2_weights
+from .sketch import RegisterHistogram, SketchConfig, level_weights
 
 
 EPSILON = 1e-2
@@ -69,27 +69,14 @@ def _u_over_expm1(u):
 def _weights(h: RegisterHistogram, config: SketchConfig):
     """Per-histogram constants: nonzero value levels, their rate scales, linear weight."""
     q = config.q
-    m = config.m
     counts = h.counts
-    pow2 = pow2_weights(q)
+    levels = level_weights(q)
     ks = np.nonzero(counts[1:])[0] + 1  # value levels 1..q+1 with C_k > 0
     c = counts[ks].astype(float)
-    scale = pow2[np.minimum(ks, q)] / m  # 1/(m 2^min(k,q))
+    scale = levels[ks] / config.m  # 1/(m 2^min(k,q))
     # linear term weight: sum_{k=0}^q C_k 2^-k
-    w = float(counts[: q + 1] @ pow2[: q + 1])
+    w = float(counts[: q + 1] @ levels[: q + 1])
     return ks, c, scale, w
-
-
-def log_likelihood(lam: float, h: RegisterHistogram, config: SketchConfig) -> float:
-    """Poisson-model log-likelihood of rate lam for this histogram."""
-    if not lam > 0:  # nan fails this test too
-        raise DomainError(f"rate {lam} must be positive")
-    h.check(config)
-    _, c, scale, w = _weights(h, config)
-    u = lam * scale
-    with np.errstate(divide="ignore"):
-        logs = np.log(-np.expm1(-u))
-    return float(c @ logs - lam * w / config.m)
 
 
 def _root_function(h: RegisterHistogram, config: SketchConfig):
@@ -125,7 +112,7 @@ def _bracket(h: RegisterHistogram, config: SketchConfig) -> Bracket:
         raise DegenerateHistogramError("zero")
     if h.saturated == m:
         raise DegenerateHistogramError("saturated")
-    mid = float(counts[1 : q + 1] @ pow2_weights(q)[1 : q + 1])
+    mid = float(counts[1 : q + 1] @ level_weights(q)[1 : q + 1])
     sat_w = float(counts[q + 1]) * 2.0 ** -(q + 1)
     lower = m * (m - c0) / (c0 + 1.5 * mid + sat_w)
     upper = m * (m - c0) / (c0 + mid)

@@ -32,7 +32,7 @@ from .joint import (  # noqa: F401
     joint_ml_estimate,
 )
 from .ml import ml_estimate
-from .sketch import Sketch, SketchConfig, pow2_weights
+from .sketch import Sketch, SketchConfig, level_weights
 
 DEFAULT_QUANTILES = (0.01, 0.05, 0.25, 0.75, 0.95, 0.99)
 MAX_CARDINALITY = 2**63 - 1  # the samplers draw element counts as int64
@@ -94,13 +94,18 @@ def _check_cardinality(n) -> int:
     return int(n)
 
 
+def _listed(items, what: str) -> list:
+    """list(items), or RangeError if items is not iterable."""
+    try:
+        return list(items)
+    except TypeError:
+        raise RangeError(f"{what} {items!r} is not a sequence") from None
+
+
 def _check_triple(triple) -> list:
     """[a, b, x] as ints, or RangeError unless triple holds three cardinalities."""
-    try:
-        cards = [_check_cardinality(c) for c in triple]
-    except TypeError:  # not iterable
-        cards = None
-    if cards is None or len(cards) != 3:
+    cards = [_check_cardinality(c) for c in _listed(triple, "configuration")]
+    if len(cards) != 3:
         raise RangeError(f"configuration {triple!r} is not three cardinalities")
     return cards
 
@@ -109,11 +114,9 @@ def _check_triple(triple) -> list:
 def _level_tables(q: int):
     """Read-only level law for ``sample_sketch``: the pmf of hash levels
     1..q+1 and the levels themselves, top level first."""
-    pow2 = pow2_weights(q)
-    pmf = np.append(pow2[1 : q + 1], pow2[q])
     levels = np.arange(q + 1, 0, -1, dtype=np.uint8)
-    pmf.flags.writeable = levels.flags.writeable = False
-    return pmf, levels
+    levels.flags.writeable = False
+    return level_weights(q)[1:], levels
 
 
 def sample_sketch(
@@ -290,7 +293,7 @@ def run_error_experiment(
     """
     _check_trials(trials)
     fn = _resolve_estimator(estimator)
-    cards = [_check_cardinality(n) for n in cardinalities]
+    cards = [_check_cardinality(n) for n in _listed(cardinalities, "cardinalities")]
     reports = []
     for ci, n in enumerate(cards):
         errors = []
@@ -320,7 +323,9 @@ def run_joint_experiment(
 ):
     """Paired inclusion-exclusion vs joint-ML error table, one row per triple."""
     _check_trials(trials)
-    configurations = [_check_triple(triple) for triple in configurations]
+    configurations = [
+        _check_triple(t) for t in _listed(configurations, "configurations")
+    ]
     rows = []
     for gi, (card_a, card_b, card_x) in enumerate(configurations):
         truth = (card_a, card_b, card_x, card_a + card_b + card_x)

@@ -16,6 +16,7 @@ in 0..q+1 and fit one byte.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -35,6 +36,20 @@ _POW2.flags.writeable = False
 def pow2_weights(q: int) -> np.ndarray:
     """Read-only 2^-k for every register value k = 0..q+1."""
     return _POW2[: q + 2]
+
+
+@lru_cache(maxsize=None)  # q <= 62, so at most 63 tables
+def level_weights(q: int) -> np.ndarray:
+    """Read-only 2^-min(k, q) for k = 0..q+1, the hash-level law.
+
+    A hash offers its register level k >= 1 with probability 2^-min(k, q),
+    and for k <= q a level above k with probability 2^-k: the sampler's
+    level pmf, the likelihoods' rate scales and their linear weights all
+    read this one table.
+    """
+    table = np.append(_POW2[: q + 1], _POW2[q])
+    table.flags.writeable = False
+    return table
 
 
 @dataclass(frozen=True)
@@ -73,11 +88,13 @@ class RegisterHistogram:
         counts = np.asarray(counts)
         if not _is_integral(counts):
             raise RangeError("histogram counts must be integers")
+        if (counts < 0).any():
+            raise RangeError("histogram counts must be non-negative")
+        if counts.dtype.kind in "uf" and (counts >= 2**63).any():
+            raise RangeError("histogram counts must be below 2**63 to fit int64")
         self.counts = counts.astype(np.int64, copy=False)
         if self.counts.ndim != 1 or self.counts.size < 2:
             raise RangeError("histogram needs one count per register value 0..q+1")
-        if (self.counts < 0).any():
-            raise RangeError("histogram counts must be non-negative")
 
     @property
     def c0(self) -> int:
@@ -243,11 +260,6 @@ class Sketch:
     def __repr__(self):
         filled = int(np.count_nonzero(self._regs))
         return f"Sketch(p={self.config.p}, q={self.config.q}, nonzero={filled})"
-
-
-def merge(a: Sketch, b: Sketch) -> Sketch:
-    """Module-level alias for :meth:`Sketch.merge`."""
-    return a.merge(b)
 
 
 def _hash_array(hashes) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Shared helpers for the test suite."""
 
+import math
+
 import numpy as np
 
 from hllkit.sketch import RegisterHistogram, SketchConfig
@@ -23,3 +25,19 @@ def random_histogram(rng: np.random.Generator, config: SketchConfig, lam: float)
     """Random histogram with register values drawn from the rate-lam model."""
     counts = rng.multinomial(config.m, register_value_probs(config, lam))
     return RegisterHistogram(counts)
+
+
+def log_likelihood(lam: float, h: RegisterHistogram, config: SketchConfig) -> float:
+    """Poisson-model log-likelihood of rate lam, term by term from the formula
+    in the ``hllkit.ml`` docstring:
+
+        sum_{k=1}^{q+1} C_k ln(1 - exp(-lam/(m 2^min(k,q))))
+            - (lam/m) sum_{k=0}^{q} C_k 2^-k.
+    """
+    m, q = config.m, config.q
+    counts = [int(c) for c in h.counts]
+    total = 0.0
+    for k in range(1, q + 2):
+        if counts[k]:
+            total += counts[k] * math.log(-math.expm1(-lam / (m * 2.0 ** min(k, q))))
+    return total - lam / m * sum(counts[k] * 2.0**-k for k in range(q + 1))

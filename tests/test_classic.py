@@ -112,6 +112,19 @@ class TestLinearCounting:
         with pytest.raises(RangeError):
             linear_counting_estimate(4097, 4096)
 
+    @pytest.mark.parametrize(
+        "c0, m",
+        [(1.5, 16), (8.0, 16), (np.float64(8.0), 16), (1, 2.5), (8, np.float64(16.0))],
+        ids=["float", "integral-float", "numpy-float", "float-m", "numpy-float-m"],
+    )
+    def test_non_integer_argument_rejected(self, c0, m):
+        with pytest.raises(RangeError):
+            linear_counting_estimate(c0, m)
+
+    def test_numpy_integers_accepted(self):
+        want = linear_counting_estimate(8, 16)
+        assert linear_counting_estimate(np.int64(8), np.uint32(16)) == want
+
 
 class TestLargeRangeCorrection:
     def test_zero_is_fixed_point(self):

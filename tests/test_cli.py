@@ -16,7 +16,7 @@ import pytest
 
 import hllkit.errors
 from hllkit import Sketch, SketchConfig, improved_estimate
-from hllkit.cli import main
+from hllkit.cli import build_parser, main
 from hllkit.errors import HllError
 from hllkit.sim import SINGLE_ESTIMATORS
 
@@ -191,6 +191,18 @@ class TestEstimate:
         stdout, stderr = capsys.readouterr()
         assert stdout == ""
         assert stderr.startswith("error: ") and stderr.count("\n") == 1
+
+    def test_calls_in_one_process_share_one_parser(self, tmp_path, capsys):
+        a, b = tmp_path / "a.hlls", tmp_path / "b.hlls"
+        write_sketch(a, SketchConfig(p=8, q=16), 100)
+        write_sketch(b, SketchConfig(p=8, q=16), 200, seed=2)
+        assert build_parser() is build_parser()
+        pair = ["--sketch", str(a), "--sketch2", str(b), "--estimator", "joint-ml"]
+        assert main(["estimate", *pair]) == 0
+        assert main(["estimate", "--sketch", str(a), "--estimator", "bogus"]) == 1
+        # no flag value of an earlier call carries over to the next
+        assert main(["estimate", "--sketch", str(a), "--estimator", "ml"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1].startswith("ml,8,16,")
 
 
 class TestInspect:

@@ -94,6 +94,16 @@ class TestZeta:
         assert out.shape == (3, 4)
         assert isinstance(zeta(0.3), float)
 
+    @pytest.mark.parametrize(
+        "x",
+        [math.inf, -math.inf, math.nan, [0.5, math.inf], np.array([0.0, np.nan])],
+        ids=["inf", "-inf", "nan", "list-with-inf", "array-with-nan"],
+    )
+    def test_non_finite_argument_rejected(self, x):
+        # as for sigma and tau: a typed error, not nan with a warning
+        with pytest.raises(DomainError):
+            zeta(x)
+
 
 class TestIdentity:
     def test_sigma_plus_tau_matches_zeta_route(self):

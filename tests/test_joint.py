@@ -9,11 +9,11 @@ import math
 
 import numpy as np
 import pytest
+from conftest import log_likelihood
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hllkit.joint
-from hllkit.classic import ALPHA_INF
 from hllkit.errors import (
     ConfigMismatchError,
     DegenerateHistogramError,
@@ -30,14 +30,13 @@ from hllkit.joint import (
     _joint_estimates,
     _JointTerms,
     _overlap,
-    equal_register_probability_bounds,
     inclusion_exclusion_estimate,
     joint_gradient,
     joint_log_likelihood,
     joint_ml_estimate,
     joint_statistic,
 )
-from hllkit.ml import log_likelihood, stop_delta
+from hllkit.ml import stop_delta
 from hllkit.sketch import Sketch, SketchConfig
 
 CFG = SketchConfig(p=8, q=16)
@@ -528,23 +527,3 @@ class TestSharedStatistic:
                     _joint_estimates(s1, s2)
         assert saturated > 0
 
-
-class TestEqualRegisterBounds:
-    def test_identical_sets(self):
-        lo, hi = equal_register_probability_bounds(0.0)
-        assert lo == 1.0 and hi == 1.0
-
-    def test_disjoint_sets_lower_bound_zero(self):
-        lo, hi = equal_register_probability_bounds(1.0)
-        assert abs(lo) < 1e-15
-        assert hi == pytest.approx(1.0 + 2 * ALPHA_INF * math.log(0.5 + 1 / 16))
-
-    def test_ordering_on_grid(self):
-        for d in np.linspace(0.0, 1.0, 101):
-            lo, hi = equal_register_probability_bounds(float(d))
-            assert lo <= hi <= 1.0
-
-    def test_domain_check(self):
-        for bad in (-0.1, 1.1, math.nan):
-            with pytest.raises(DomainError):
-                equal_register_probability_bounds(bad)

@@ -165,8 +165,18 @@ class TestRngSeed:
         lambda: RngSeed(1).generator(-1),
         lambda: RngSeed(1).generator(1.5),
         lambda: run_error_experiment([5], 3, CFG, ["raw"], RngSeed(1)),
+        lambda: run_error_experiment(5, 3, CFG, "raw", RngSeed(1)),
+        lambda: run_error_experiment(None, 3, CFG, "raw", RngSeed(1)),
+        lambda: run_joint_experiment(None, 3, CFG, RngSeed(1)),
     ],
-    ids=["negative-trial-index", "float-trial-index", "unhashable-estimator"],
+    ids=[
+        "negative-trial-index",
+        "float-trial-index",
+        "unhashable-estimator",
+        "int-cardinalities",
+        "none-cardinalities",
+        "none-configurations",
+    ],
 )
 def test_bad_arguments_raise_range_error_not_a_raw_exception(call):
     with pytest.raises(RangeError):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from hllkit.errors import ConfigMismatchError, FormatError, RangeError
 from hllkit.sim import RngSeed, sample_joint_pair, sample_sketch
-from hllkit.sketch import RegisterHistogram, Sketch, SketchConfig, _bit_length_u64, merge
+from hllkit.sketch import RegisterHistogram, Sketch, SketchConfig, _bit_length_u64
 
 HASHES = st.integers(min_value=0, max_value=2**64 - 1)
 # 0, every power of two, every 2**k - 1 (including 2**64 - 1), and around
@@ -319,6 +319,16 @@ class TestHistogram:
     def test_integral_float_counts_accepted(self):
         assert RegisterHistogram([1.0, 3.0]) == RegisterHistogram([1, 3])
 
+    @pytest.mark.parametrize(
+        "counts",
+        [[1e300, 1.0], [2.0**63, 1.0], np.array([2**63, 1], dtype=np.uint64)],
+        ids=["1e300", "float-2**63", "uint64-2**63"],
+    )
+    def test_counts_past_int64_rejected_for_their_size(self, counts):
+        # the int64 cast would wrap them negative, with a warning for floats
+        with pytest.raises(RangeError, match=r"below 2\*\*63"):
+            RegisterHistogram(counts)
+
 
 class TestSerialization:
     def test_fresh_roundtrip_and_layout(self):
@@ -421,11 +431,6 @@ class TestFromRegisters:
         cfg = SketchConfig(2, 3)
         sk = Sketch.from_registers(cfg, [0.0, 1.0, 4.0, 2.0])
         assert sk == Sketch.from_registers(cfg, [0, 1, 4, 2])
-
-    def test_module_level_merge_alias(self):
-        a, b = make(), make()
-        a.insert(42)
-        assert merge(a, b) == a
 
 
 class TestKernelDigests:
