@@ -49,7 +49,10 @@ def linear_counting_estimate(c0: int, m: int) -> float:
         raise ZeroRegistersExhaustedError("no zero registers left; linear counting undefined")
     if not 1 <= c0 <= m:
         raise RangeError(f"c0={c0} outside 1..{m}")
-    return m * math.log(m / c0)
+    try:
+        return m * math.log(m / c0)
+    except OverflowError:  # m past the float range
+        raise RangeError("m is past the float range") from None
 
 
 def large_range_correction(raw: float) -> float:

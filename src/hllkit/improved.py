@@ -38,15 +38,25 @@ REL_EPS = 1e-12
 _MAX_TERMS = 1200
 
 
+def _unit_argument(x, name: str) -> float:
+    """x as a float in [0, 1], or DomainError (also for an int past the
+    float range, which ``float`` rejects with OverflowError)."""
+    try:
+        x = float(x)
+    except OverflowError:
+        raise DomainError(f"{name} argument is past the float range") from None
+    if not 0.0 <= x <= 1.0:
+        raise DomainError(f"{name} argument {x} outside [0, 1]")
+    return x
+
+
 def sigma(x: float) -> float:
     """Zero-register correction series x + sum_{k>=1} x^(2^k) * 2^(k-1).
 
     Diverges at x = 1; that case returns +inf so the caller's denominator
     becomes infinite and the estimate collapses to 0.
     """
-    x = float(x)
-    if not 0.0 <= x <= 1.0:
-        raise DomainError(f"sigma argument {x} outside [0, 1]")
+    x = _unit_argument(x, "sigma")
     if x == 1.0:
         return math.inf
     z = x
@@ -71,9 +81,7 @@ def tau(x: float) -> float:
     roughly like a geometric series with ratio 1/8.  The small terms are
     re-accumulated smallest-first to keep the low-order bits.
     """
-    x = float(x)
-    if not 0.0 <= x <= 1.0:
-        raise DomainError(f"tau argument {x} outside [0, 1]")
+    x = _unit_argument(x, "tau")
     if x == 0.0 or x == 1.0:
         return 0.0
     head = 1.0 - x
@@ -106,7 +114,10 @@ def zeta(x):
     fractional part of x; the omitted tails are far below every tolerance
     used in this package.
     """
-    arr = np.asarray(x, dtype=float)
+    try:
+        arr = np.asarray(x, dtype=float)
+    except OverflowError:
+        raise DomainError("zeta argument is past the float range") from None
     if not np.isfinite(arr).all():
         raise DomainError(f"zeta argument {x!r} is not finite")
     frac = arr - np.floor(arr)  # period 1

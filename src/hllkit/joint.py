@@ -296,16 +296,21 @@ def _maximize(terms: _JointTerms, lam0) -> np.ndarray:
 
 def _evaluate(est: JointEstimate, stat: JointStatistic, config: SketchConfig):
     """``_JointTerms.evaluate`` at ``est``; DomainError unless the rates are
-    positive, RangeError unless ``stat`` pairs two sketches of ``config``."""
-    if not (est.a > 0 and est.b > 0 and est.x > 0):
+    positive and finite floats, RangeError unless ``stat`` pairs two sketches
+    of ``config``."""
+    try:
+        lam = np.array([est.a, est.b, est.x], dtype=float)
+    except OverflowError:
+        raise DomainError("a rate is past the float range") from None
+    if not (np.isfinite(lam).all() and (lam > 0).all()):
         raise DomainError(
-            f"rates ({est.a}, {est.b}, {est.x}) must all be positive"
+            f"rates ({est.a}, {est.b}, {est.x}) must all be positive and finite"
         )
     for h in _histograms(stat)[:2]:
         if h.size != config.q + 2 or h.sum() != config.m:
             raise RangeError(f"joint statistic does not fit {config}")
     with np.errstate(all="ignore"):
-        return _JointTerms(stat, config).evaluate(np.array([est.a, est.b, est.x]))
+        return _JointTerms(stat, config).evaluate(lam)
 
 
 def joint_log_likelihood(

@@ -94,6 +94,10 @@ def ml_root_function(lam: float, h: RegisterHistogram, config: SketchConfig) -> 
     """Monotone decreasing f whose unique root is the ML estimate; f(0) = m - C0."""
     if not lam >= 0:  # nan fails this test too
         raise DomainError(f"rate {lam} must be non-negative")
+    try:
+        lam = float(lam)
+    except OverflowError:
+        raise DomainError("rate is past the float range") from None
     h.check(config)
     return _root_function(h, config)(lam)
 

@@ -74,7 +74,7 @@ class RngSeed:
         seq = np.random.SeedSequence(
             entropy=self.seed, spawn_key=(self.stream_id, trial_index)
         )
-        return np.random.default_rng(seq)
+        return np.random.Generator(np.random.PCG64(seq))  # as default_rng(seq)
 
 
 def _is_int_at_least(value, low) -> bool:
@@ -146,13 +146,15 @@ def sample_sketch(
     if n <= 2 * m:
         np.maximum.at(regs, gen.integers(0, m, size=n), np.repeat(levels, counts))
         return sketch
-    before = np.cumsum(counts) - counts
-    first = np.minimum(counts, np.maximum(2 * m - before, 0))  # share of the first 2m
-    np.maximum.at(
-        regs, gen.integers(0, m, size=first.sum()), np.repeat(levels, first)
-    )
+    first, rest, left = [], [], 2 * m  # each level's share of the first 2m
+    for c in counts.tolist():
+        take = min(c, left)
+        first.append(take)
+        rest.append(c - take)
+        left -= take
+    np.maximum.at(regs, gen.integers(0, m, size=2 * m), np.repeat(levels, first))
     zeros = np.nonzero(regs == 0)[0]
-    for level, c in zip(levels.tolist(), (counts - first).tolist()):
+    for level, c in zip(levels.tolist(), rest):
         domain = m
         while c and zeros.size:
             c = int(gen.binomial(c, zeros.size / domain))

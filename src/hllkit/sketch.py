@@ -63,6 +63,9 @@ class SketchConfig:
         ints = (int, np.integer)
         if not (isinstance(self.p, ints) and isinstance(self.q, ints)):
             raise RangeError(f"p={self.p!r} and q={self.q!r} must be integers")
+        # a small numpy type would wrap in 1 << p and p + q
+        object.__setattr__(self, "p", int(self.p))
+        object.__setattr__(self, "q", int(self.q))
         if not P_MIN <= self.p <= P_MAX:
             raise RangeError(f"p={self.p} outside [{P_MIN}, {P_MAX}]")
         if self.q < 0:
@@ -206,13 +209,23 @@ class Sketch:
         smaller than the registers.  Value k is counted by the pairs with k in
         one byte (row k) plus those with k in the other (column k).  The fold
         is symmetric in the two bytes, so byte order does not matter.
+
+        The counts skip ``RegisterHistogram``'s checks, as ``from_bytes``
+        skips those of ``from_registers``: registers lie in 0..q+1, so either
+        path gives q+2 non-negative int64 counts in one dimension, which is
+        all the constructor would confirm.  Its checks cost about a quarter
+        of a p=12 histogram, and the error studies build one per trial.
         """
         q2 = self.config.q + 2
         if self._regs.size <= 256 * q2:
-            return RegisterHistogram(np.bincount(self._regs, minlength=q2))
-        pairs = np.bincount(self._regs.view(np.uint16), minlength=256 * q2)
-        pairs = pairs.reshape(q2, 256)[:, :q2]
-        return RegisterHistogram(pairs.sum(0) + pairs.sum(1))
+            counts = np.bincount(self._regs, minlength=q2)
+        else:
+            pairs = np.bincount(self._regs.view(np.uint16), minlength=256 * q2)
+            pairs = pairs.reshape(q2, 256)[:, :q2]
+            counts = pairs.sum(0) + pairs.sum(1)
+        hist = RegisterHistogram.__new__(RegisterHistogram)
+        hist.counts = counts
+        return hist
 
     def merge(self, other: "Sketch") -> "Sketch":
         """Pure register-wise maximum; inputs are left untouched."""

@@ -125,6 +125,11 @@ class TestLinearCounting:
         want = linear_counting_estimate(8, 16)
         assert linear_counting_estimate(np.int64(8), np.uint32(16)) == want
 
+    @pytest.mark.parametrize("c0", [1, 10**400], ids=["one-zero", "all-zero"])
+    def test_m_past_float_range_rejected(self, c0):
+        with pytest.raises(RangeError):
+            linear_counting_estimate(c0, 10**400)
+
 
 class TestLargeRangeCorrection:
     def test_zero_is_fixed_point(self):

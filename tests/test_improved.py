@@ -26,7 +26,9 @@ class TestSigma:
     def test_half(self):
         assert sigma(0.5) == pytest.approx(SIGMA_HALF, rel=1e-12)
 
-    @pytest.mark.parametrize("x", [-0.1, 1.1, 2.0, -5.0])
+    @pytest.mark.parametrize(
+        "x", [-0.1, 1.1, 2.0, -5.0, pytest.param(10**400, id="int-past-float-range")]
+    )
     def test_domain(self, x):
         with pytest.raises(DomainError):
             sigma(x)
@@ -55,7 +57,7 @@ class TestTau:
         indirect = ALPHA_INF * zeta(math.log2(w)) / w - sigma(0.5)
         assert tau(0.5) == pytest.approx(indirect, abs=1e-10)
 
-    @pytest.mark.parametrize("x", [-0.01, 1.01])
+    @pytest.mark.parametrize("x", [-0.01, 1.01, pytest.param(10**400, id="int-past-float-range")])
     def test_domain(self, x):
         with pytest.raises(DomainError):
             tau(x)
@@ -96,8 +98,10 @@ class TestZeta:
 
     @pytest.mark.parametrize(
         "x",
-        [math.inf, -math.inf, math.nan, [0.5, math.inf], np.array([0.0, np.nan])],
-        ids=["inf", "-inf", "nan", "list-with-inf", "array-with-nan"],
+        [math.inf, -math.inf, math.nan, [0.5, math.inf], np.array([0.0, np.nan]),
+         10**400, [0.5, -(10**400)]],
+        ids=["inf", "-inf", "nan", "list-with-inf", "array-with-nan",
+             "int-past-float-range", "list-with-int-past-float-range"],
     )
     def test_non_finite_argument_rejected(self, x):
         # as for sigma and tau: a typed error, not nan with a warning

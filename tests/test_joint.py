@@ -184,12 +184,22 @@ class TestJointLikelihood:
         rng = np.random.default_rng(4)
         s1, s2 = overlapping_pair(rng, CFG, 100, 100, 100)
         stat = joint_statistic(s1, s2)
+        # inf gave a silent nan, and an int past the float range a raw OverflowError
         for bad in (JointEstimate(0.0, 1.0, 1.0), JointEstimate(1.0, -2.0, 1.0),
-                    JointEstimate(1.0, 1.0, 0.0)):
+                    JointEstimate(1.0, 1.0, 0.0), JointEstimate(math.inf, 1.0, 1.0),
+                    JointEstimate(1.0, 1.0, math.nan), JointEstimate(1.0, 10**400, 1.0)):
             with pytest.raises(DomainError):
                 joint_log_likelihood(bad, stat, CFG)
             with pytest.raises(DomainError):
                 joint_gradient(bad, stat, CFG)
+
+    @pytest.mark.parametrize("fn", [joint_log_likelihood, joint_gradient])
+    def test_large_int_rate_read_as_float(self, fn):
+        # an int rate above 2**64 built an object array, and evaluate raised TypeError
+        stat = joint_statistic(*overlapping_pair(np.random.default_rng(4), CFG, 100, 100, 100))
+        got = fn(JointEstimate(2**70, 1, 1), stat, CFG)
+        want = fn(JointEstimate(float(2**70), 1.0, 1.0), stat, CFG)
+        np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize(
         "config",

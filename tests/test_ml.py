@@ -174,6 +174,11 @@ class TestRootFunction:
         with pytest.raises(DomainError):
             ml_root_function(math.nan, fresh(CFG), CFG)
 
+    def test_rejects_int_rate_past_float_range(self):
+        h = random_hists(1, CFG, seed=5)[0]
+        with pytest.raises(DomainError):
+            ml_root_function(10**400, h, CFG)
+
     def test_monotone_decreasing_and_convex(self):
         for h in random_hists(10, CFG, seed=11):
             lams = np.geomspace(1e-3, 1e9, 60)

@@ -2,12 +2,13 @@
 
 Raising one register never lowers a cardinality estimate; merging is
 idempotent, commutative and associative, on the registers and on every
-estimate; decoding any byte string, in the library or through
-``hllkit inspect``, either succeeds or fails with a typed error and its
-documented exit code; and any argv drawn from a grammar of valid, malformed
-and edge values for the four subcommands ends in a documented exit code,
-with one ``error:`` line and no stdout on failure, and writes files only
-under the test's temporary directory.
+estimate; ``Sketch.histogram``, which skips the histogram checks, gives what
+the checked constructor gives for the same registers; decoding any byte
+string, in the library or through ``hllkit inspect``, either succeeds or
+fails with a typed error and its documented exit code; and any argv drawn
+from a grammar of valid, malformed and edge values for the four subcommands
+ends in a documented exit code, with one ``error:`` line and no stdout on
+failure, and writes files only under the test's temporary directory.
 """
 
 import builtins
@@ -27,7 +28,7 @@ from hllkit.errors import FormatError, HllError, RangeError
 from hllkit.improved import improved_estimate
 from hllkit.ml import ml_estimate, stop_delta
 from hllkit.sim import sample_sketch
-from hllkit.sketch import MAGIC, Sketch, SketchConfig
+from hllkit.sketch import MAGIC, RegisterHistogram, Sketch, SketchConfig
 
 
 def _config_and_rng(draw):
@@ -102,6 +103,28 @@ def test_merge_is_idempotent_commutative_and_associative(sketches):
     ):
         assert np.array_equal(left.registers, right.registers)
         assert _estimates(left) == _estimates(right)
+
+
+@st.composite
+def any_shape_registers(draw):
+    """A configuration with p in 2..16 and any q, so that both the byte and
+    the byte-pair count run, and registers drawn in a random value range."""
+    p = draw(st.integers(2, 16))
+    cfg = SketchConfig(p, draw(st.integers(0, 64 - p)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lo = draw(st.integers(0, cfg.q + 1))
+    hi = draw(st.integers(lo, cfg.q + 1))
+    return cfg, rng.integers(lo, hi + 1, size=cfg.m).astype(np.uint8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_shape_registers())
+def test_histogram_matches_the_checked_bincount(case):
+    cfg, regs = case
+    got = Sketch.from_registers(cfg, regs).histogram()
+    want = RegisterHistogram(np.bincount(regs, minlength=cfg.q + 2))
+    assert got == want and got.counts.dtype == want.counts.dtype
+    assert got.check(cfg) is got
 
 
 @st.composite

@@ -49,6 +49,21 @@ class TestConfig:
     def test_numpy_integer_parameters_accepted(self):
         assert SketchConfig(np.int64(8), np.uint8(16)) == SketchConfig(8, 16)
 
+    @pytest.mark.parametrize("kind", [np.int8, np.int16, np.uint8, np.uint16, np.int64])
+    @pytest.mark.parametrize("p,q", [(2, 62), (7, 20), (12, 20)])
+    def test_numpy_integer_parameters_stored_as_int(self, kind, p, q):
+        # in a small numpy type, 1 << p and p + q would wrap
+        cfg, want = SketchConfig(kind(p), kind(q)), SketchConfig(p, q)
+        assert cfg.m == want.m == 1 << p and type(cfg.m) is int
+        assert type(cfg.p) is int and type(cfg.q) is int
+        assert Sketch(cfg).registers.size == want.m
+        assert cfg == want and hash(cfg) == hash(want)
+
+    @pytest.mark.parametrize("kind", [np.int8, np.int16, np.uint8, np.uint16, np.int64])
+    def test_numpy_integer_parameters_past_64_bits_rejected(self, kind):
+        with pytest.raises(RangeError, match="exceeds 64"):
+            SketchConfig(kind(2), kind(127))
+
     def test_boundary_parameters_accepted(self):
         SketchConfig(2, 62)
         SketchConfig(26, 38)
