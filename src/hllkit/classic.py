@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .errors import (
     OutOfDomainError,
     RangeError,
     UnsupportedConfigError,
     ZeroRegistersExhaustedError,
+    integer,
+    real,
 )
 from .sketch import RegisterHistogram, SketchConfig, pow2_weights
 
@@ -42,17 +42,12 @@ def raw_estimate(h: RegisterHistogram, config: SketchConfig) -> float:
 
 def linear_counting_estimate(c0: int, m: int) -> float:
     """Occupancy-based estimate m * ln(m / C0) from the zero-register count."""
-    ints = (int, np.integer)
-    if not (isinstance(c0, ints) and isinstance(m, ints)):
-        raise RangeError(f"c0={c0!r} and m={m!r} must be integers")
+    m = integer(m, "m", 0)
+    c0 = integer(c0, "c0", 0, m)
     if c0 == 0:
         raise ZeroRegistersExhaustedError("no zero registers left; linear counting undefined")
-    if not 1 <= c0 <= m:
-        raise RangeError(f"c0={c0} outside 1..{m}")
-    try:
-        return m * math.log(m / c0)
-    except OverflowError:  # m past the float range
-        raise RangeError("m is past the float range") from None
+    m = real(m, "m", RangeError)
+    return m * math.log(m / c0)
 
 
 def large_range_correction(raw: float) -> float:

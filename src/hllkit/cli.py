@@ -9,6 +9,8 @@ the large-range correction leaving its domain).
 Range rules have one owner, the library: an out-of-range cardinality in
 ``--cards`` or ``--configs`` parses here and is rejected by the runner with
 its ``RangeError``, after the ``--out`` check and before any trial runs.
+An unknown name in ``--estimators`` is rejected by the runner's resolver,
+before the ``--out`` check.
 
 All numeric CSV output uses ``repr`` of Python floats (shortest
 round-trip form), and randomized commands are byte-reproducible for a
@@ -32,6 +34,7 @@ from .sim import (
     MAX_CARDINALITY,
     SINGLE_ESTIMATORS,
     RngSeed,
+    _resolve_estimator,
     run_error_experiment,
     run_joint_experiment,
 )
@@ -217,17 +220,12 @@ def cmd_simulate(args) -> int:
     names = [n.strip() for n in args.estimators.split(",") if n.strip()]
     if not names:
         raise _CliUsageError("--estimators must name at least one estimator")
-    for name in names:
-        if name not in SINGLE_ESTIMATORS:
-            raise _CliUsageError(
-                f"unknown estimator {name!r}; choose from "
-                f"{','.join(sorted(SINGLE_ESTIMATORS))}"
-            )
+    estimators = [(name, _resolve_estimator(name)) for name in names]
     seed = RngSeed(args.seed)
     _check_run_flags(args)
     lines = [SIMULATE_COLUMNS]
-    for name in names:
-        reports = run_error_experiment(cards, args.trials, cfg, name, seed)
+    for name, fn in estimators:
+        reports = run_error_experiment(cards, args.trials, cfg, fn, seed)
         for r in reports:
             qvals = ",".join(_fmt(v) for _, v in r.quantiles)
             lines.append(

@@ -1,4 +1,14 @@
-"""Exception types shared across the sketch and estimator modules."""
+"""Exception types shared across the sketch and estimator modules, and the
+two rules that turn an outside number into one the library computes with.
+
+* ``integer``: a Python or numpy integer in a given range becomes an ``int``;
+  anything else, an integral float included, raises ``RangeError``.
+* ``real``: a number or array becomes float64; an int past the float range
+  raises the caller's error class (``DomainError`` by default).  Finiteness
+  and range stay with the caller, whose domains differ.
+"""
+
+import numpy as np
 
 
 class HllError(Exception):
@@ -47,3 +57,28 @@ class DegenerateHistogramError(HllError):
 
 class NoConvergenceError(HllError):
     """An iterative solver exhausted its iteration budget."""
+
+
+def integer(value, what: str, low: int, high: int | None = None) -> int:
+    """``value`` as an ``int`` if it is a Python or numpy integer in
+    [low, high] (no upper bound when ``high`` is None), else ``RangeError``."""
+    if isinstance(value, (int, np.integer)):
+        n = int(value)  # a small numpy type would wrap in later arithmetic
+        if n >= low and (high is None or n <= high):
+            return n
+    bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+    raise RangeError(f"{what} {value!r} is not an integer {bound}")
+
+
+def real(value, what: str, error: type[HllError] = DomainError):
+    """``value`` as float64: a ``float`` for a scalar, an ndarray for an array
+    or sequence.  An int past the float range raises ``error``."""
+    try:
+        # a scalar skips the array round trip: sigma, tau and Bracket take one
+        # per estimate
+        if isinstance(value, (float, int, np.generic)):
+            return float(value)
+        out = np.asarray(value, dtype=np.float64)
+    except OverflowError:
+        raise error(f"{what} is past the float range") from None
+    return out if out.ndim else float(out)

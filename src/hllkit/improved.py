@@ -28,7 +28,7 @@ import math
 import numpy as np
 
 from .classic import ALPHA_INF
-from .errors import DomainError
+from .errors import DomainError, real
 from .sketch import RegisterHistogram, SketchConfig, pow2_weights
 
 LN2 = math.log(2.0)
@@ -39,12 +39,8 @@ _MAX_TERMS = 1200
 
 
 def _unit_argument(x, name: str) -> float:
-    """x as a float in [0, 1], or DomainError (also for an int past the
-    float range, which ``float`` rejects with OverflowError)."""
-    try:
-        x = float(x)
-    except OverflowError:
-        raise DomainError(f"{name} argument is past the float range") from None
+    """x as a float in [0, 1], or DomainError."""
+    x = real(x, f"{name} argument")
     if not 0.0 <= x <= 1.0:
         raise DomainError(f"{name} argument {x} outside [0, 1]")
     return x
@@ -114,20 +110,14 @@ def zeta(x):
     fractional part of x; the omitted tails are far below every tolerance
     used in this package.
     """
-    try:
-        arr = np.asarray(x, dtype=float)
-    except OverflowError:
-        raise DomainError("zeta argument is past the float range") from None
+    arr = real(x, "zeta argument")
     if not np.isfinite(arr).all():
         raise DomainError(f"zeta argument {x!r} is not finite")
     frac = arr - np.floor(arr)  # period 1
-    k = np.arange(-64, 65, dtype=float)
-    u = np.exp2(frac[..., None] + k)
+    u = np.exp2(np.add.outer(frac, np.arange(-64, 65, dtype=float)))
     with np.errstate(under="ignore"):
         total = LN2 * np.sum(u * np.exp(-u), axis=-1)
-    if arr.ndim == 0:
-        return float(total)
-    return total
+    return total if isinstance(arr, np.ndarray) else float(total)
 
 
 def _corrected(counts, m: int, q: int) -> float:

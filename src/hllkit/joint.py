@@ -41,13 +41,13 @@ from .errors import (
     DegenerateHistogramError,
     DomainError,
     NoConvergenceError,
-    RangeError,
+    real,
 )
 # improved_estimate is not called here, but bench/tracing.py wraps it under
 # this module-level name
 from .improved import _corrected, improved_estimate  # noqa: F401
 from .ml import EPSILON
-from .sketch import Sketch, SketchConfig, level_weights
+from .sketch import RegisterHistogram, Sketch, SketchConfig, level_weights
 
 JOINT_MAX_ITERATIONS = 500
 MAX_LOG_STEP = 4.0  # largest step in a log-rate: a factor e**4 in the rate
@@ -298,17 +298,13 @@ def _evaluate(est: JointEstimate, stat: JointStatistic, config: SketchConfig):
     """``_JointTerms.evaluate`` at ``est``; DomainError unless the rates are
     positive and finite floats, RangeError unless ``stat`` pairs two sketches
     of ``config``."""
-    try:
-        lam = np.array([est.a, est.b, est.x], dtype=float)
-    except OverflowError:
-        raise DomainError("a rate is past the float range") from None
+    lam = real([est.a, est.b, est.x], "a rate")
     if not (np.isfinite(lam).all() and (lam > 0).all()):
         raise DomainError(
             f"rates ({est.a}, {est.b}, {est.x}) must all be positive and finite"
         )
     for h in _histograms(stat)[:2]:
-        if h.size != config.q + 2 or h.sum() != config.m:
-            raise RangeError(f"joint statistic does not fit {config}")
+        RegisterHistogram(h).check(config)
     with np.errstate(all="ignore"):
         return _JointTerms(stat, config).evaluate(lam)
 

@@ -28,6 +28,7 @@ from .errors import (
     DomainError,
     NoConvergenceError,
     RangeError,
+    real,
 )
 from .sketch import RegisterHistogram, SketchConfig, level_weights
 
@@ -47,6 +48,9 @@ class Bracket:
     upper: float
 
     def __post_init__(self):
+        for name in ("lower", "upper"):
+            bound = real(getattr(self, name), f"bracket {name} bound", RangeError)
+            object.__setattr__(self, name, bound)
         if not 0 <= self.lower <= self.upper:
             raise RangeError(f"invalid bracket [{self.lower}, {self.upper}]")
 
@@ -67,7 +71,8 @@ def _u_over_expm1(u):
 
 
 def _weights(h: RegisterHistogram, config: SketchConfig):
-    """Per-histogram constants: nonzero value levels, their rate scales, linear weight."""
+    """Per-histogram constants: counts at the nonzero value levels, their
+    rate scales, and the linear weight."""
     q = config.q
     counts = h.counts
     levels = level_weights(q)
@@ -76,12 +81,12 @@ def _weights(h: RegisterHistogram, config: SketchConfig):
     scale = levels[ks] / config.m  # 1/(m 2^min(k,q))
     # linear term weight: sum_{k=0}^q C_k 2^-k
     w = float(counts[: q + 1] @ levels[: q + 1])
-    return ks, c, scale, w
+    return c, scale, w
 
 
 def _root_function(h: RegisterHistogram, config: SketchConfig):
     """The root function of a checked histogram, for rates lam > 0."""
-    _, c, scale, w = _weights(h, config)
+    c, scale, w = _weights(h, config)
     lin = w / config.m
 
     def f(lam):
@@ -92,12 +97,9 @@ def _root_function(h: RegisterHistogram, config: SketchConfig):
 
 def ml_root_function(lam: float, h: RegisterHistogram, config: SketchConfig) -> float:
     """Monotone decreasing f whose unique root is the ML estimate; f(0) = m - C0."""
+    lam = real(lam, "rate")
     if not lam >= 0:  # nan fails this test too
         raise DomainError(f"rate {lam} must be non-negative")
-    try:
-        lam = float(lam)
-    except OverflowError:
-        raise DomainError("rate is past the float range") from None
     h.check(config)
     return _root_function(h, config)(lam)
 
@@ -123,12 +125,14 @@ def _bracket(h: RegisterHistogram, config: SketchConfig) -> Bracket:
     return Bracket(float(lower), float(upper))
 
 
-def _secant_solve(f, x1, f0_at_zero, delta, max_iterations):
-    """Secant from (0, f(0)) and the lower bound; returns (root, iterates)."""
+def _secant_solve(f, x1, f0_at_zero, m):
+    """Secant from (0, f(0)) and the lower bound, stopped by ``stop_delta(m)``;
+    returns (root, iterates)."""
+    delta = stop_delta(m)
     x0, f0 = 0.0, f0_at_zero
     f1 = f(x1)
     iterates = [x1]
-    for _ in range(max_iterations):
+    for _ in range(ML_MAX_ITERATIONS):
         if f1 == 0.0 or f1 == f0:
             return x1, iterates
         x2 = x1 - f1 * (x1 - x0) / (f1 - f0)
@@ -141,7 +145,7 @@ def _secant_solve(f, x1, f0_at_zero, delta, max_iterations):
         x1 = x2
         f1 = f(x1)
     raise NoConvergenceError(
-        f"secant did not meet the stop rule in {max_iterations} iterations"
+        f"secant did not meet the stop rule in {ML_MAX_ITERATIONS} iterations"
     )
 
 
@@ -154,7 +158,4 @@ def ml_estimate(h: RegisterHistogram, config: SketchConfig) -> float:
     if h.saturated == m:
         return math.inf
     f, lower = _root_function(h, config), _bracket(h, config).lower
-    root, _ = _secant_solve(
-        f, lower, float(m - h.c0), stop_delta(m), ML_MAX_ITERATIONS
-    )
-    return root
+    return _secant_solve(f, lower, float(m - h.c0), m)[0]

@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .classic import linear_counting_estimate, original_estimate, raw_estimate
-from .errors import HllError, RangeError
+from .errors import HllError, RangeError, integer
 from .improved import improved_estimate
 # inclusion_exclusion_estimate and joint_ml_estimate are not called here, but
 # bench/tracing.py wraps them under these module-level names
@@ -64,34 +64,15 @@ class RngSeed:
     stream_id: int = 0
 
     def __post_init__(self):
-        for name, value in (("seed", self.seed), ("stream_id", self.stream_id)):
-            if not _is_int_at_least(value, 0):
-                raise RangeError(f"{name} {value!r} is not an integer >= 0")
+        for name in ("seed", "stream_id"):
+            object.__setattr__(self, name, integer(getattr(self, name), name, 0))
 
     def generator(self, trial_index: int) -> np.random.Generator:
-        if not _is_int_at_least(trial_index, 0):
-            raise RangeError(f"trial index {trial_index!r} is not an integer >= 0")
         seq = np.random.SeedSequence(
-            entropy=self.seed, spawn_key=(self.stream_id, trial_index)
+            entropy=self.seed,
+            spawn_key=(self.stream_id, integer(trial_index, "trial index", 0)),
         )
         return np.random.Generator(np.random.PCG64(seq))  # as default_rng(seq)
-
-
-def _is_int_at_least(value, low) -> bool:
-    return isinstance(value, (int, np.integer)) and value >= low
-
-
-def _check_trials(trials) -> None:
-    """RangeError unless trials is an integer >= 2."""
-    if not _is_int_at_least(trials, 2):
-        raise RangeError(f"trials {trials!r} is not an integer >= 2")
-
-
-def _check_cardinality(n) -> int:
-    """n as an int, or RangeError unless it is an integer in [0, MAX_CARDINALITY]."""
-    if not (_is_int_at_least(n, 0) and n <= MAX_CARDINALITY):
-        raise RangeError(f"cardinality {n!r} is not an integer in [0, 2**63 - 1]")
-    return int(n)
 
 
 def _listed(items, what: str) -> list:
@@ -104,7 +85,10 @@ def _listed(items, what: str) -> list:
 
 def _check_triple(triple) -> list:
     """[a, b, x] as ints, or RangeError unless triple holds three cardinalities."""
-    cards = [_check_cardinality(c) for c in _listed(triple, "configuration")]
+    cards = [
+        integer(c, "cardinality", 0, MAX_CARDINALITY)
+        for c in _listed(triple, "configuration")
+    ]
     if len(cards) != 3:
         raise RangeError(f"configuration {triple!r} is not three cardinalities")
     return cards
@@ -137,7 +121,7 @@ def sample_sketch(
     once U is empty.  Memory is O(m) for any n: the first throw's 2m
     indices are the largest temporary.
     """
-    n = _check_cardinality(n)
+    n = integer(n, "cardinality", 0, MAX_CARDINALITY)
     m = config.m
     sketch = Sketch(config)
     regs = sketch._regs
@@ -293,9 +277,12 @@ def run_error_experiment(
     the substream for global index ``i * trials + t``, so runs with the same
     ``RngSeed`` see identical sketches for every estimator choice.
     """
-    _check_trials(trials)
+    trials = integer(trials, "trials", 2)
     fn = _resolve_estimator(estimator)
-    cards = [_check_cardinality(n) for n in _listed(cardinalities, "cardinalities")]
+    cards = [
+        integer(n, "cardinality", 0, MAX_CARDINALITY)
+        for n in _listed(cardinalities, "cardinalities")
+    ]
     reports = []
     for ci, n in enumerate(cards):
         errors = []
@@ -324,7 +311,7 @@ def run_joint_experiment(
     rng: RngSeed,
 ):
     """Paired inclusion-exclusion vs joint-ML error table, one row per triple."""
-    _check_trials(trials)
+    trials = integer(trials, "trials", 2)
     configurations = [
         _check_triple(t) for t in _listed(configurations, "configurations")
     ]

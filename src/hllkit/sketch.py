@@ -20,13 +20,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigMismatchError, FormatError, RangeError
+from .errors import ConfigMismatchError, FormatError, RangeError, integer
 
 MAGIC = b"HLLS"
 VERSION = 1
 
 P_MIN, P_MAX = 2, 26
 HASH_BITS = 64
+HASH_MAX = (1 << HASH_BITS) - 1
 # 2^-k for k = 0..HASH_BITS, built once and shared read-only; powers of two
 # are exact, so every sum over a slice is the same as over a fresh table
 _POW2 = np.exp2(-np.arange(HASH_BITS + 1, dtype=float))
@@ -60,18 +61,11 @@ class SketchConfig:
     q: int
 
     def __post_init__(self):
-        ints = (int, np.integer)
-        if not (isinstance(self.p, ints) and isinstance(self.q, ints)):
-            raise RangeError(f"p={self.p!r} and q={self.q!r} must be integers")
-        # a small numpy type would wrap in 1 << p and p + q
-        object.__setattr__(self, "p", int(self.p))
-        object.__setattr__(self, "q", int(self.q))
-        if not P_MIN <= self.p <= P_MAX:
-            raise RangeError(f"p={self.p} outside [{P_MIN}, {P_MAX}]")
-        if self.q < 0:
-            raise RangeError(f"q={self.q} must be >= 0")
-        if self.p + self.q > HASH_BITS:
-            raise RangeError(f"p+q={self.p + self.q} exceeds {HASH_BITS} hash bits")
+        p, q = integer(self.p, "p", P_MIN, P_MAX), integer(self.q, "q", 0)
+        if p + q > HASH_BITS:
+            raise RangeError(f"p+q={p + q} exceeds {HASH_BITS} hash bits")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
 
     @property
     def m(self) -> int:
@@ -169,9 +163,7 @@ class Sketch:
 
     def insert(self, hash_value: int) -> None:
         """Insert one 64-bit hash value."""
-        if not _is_hash(hash_value):
-            raise RangeError(f"hash value {hash_value!r} is not an integer in [0, 2**64)")
-        hash_value = int(hash_value)
+        hash_value = integer(hash_value, "hash value", 0, HASH_MAX)
         p, q = self.config.p, self.config.q
         idx = hash_value >> (HASH_BITS - p)
         if q:
@@ -185,7 +177,8 @@ class Sketch:
     def insert_many(self, hashes) -> None:
         """Vectorized insertion of an array of 64-bit hash values.
 
-        Raises RangeError unless every value is an integer in [0, 2**64).
+        Raises RangeError unless every value is an integer in [0, 2**64).  A
+        single integer is read as one hash, as ``np.asarray`` reads it.
         """
         h = _hash_array(hashes)
         if h.size == 0:
@@ -245,6 +238,8 @@ class Sketch:
     @classmethod
     def from_bytes(cls, data: bytes) -> "Sketch":
         """Parse ``to_bytes`` output, validating structure and register range."""
+        if not isinstance(data, (bytes, bytearray, memoryview)):
+            raise FormatError(f"serialized sketch is {type(data).__name__}, not bytes")
         if len(data) < 7:
             raise FormatError(f"serialized sketch truncated ({len(data)} bytes)")
         if data[:4] != MAGIC:
@@ -290,9 +285,11 @@ def _hash_array(hashes) -> np.ndarray:
         if h.size and h.min() < 0:
             raise RangeError("hash values must be non-negative")
         return h.astype(np.uint64)
-    if h.ndim == 1 and all(_is_hash(x) for x in hashes):
-        return np.array([int(x) for x in hashes], dtype=np.uint64)
-    raise RangeError("hash values must be integers in [0, 2**64)")
+    if h.ndim != 1:
+        raise RangeError("hash values must be integers in [0, 2**64)")
+    return np.array(
+        [integer(x, "hash value", 0, HASH_MAX) for x in hashes], dtype=np.uint64
+    )
 
 
 def _is_integral(arr: np.ndarray) -> bool:
@@ -303,10 +300,6 @@ def _is_integral(arr: np.ndarray) -> bool:
     return arr.dtype.kind == "f" and bool(
         np.all(np.isfinite(arr) & (arr == np.floor(arr)))
     )
-
-
-def _is_hash(x) -> bool:
-    return isinstance(x, (int, np.integer)) and 0 <= x < 1 << HASH_BITS
 
 
 def _bit_length_u64(v: np.ndarray) -> np.ndarray:

@@ -23,6 +23,7 @@ from hllkit.errors import (
 from hllkit.ml import (
     ML_MAX_ITERATIONS,
     Bracket,
+    _root_function,
     _secant_solve,
     _u_over_expm1,
     _weights,
@@ -88,7 +89,7 @@ def _u_over_expm1_deriv(u):
 
 
 def _root_derivative(lam, h, config):
-    _, c, scale, w = _weights(h, config)
+    c, scale, w = _weights(h, config)
     return float(c @ (scale * _u_over_expm1_deriv(lam * scale)) - w / config.m)
 
 
@@ -283,14 +284,8 @@ class TestMlEstimate:
     def test_iterates_monotone_never_below_start(self):
         for h in random_hists(20, CFG, seed=19):
             br = ml_bracket(h, CFG)
-            _, c, scale, w = _weights(h, CFG)
-            lin = w / CFG.m
-
-            def f(lam):
-                return float(c @ _u_over_expm1(lam * scale) - lam * lin)
-
             root, iterates = _secant_solve(
-                f, br.lower, float(CFG.m - h.c0), stop_delta(CFG.m), 64
+                _root_function(h, CFG), br.lower, float(CFG.m - h.c0), CFG.m
             )
             assert iterates[0] == br.lower
             assert all(b > a for a, b in zip(iterates, iterates[1:]))

@@ -5,16 +5,23 @@ idempotent, commutative and associative, on the registers and on every
 estimate; ``Sketch.histogram``, which skips the histogram checks, gives what
 the checked constructor gives for the same registers; decoding any byte
 string, in the library or through ``hllkit inspect``, either succeeds or
-fails with a typed error and its documented exit code; and any argv drawn
-from a grammar of valid, malformed and edge values for the four subcommands
-ends in a documented exit code, with one ``error:`` line and no stdout on
-failure, and writes files only under the test's temporary directory.
+fails with a typed error and its documented exit code; every public function
+that takes numbers or sequences, given one bad value (nan, an infinity, a
+number past int64 or past the float range, a non-iterable, a wrong length),
+raises a typed error or returns a documented value, with no warning; and any
+argv drawn from a grammar of valid, malformed and edge values for the four
+subcommands ends in a documented exit code, with one ``error:`` line and no
+stdout on failure, and writes files only under the test's temporary
+directory.
 """
 
 import builtins
 import contextlib
+import dataclasses
 import io
+import math
 import os
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -22,6 +29,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hllkit import (
+    Bracket,
+    JointEstimate,
+    JointStatistic,
+    RngSeed,
+    joint_gradient,
+    joint_log_likelihood,
+    joint_statistic,
+    large_range_correction,
+    linear_counting_estimate,
+    ml_root_function,
+    run_error_experiment,
+    run_joint_experiment,
+    sample_joint_pair,
+    sigma,
+    tau,
+    zeta,
+)
 from hllkit.classic import raw_estimate
 from hllkit.cli import main
 from hllkit.errors import FormatError, HllError, RangeError
@@ -166,6 +191,150 @@ def test_inspect_exits_0_or_2_on_any_file(tmp_path_factory, data):
         code = main(["inspect", "--sketch", str(path)])
     assert code in (0, 2)
     assert (code == 2) == err.getvalue().startswith("error: cannot read sketch:")
+
+
+BAD_NUMBERS = [math.nan, math.inf, -math.inf, 2.0**63, 2**64, 2**1100]
+NON_ITERABLES = [5, None, 1.5]
+
+
+def _sequence(valid, short=None):
+    """Non-iterables, ``short`` (a wrong length) and ``valid`` with its first
+    element made a bad number."""
+    wrong = [] if short is None else [short]
+    return [*NON_ITERABLES, *wrong, *([v, *valid[1:]] for v in BAD_NUMBERS)]
+
+
+def _inserted_many(hashes):
+    sketch = Sketch(_CFG)
+    sketch.insert_many(hashes)
+    return sketch
+
+
+def _joint(fn):
+    def call(a, b, x, stat):
+        return fn(JointEstimate(a, b, x), stat, _CFG)
+
+    return call
+
+
+_CFG = SketchConfig(4, 8)
+_COUNTS = [8, 4, 2, 1, 1, 0, 0, 0, 0, 0]
+_REGS = [0] * 8 + [1] * 4 + [2, 2, 3, 4]
+_STAT = joint_statistic(*sample_joint_pair(30, 20, 10, _CFG, np.random.default_rng(0)))
+_SHORT_STAT = JointStatistic(*(f[:-1] for f in dataclasses.astuple(_STAT)))
+_TRIPLE_ELEMENT = [[(v, 20, 10)] for v in BAD_NUMBERS]
+# name: (call, valid arguments, bad values for each argument, None if not probed)
+INPUT_CASES = {
+    "linear_counting_estimate": (linear_counting_estimate, (8, 16), [BAD_NUMBERS] * 2),
+    "large_range_correction": (large_range_correction, (1000.0,), [BAD_NUMBERS]),
+    "sigma": (sigma, (0.5,), [BAD_NUMBERS]),
+    "tau": (tau, (0.5,), [BAD_NUMBERS]),
+    "zeta": (zeta, (0.3,), [BAD_NUMBERS]),
+    "zeta-array": (zeta, ([0.3, 0.7],), [_sequence([0.3, 0.7])]),
+    "ml_root_function": (
+        lambda lam: ml_root_function(lam, RegisterHistogram(_COUNTS), _CFG),
+        (100.0,),
+        [BAD_NUMBERS],
+    ),
+    "SketchConfig": (SketchConfig, (4, 8), [BAD_NUMBERS] * 2),
+    "RngSeed": (RngSeed, (1, 2), [BAD_NUMBERS] * 2),
+    "RngSeed.generator": (lambda t: RngSeed(1).generator(t), (3,), [BAD_NUMBERS]),
+    "sample_sketch": (
+        lambda n: sample_sketch(n, _CFG, np.random.default_rng(0)),
+        (100,),
+        [BAD_NUMBERS],
+    ),
+    "sample_joint_pair": (
+        lambda a, b, x: sample_joint_pair(a, b, x, _CFG, np.random.default_rng(0)),
+        (30, 20, 10),
+        [BAD_NUMBERS] * 3,
+    ),
+    # no cardinalities, so that a huge trial count runs no trial
+    "run_error_experiment": (
+        lambda cards, trials: run_error_experiment(cards, trials, _CFG, "raw", RngSeed(1)),
+        ([], 2),
+        [_sequence([0]), BAD_NUMBERS],
+    ),
+    "run_joint_experiment": (
+        lambda configs, trials: run_joint_experiment(configs, trials, _CFG, RngSeed(1)),
+        ([], 2),
+        [[*NON_ITERABLES, [(30, 20)], *_TRIPLE_ELEMENT], BAD_NUMBERS],
+    ),
+    "RegisterHistogram": (RegisterHistogram, (_COUNTS,), [_sequence(_COUNTS, [16])]),
+    "Sketch.from_registers": (
+        lambda regs: Sketch.from_registers(_CFG, regs),
+        (_REGS,),
+        [_sequence(_REGS, _REGS[:-1])],
+    ),
+    "Sketch.insert": (lambda h: Sketch(_CFG).insert(h), (5,), [BAD_NUMBERS]),
+    "Sketch.insert_many": (_inserted_many, ([5, 2**63 + 7],), [_sequence([5, 2**63 + 7])]),
+    "Sketch.from_bytes": (
+        Sketch.from_bytes,
+        (Sketch(_CFG).to_bytes(),),
+        [[*NON_ITERABLES, Sketch(_CFG).to_bytes()[:-1]]],
+    ),
+    "Bracket": (Bracket, (1.0, 2.0), [BAD_NUMBERS] * 2),
+    **{
+        fn.__name__: (
+            _joint(fn),
+            (30.0, 20.0, 10.0, _STAT),
+            [*[BAD_NUMBERS] * 3, [_SHORT_STAT]],
+        )
+        for fn in (joint_log_likelihood, joint_gradient)
+    },
+}
+
+
+def _as_numpy(value):
+    """A valid argument with its numbers as numpy scalars."""
+    if isinstance(value, list):
+        return [_as_numpy(v) for v in value]
+    if isinstance(value, int):
+        return np.uint64(value) if value >= 2**63 else np.int64(value)
+    if isinstance(value, float):
+        return np.float64(value)
+    return value
+
+
+@st.composite
+def bad_calls(draw):
+    """A case, its arguments with the one at ``i`` replaced by a bad value
+    (``i`` None: none replaced), and that value; valid numbers are sometimes
+    numpy scalars."""
+    name = draw(st.sampled_from(sorted(INPUT_CASES)))
+    fn, valid, probes = INPUT_CASES[name]
+    args = list(valid)
+    if draw(st.booleans()):
+        args = [_as_numpy(v) for v in args]
+    if draw(st.integers(0, 4)) == 0:
+        return name, fn, args, None, None
+    i = draw(st.sampled_from(range(len(args))))
+    bad = draw(st.sampled_from(probes[i]))
+    if isinstance(bad, float) and draw(st.booleans()):
+        bad = np.float64(bad)
+    args[i] = bad
+    return name, fn, args, i, bad
+
+
+@settings(max_examples=400, deadline=None)
+@given(bad_calls())
+def test_bad_input_gives_a_typed_error_or_a_documented_value(case):
+    name, fn, args, i, bad = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            value = fn(*args)
+        except HllError:
+            assert i is not None, f"{name} rejected valid arguments {args!r}"
+            return
+    if name == "ml_root_function" and bad == math.inf:
+        assert value == -math.inf  # documented: f(inf) = -inf
+    elif name == "Sketch.insert_many" and i is not None and isinstance(bad, int):
+        want = Sketch(_CFG)
+        want.insert(bad)
+        assert value == want  # documented: a single integer is one hash
+    elif isinstance(value, (float, np.ndarray)):
+        assert np.isfinite(value).all(), (name, args, value)
 
 
 # The exit codes the hllkit.cli module docstring documents.

@@ -1,9 +1,13 @@
-"""Every public name has a use outside the tests.
+"""Rules on the source tree.
 
-``src/`` holds no test-only code, so each name in ``hllkit.__all__`` must be
-used by the library itself, the benchmark, the scripts, the acceptance suite
-or a ``from hllkit import`` line of the README.  A use is a bare load of the
-name, an ``hllkit.<name>`` attribute or a ``from hllkit import <name>``.
+Every public name has a use outside the tests: ``src/`` holds no test-only
+code, so each name in ``hllkit.__all__`` must be used by the library itself,
+the benchmark, the scripts, the acceptance suite or a ``from hllkit import``
+line of the README.  A use is a bare load of the name, an ``hllkit.<name>``
+attribute or a ``from hllkit import <name>``.
+
+The integer and float-range input rules live only in ``errors.py``: no other
+module catches ``OverflowError`` or tests for ``(int, np.integer)`` itself.
 """
 
 import ast
@@ -46,3 +50,14 @@ def _used_names() -> set:
 def test_every_public_name_has_a_use_outside_the_tests():
     unused = sorted(set(hllkit.__all__) - _used_names())
     assert not unused, f"public names that only tests use: {unused}"
+
+
+def test_input_rules_have_one_home():
+    copies = [
+        f"{path.name}: {pattern}"
+        for path in sorted((ROOT / "src" / "hllkit").glob("*.py"))
+        if path.name != "errors.py"
+        for pattern in ("except OverflowError", "(int, np.integer)")
+        if pattern in path.read_text()
+    ]
+    assert not copies, f"use errors.integer or errors.real instead: {copies}"

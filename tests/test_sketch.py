@@ -381,6 +381,11 @@ class TestSerialization:
         with pytest.raises(FormatError):
             Sketch.from_bytes(blob[:3])
 
+    @pytest.mark.parametrize("data", [5, None, 1.5], ids=["int", "none", "float"])
+    def test_non_bytes_rejected(self, data):
+        with pytest.raises(FormatError):  # was a raw TypeError from len()
+            Sketch.from_bytes(data)
+
     def test_register_above_qplus1_rejected(self):
         blob = bytearray(make(2, 3).to_bytes())
         blob[7] = 5  # q+2, one above the maximum register value
