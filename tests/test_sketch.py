@@ -7,7 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hllkit.classic import raw_estimate
 from hllkit.errors import ConfigMismatchError, FormatError, RangeError
+from hllkit.improved import improved_estimate
+from hllkit.ml import ml_bracket, ml_estimate, ml_root_function
 from hllkit.sim import RngSeed, sample_joint_pair, sample_sketch
 from hllkit.sketch import RegisterHistogram, Sketch, SketchConfig, _bit_length_u64
 
@@ -462,25 +465,56 @@ class TestKernelDigests:
         digest.update(sk.registers.tobytes())
         digest.update(sk.histogram().counts.astype("<i8").tobytes())
 
+    @staticmethod
+    def _streams(p, q):
+        """The sketch after each batch: uniform hashes, then the same shifted
+        right by 0..63 bits, so that every bit length and the saturated value
+        all occur."""
+        rng = np.random.default_rng(p * 100 + q)
+        sk = make(p, q)
+        for size in (1 << (p - 2), 1 << p, 1 << (p + 2)):
+            h = rng.integers(0, 2**64, size=size, dtype=np.uint64)
+            shifts = rng.integers(0, 64, size=size, dtype=np.uint64)
+            sk.insert_many(h)
+            yield sk
+            sk.insert_many(h >> shifts)
+            yield sk
+
     @pytest.mark.parametrize("p,q,want", [
         (12, 20, "6303e3c3bbb94829bd55617b0bdac6a9bc688e089a0db87728f749d18f0c1f68"),
         (16, 16, "f903e6b9da574ba68ca30a4a7e86dffe19da039122a66589cc36e119adf95620"),
         (4, 60, "ffe51150bd2e3d9e0eace88709684785dc4c372b635fab79b15d2487f0885fad"),
     ])
     def test_insert_many(self, p, q, want):
-        # uniform hashes, then the same shifted right by 0..63 bits, so that
-        # every bit length and the saturated value all occur
-        rng = np.random.default_rng(p * 100 + q)
-        sk = make(p, q)
         digest = hashlib.sha256()
-        for size in (1 << (p - 2), 1 << p, 1 << (p + 2)):
-            h = rng.integers(0, 2**64, size=size, dtype=np.uint64)
-            shifts = rng.integers(0, 64, size=size, dtype=np.uint64)
-            sk.insert_many(h)
-            self._feed(digest, sk)
-            sk.insert_many(h >> shifts)
+        for sk in self._streams(p, q):
             self._feed(digest, sk)
         assert digest.hexdigest() == want
+
+    @staticmethod
+    def _estimates(h, config):
+        """repr of every single-sketch estimate and ML quantity of one histogram."""
+        bracket = ml_bracket(h, config)
+        return repr([raw_estimate(h, config), improved_estimate(h, config),
+                     ml_estimate(h, config), bracket.lower, bracket.upper,
+                     ml_root_function(bracket.lower, h, config)])
+
+    def test_estimators(self):
+        # the insert_many streams above, tiny draws where the ML root takes
+        # the small-u series, and a histogram with saturated registers
+        cases = [(sk.config, sk.histogram()) for pq in ((12, 20), (16, 16), (4, 60))
+                 for sk in self._streams(*pq)]
+        config = SketchConfig(12, 20)
+        cases += [(config, sample_sketch(n, config, RngSeed(2017).generator(n)).histogram())
+                  for n in (1, 2, 5)]
+        counts = np.zeros(config.q + 2, dtype=np.int64)
+        counts[[0, 1, 7, config.q, config.q + 1]] = [3000, 600, 400, 60, 36]
+        cases.append((config, RegisterHistogram(counts)))
+        digest = hashlib.sha256()
+        for config, h in cases:
+            digest.update(self._estimates(h, config).encode())
+        assert digest.hexdigest() == (
+            "b5efbb64ebb949bfd5b9f612b671d81931df744c43272e7c0378b18f1579cce8")
 
     def test_sample_sketch_error_curve_grid(self):
         config, rng = SketchConfig(12, 20), RngSeed(2017)
