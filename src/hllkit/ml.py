@@ -14,6 +14,11 @@ without overshooting.  Iteration stops once the relative increment
 |l_{t+1} - l_t| / l_{t+1} falls below delta = EPSILON/sqrt(m), with the
 fixed EPSILON = 1e-2 that the joint fit in ``joint.py`` reuses; it raises
 ``NoConvergenceError`` after ML_MAX_ITERATIONS (64) secant steps.
+
+Each root-function value sums C_k u/(e^u - 1) over u = lambda/(m 2^min(k,q)),
+which never rises with k, so the last u is the smallest.  The series for
+small u therefore runs only when that last u is below 1e-4, and the whole
+solve runs under one ``np.errstate`` that lets e^u overflow.
 """
 
 from __future__ import annotations
@@ -55,24 +60,28 @@ class Bracket:
             raise RangeError(f"invalid bracket [{self.lower}, {self.upper}]")
 
 
+_QUIET = {"over": "ignore", "invalid": "ignore"}
+
+
 def _u_over_expm1(u):
-    """u / (e^u - 1) elementwise, stable at both ends of the range."""
+    """u / (e^u - 1) elementwise for a 0-d or non-increasing u >= 0, stable
+    at both ends of the range; call it under ``np.errstate(**_QUIET)``."""
     # e^u overflows past u ~ 710, where the ratio is 0; the cap spares u = inf
     # an inf/inf.  Entries below 1e-4, and the 0/0 at u = 0, are then
-    # overwritten by the series 1 - u/2 + u^2/12, whose error is O(u^4/720).
+    # overwritten by the series 1 - u/2 + u^2/12, whose error is O(u^4/720);
+    # there are some only if the last, smallest u is below 1e-4.
     u = np.minimum(np.asarray(u, dtype=float), 800.0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = np.asarray(u / np.expm1(u))  # a 0-d input gives a scalar here
+    out = np.asarray(u / np.expm1(u))  # a 0-d input gives a scalar here
+    if u.size and u.flat[-1] < 1e-4:
         small = u < 1e-4
-        if small.any():
-            us = u[small]
-            out[small] = 1.0 - us / 2.0 + us * us / 12.0
+        us = u[small]
+        out[small] = 1.0 - us / 2.0 + us * us / 12.0
     return out
 
 
 def _weights(h: RegisterHistogram, config: SketchConfig):
     """Per-histogram constants: counts at the nonzero value levels, their
-    rate scales, and the linear weight."""
+    rate scales (never rising with the level), and the linear weight."""
     q = config.q
     counts = h.counts
     levels = level_weights(q)
@@ -85,7 +94,8 @@ def _weights(h: RegisterHistogram, config: SketchConfig):
 
 
 def _root_function(h: RegisterHistogram, config: SketchConfig):
-    """The root function of a checked histogram, for rates lam > 0."""
+    """The root function of a checked histogram, for rates lam > 0; call it
+    under ``np.errstate(**_QUIET)``."""
     c, scale, w = _weights(h, config)
     lin = w / config.m
 
@@ -101,16 +111,18 @@ def ml_root_function(lam: float, h: RegisterHistogram, config: SketchConfig) -> 
     if not lam >= 0:  # nan fails this test too
         raise DomainError(f"rate {lam} must be non-negative")
     h.check(config)
-    return _root_function(h, config)(lam)
+    with np.errstate(**_QUIET):
+        return _root_function(h, config)(lam)
 
 
 def ml_bracket(h: RegisterHistogram, config: SketchConfig) -> Bracket:
     """Closed-form bounds enclosing the ML rate (ratio at most 3/2 apart)."""
-    return _bracket(h.check(config), config)
+    return Bracket(*_bracket(h.check(config), config))
 
 
-def _bracket(h: RegisterHistogram, config: SketchConfig) -> Bracket:
-    """``ml_bracket`` of a histogram already checked against ``config``."""
+def _bracket(h: RegisterHistogram, config: SketchConfig) -> tuple[float, float]:
+    """The bounds of ``ml_bracket`` for a histogram already checked against
+    ``config``."""
     m, q = config.m, config.q
     counts = h.counts
     c0 = h.c0
@@ -122,7 +134,7 @@ def _bracket(h: RegisterHistogram, config: SketchConfig) -> Bracket:
     sat_w = float(counts[q + 1]) * 2.0 ** -(q + 1)
     lower = m * (m - c0) / (c0 + 1.5 * mid + sat_w)
     upper = m * (m - c0) / (c0 + mid)
-    return Bracket(float(lower), float(upper))
+    return lower, upper
 
 
 def _secant_solve(f, x1, f0_at_zero, m):
@@ -130,20 +142,21 @@ def _secant_solve(f, x1, f0_at_zero, m):
     returns (root, iterates)."""
     delta = stop_delta(m)
     x0, f0 = 0.0, f0_at_zero
-    f1 = f(x1)
     iterates = [x1]
-    for _ in range(ML_MAX_ITERATIONS):
-        if f1 == 0.0 or f1 == f0:
-            return x1, iterates
-        x2 = x1 - f1 * (x1 - x0) / (f1 - f0)
-        if x2 <= x1:  # step stalled at float resolution
-            return x1, iterates
-        iterates.append(x2)
-        if x2 - x1 < delta * x2:
-            return x2, iterates
-        x0, f0 = x1, f1
-        x1 = x2
+    with np.errstate(**_QUIET):
         f1 = f(x1)
+        for _ in range(ML_MAX_ITERATIONS):
+            if f1 == 0.0 or f1 == f0:
+                return x1, iterates
+            x2 = x1 - f1 * (x1 - x0) / (f1 - f0)
+            if x2 <= x1:  # step stalled at float resolution
+                return x1, iterates
+            iterates.append(x2)
+            if x2 - x1 < delta * x2:
+                return x2, iterates
+            x0, f0 = x1, f1
+            x1 = x2
+            f1 = f(x1)
     raise NoConvergenceError(
         f"secant did not meet the stop rule in {ML_MAX_ITERATIONS} iterations"
     )
@@ -157,5 +170,5 @@ def ml_estimate(h: RegisterHistogram, config: SketchConfig) -> float:
         return 0.0
     if h.saturated == m:
         return math.inf
-    f, lower = _root_function(h, config), _bracket(h, config).lower
-    return _secant_solve(f, lower, float(m - h.c0), m)[0]
+    lower, _ = _bracket(h, config)
+    return _secant_solve(_root_function(h, config), lower, float(m - h.c0), m)[0]

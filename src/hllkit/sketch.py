@@ -180,17 +180,16 @@ class Sketch:
         Raises RangeError unless every value is an integer in [0, 2**64).  A
         single integer is read as one hash, as ``np.asarray`` reads it.
         """
-        h = _hash_array(hashes)
+        h = _hash_array(hashes).ravel()
         if h.size == 0:
             return
         p, q = self.config.p, self.config.q
-        idx = (h >> (HASH_BITS - p)).astype(np.int64)
-        if q:
-            bits = (h >> (HASH_BITS - p - q)) & ((1 << q) - 1)
-            value = np.uint8(q + 1) - _bit_length_u64(bits)
-        else:
-            value = np.ones(h.size, dtype=np.uint8)
-        np.maximum.at(self._regs, idx, value)
+        # every shift makes a fresh array, so the in-place steps below leave
+        # the caller's hashes alone; an index below 2**26 reads the same as int64
+        idx = (h >> (HASH_BITS - p)).view(np.int64)
+        bits = h >> (HASH_BITS - p - q)
+        bits &= (1 << q) - 1
+        np.maximum.at(self._regs, idx, _register_values(bits, q))
 
     def histogram(self) -> RegisterHistogram:
         """Count of registers at each value 0..q+1.
@@ -302,13 +301,24 @@ def _is_integral(arr: np.ndarray) -> bool:
     )
 
 
-def _bit_length_u64(v: np.ndarray) -> np.ndarray:
-    """Bit length of each uint64 (0 for 0) as uint8, read from the float exponent.
+def _register_values(bits: np.ndarray, q: int) -> np.ndarray:
+    """Register value q + 1 - bit_length(v) of each q-bit field v, as uint8;
+    ``bits`` is overwritten when q > 53.
 
-    A float64 keeps the top one bit and the 52 bits below it; the next bit
-    down decides whether the conversion rounds up, possibly to the next power
-    of two.  ``v >> 53`` has a one in that place, so ``v & ~(v >> 53)``
-    clears it (and otherwise only bits further down), and the exponent is
-    then exact for every uint64.
+    The value is read from the biased exponent E of v as a float64, which is
+    E - 1022 = bit_length(v) for v > 0, so the value is q + 1023 - E.  The
+    read is exact: a field below 2**53 converts exactly, and a wider one
+    keeps its top one bit and the 52 below it, so only the next bit down can
+    round it up, possibly to the next power of two; ``v >> 53`` has a one in
+    that place, and ``v & ~(v >> 53)`` clears it (and otherwise only bits
+    further down).  A zero field has E = 0, so q + 1023 - E is capped at
+    q + 1, the value of a field with no one bit.  Fields are below 2**63, so
+    they convert from their int64 view, which is faster than from uint64.
     """
-    return np.frexp((v & ~(v >> 53)).astype(np.float64))[1].astype(np.uint8)
+    if q > 53:
+        bits &= ~(bits >> 53)
+    e = bits.view(np.int64).astype(np.float64).view(np.int64)
+    e >>= 52
+    np.subtract(q + 1023, e, out=e)
+    np.minimum(e, q + 1, out=e)
+    return e.astype(np.uint8)

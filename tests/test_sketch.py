@@ -12,7 +12,7 @@ from hllkit.errors import ConfigMismatchError, FormatError, RangeError
 from hllkit.improved import improved_estimate
 from hllkit.ml import ml_bracket, ml_estimate, ml_root_function
 from hllkit.sim import RngSeed, sample_joint_pair, sample_sketch
-from hllkit.sketch import RegisterHistogram, Sketch, SketchConfig, _bit_length_u64
+from hllkit.sketch import RegisterHistogram, Sketch, SketchConfig, _register_values
 
 HASHES = st.integers(min_value=0, max_value=2**64 - 1)
 # 0, every power of two, every 2**k - 1 (including 2**64 - 1), and around
@@ -195,6 +195,13 @@ class TestInsertMany:
         with pytest.raises(RangeError):
             make().insert_many(bad)
 
+    @pytest.mark.parametrize("q", [0, 20])
+    def test_single_integer_is_one_hash(self, q):
+        a, b = make(4, q), make(4, q)
+        a.insert_many(2**63 + 5)
+        b.insert(2**63 + 5)
+        assert a == b
+
     def test_list_mixing_small_and_large_ints(self):
         # numpy reads [1, 2**63] as float64; the exact integers must still land
         hashes = [1, 2**63, 2**64 - 1]
@@ -207,11 +214,15 @@ class TestInsertMany:
     @given(st.lists(HASHES, max_size=200))
     @settings(max_examples=100, deadline=None)
     def test_bit_length_matches_int_bit_length(self, drawn):
-        values = BIT_EDGES + drawn
-        got = _bit_length_u64(np.array(values, dtype=np.uint64))
-        assert got.tolist() == [v.bit_length() for v in values]
+        # the q-bit fields among the edges, and the top q bits of each draw
+        for q in (0, 1, 20, 52, 53, 54, 62):
+            fields = [v for v in BIT_EDGES if v < 1 << q] + [v >> (64 - q) for v in drawn]
+            got = _register_values(np.array(fields, dtype=np.uint64), q)
+            assert got.dtype == np.uint8
+            assert got.tolist() == [q + 1 - v.bit_length() for v in fields]
 
-    @given(st.sampled_from([(12, 0), (12, 1), (12, 20), (2, 62), (26, 38), (12, 52)]).flatmap(
+    @given(st.sampled_from([(12, 0), (12, 1), (12, 20), (2, 62), (26, 38), (12, 52),
+                            (11, 53), (10, 54)]).flatmap(
         lambda pq: st.tuples(st.just(pq), st.lists(spread_hashes(pq[0]), max_size=200))))
     @settings(max_examples=100, deadline=None)
     def test_matches_scalar_inserts_across_q(self, case):
