@@ -502,6 +502,25 @@ class TestKernelDigests:
             self._feed(digest, sk)
         assert digest.hexdigest() == want
 
+    def test_insert_many_long_zero_runs(self):
+        # uniform hashes whose bits below the index are shifted right by
+        # 0, 16, 32 or 48 bits, give or take two, so that value fields with
+        # their top 16, 32 or 48 bits zero fill the registers; one fresh sketch
+        # per shift band, so that each band sets its own register maxima
+        digest = hashlib.sha256()
+        for p, q in ((12, 16), (12, 17), (12, 33), (12, 49), (11, 53), (10, 54),
+                     (2, 62), (4, 0)):
+            rng = np.random.default_rng(p * 100 + q)
+            low = np.uint64((1 << (64 - p)) - 1)
+            for base in (0, 16, 32, 48):
+                h = rng.integers(0, 2**64, size=4096, dtype=np.uint64)
+                shifts = rng.integers(max(base - 2, 0), base + 3, size=4096, dtype=np.uint64)
+                sk = make(p, q)
+                sk.insert_many((h & ~low) | ((h & low) >> shifts))
+                self._feed(digest, sk)
+        assert digest.hexdigest() == (
+            "84da43c80b6b2757bd35509dacb34443a2c12dffcd79ab83d270f3bc42435d21")
+
     @staticmethod
     def _estimates(h, config):
         """repr of every single-sketch estimate and ML quantity of one histogram."""
