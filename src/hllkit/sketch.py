@@ -76,6 +76,12 @@ class SketchConfig:
         return self.q + 1
 
 
+@lru_cache(maxsize=None)  # a failure is not kept, so at most 25 x 63 configs
+def _config(p: int, q: int) -> SketchConfig:
+    """The one shared ``SketchConfig(p, q)``, for decoding many sketches."""
+    return SketchConfig(p, q)
+
+
 class RegisterHistogram:
     """Counts of register values: counts[k] registers hold value k, k in 0..q+1."""
 
@@ -184,12 +190,9 @@ class Sketch:
         if h.size == 0:
             return
         p, q = self.config.p, self.config.q
-        # every shift makes a fresh array, so the in-place steps below leave
-        # the caller's hashes alone; an index below 2**26 reads the same as int64
+        # an index below 2**26 reads the same as int64
         idx = (h >> (HASH_BITS - p)).view(np.int64)
-        bits = h >> (HASH_BITS - p - q)
-        bits &= (1 << q) - 1
-        np.maximum.at(self._regs, idx, _register_values(bits, q))
+        np.maximum.at(self._regs, idx, _register_values(h, p, q))
 
     def histogram(self) -> RegisterHistogram:
         """Count of registers at each value 0..q+1.
@@ -232,20 +235,26 @@ class Sketch:
     def to_bytes(self) -> bytes:
         """Serialize: magic, version byte, p byte, q byte, m register bytes."""
         head = MAGIC + bytes([VERSION, self.config.p, self.config.q])
-        return head + self._regs.tobytes()
+        return b"".join((head, self._regs))
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Sketch":
-        """Parse ``to_bytes`` output, validating structure and register range."""
+        """Parse ``to_bytes`` output, validating structure and register range.
+
+        A memoryview is read by its bytes in C order, whatever its shape,
+        strides or item format.
+        """
         if not isinstance(data, (bytes, bytearray, memoryview)):
             raise FormatError(f"serialized sketch is {type(data).__name__}, not bytes")
+        if isinstance(data, memoryview):
+            data = data.tobytes()
         if len(data) < 7:
             raise FormatError(f"serialized sketch truncated ({len(data)} bytes)")
         if data[:4] != MAGIC:
-            raise FormatError(f"bad magic {data[:4]!r}")
+            raise FormatError(f"bad magic {bytes(data[:4])!r}")
         if data[4] != VERSION:
             raise FormatError(f"unsupported version {data[4]}")
-        config = SketchConfig(data[5], data[6])
+        config = _config(data[5], data[6])
         if len(data) - 7 != config.m:
             raise FormatError(
                 f"expected {config.m} register bytes, got {len(data) - 7}"
@@ -301,24 +310,31 @@ def _is_integral(arr: np.ndarray) -> bool:
     )
 
 
-def _register_values(bits: np.ndarray, q: int) -> np.ndarray:
-    """Register value q + 1 - bit_length(v) of each q-bit field v, as uint8;
-    ``bits`` is overwritten when q > 53.
+@lru_cache(maxsize=None)  # t <= 16, so at most 17 tables and 128 KB
+def _value_table(t: int) -> np.ndarray:
+    """Read-only t + 1 - bit_length(v) for every t-bit v, as uint8."""
+    table = np.empty(1 << t, dtype=np.uint8)
+    table[0] = t + 1
+    for k in range(t):
+        table[1 << k : 2 << k] = t - k
+    table.flags.writeable = False
+    return table
 
-    The value is read from the biased exponent E of v as a float64, which is
-    E - 1022 = bit_length(v) for v > 0, so the value is q + 1023 - E.  The
-    read is exact: a field below 2**53 converts exactly, and a wider one
-    keeps its top one bit and the 52 below it, so only the next bit down can
-    round it up, possibly to the next power of two; ``v >> 53`` has a one in
-    that place, and ``v & ~(v >> 53)`` clears it (and otherwise only bits
-    further down).  A zero field has E = 0, so q + 1023 - E is capped at
-    q + 1, the value of a field with no one bit.  Fields are below 2**63, so
-    they convert from their int64 view, which is faster than from uint64.
+
+def _register_values(h: np.ndarray, p: int, q: int) -> np.ndarray:
+    """Register value q + 1 - bit_length(v) of the q-bit field v below the top
+    p bits of each hash in ``h``, as uint8.
+
+    The top t = min(q, 16) bits of the field are looked up in one table.  A
+    field whose top t bits are all zero reads t + 1 there; when q > t it has
+    q - t bits left, and its value is t plus theirs, by the same lookup one
+    level down (at most four levels, as q <= 62).
     """
-    if q > 53:
-        bits &= ~(bits >> 53)
-    e = bits.view(np.int64).astype(np.float64).view(np.int64)
-    e >>= 52
-    np.subtract(q + 1023, e, out=e)
-    np.minimum(e, q + 1, out=e)
-    return e.astype(np.uint8)
+    t = min(q, 16)
+    top = h >> (HASH_BITS - p - t)
+    top &= (1 << t) - 1
+    vals = _value_table(t).take(top.view(np.int64))
+    if q > t and vals.max() > t:
+        deep = vals > t
+        vals[deep] = t + _register_values(h[deep], p + t, q - t)
+    return vals

@@ -214,15 +214,18 @@ class TestInsertMany:
     @given(st.lists(HASHES, max_size=200))
     @settings(max_examples=100, deadline=None)
     def test_bit_length_matches_int_bit_length(self, drawn):
-        # the q-bit fields among the edges, and the top q bits of each draw
-        for q in (0, 1, 20, 52, 53, 54, 62):
+        # the q-bit fields among the edges, and the top q bits of each draw,
+        # each placed below a p = 2 index of zero
+        for q in (0, 1, 15, 16, 17, 20, 31, 32, 33, 48, 49, 52, 53, 54, 62):
             fields = [v for v in BIT_EDGES if v < 1 << q] + [v >> (64 - q) for v in drawn]
-            got = _register_values(np.array(fields, dtype=np.uint64), q)
+            hashes = np.array([v << (62 - q) for v in fields], dtype=np.uint64)
+            got = _register_values(hashes, 2, q)
             assert got.dtype == np.uint8
             assert got.tolist() == [q + 1 - v.bit_length() for v in fields]
 
-    @given(st.sampled_from([(12, 0), (12, 1), (12, 20), (2, 62), (26, 38), (12, 52),
-                            (11, 53), (10, 54)]).flatmap(
+    @given(st.sampled_from([(12, 0), (12, 1), (12, 16), (12, 17), (12, 20), (12, 33),
+                            (12, 49), (2, 62), (26, 38), (12, 52), (11, 53),
+                            (10, 54)]).flatmap(
         lambda pq: st.tuples(st.just(pq), st.lists(spread_hashes(pq[0]), max_size=200))))
     @settings(max_examples=100, deadline=None)
     def test_matches_scalar_inserts_across_q(self, case):
@@ -407,10 +410,38 @@ class TestSerialization:
             Sketch.from_bytes(bytes(blob))
 
     def test_bad_parameter_bytes_rejected(self):
-        blob = bytearray(make(2, 0).to_bytes())
-        blob[5] = 1  # p below minimum
-        with pytest.raises(RangeError):
-            Sketch.from_bytes(bytes(blob))
+        # p below minimum, then p + q past 64 bits; decoded configs are
+        # cached, so a second call must fail the same way
+        for p, q in ((1, 0), (2, 63)):
+            blob = bytearray(make(2, 0).to_bytes())
+            blob[5:7] = bytes([p, q])
+            for _ in range(2):
+                with pytest.raises(RangeError):
+                    Sketch.from_bytes(bytes(blob))
+
+    def test_decodes_share_one_config(self):
+        blob = make(4, 6).to_bytes()
+        assert Sketch.from_bytes(blob).config is Sketch.from_bytes(blob).config
+
+    def test_strided_memoryview_read_by_bytes(self):
+        sk = make(4, 6)
+        sk.insert(5 << 60)
+        blob = sk.to_bytes()
+        interleaved = bytearray(2 * len(blob))
+        interleaved[::2] = blob
+        assert Sketch.from_bytes(memoryview(interleaved)[::2]) == sk
+
+    def test_2d_memoryview_read_by_bytes(self):
+        sk = make(4, 6)
+        sk.insert(5 << 60)
+        rows = np.frombuffer(sk.to_bytes(), dtype=np.uint8).reshape(1, -1)
+        assert Sketch.from_bytes(memoryview(rows)) == sk
+
+    def test_bad_magic_in_memoryview_shows_its_bytes(self):
+        blob = bytearray(make(4, 6).to_bytes())
+        blob[0] = ord("X")
+        with pytest.raises(FormatError, match=r"^bad magic b'XLLS'$"):
+            Sketch.from_bytes(memoryview(blob))
 
     @pytest.mark.parametrize("wrap", [bytes, bytearray])
     def test_decoded_sketch_is_writable_copy(self, wrap):
