@@ -239,15 +239,11 @@ class Sketch:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Sketch":
-        """Parse ``to_bytes`` output, validating structure and register range.
-
-        A memoryview is read by its bytes in C order, whatever its shape,
-        strides or item format.
-        """
+        """Parse ``to_bytes`` output, validating structure and register range."""
         if not isinstance(data, (bytes, bytearray, memoryview)):
             raise FormatError(f"serialized sketch is {type(data).__name__}, not bytes")
         if isinstance(data, memoryview):
-            data = data.tobytes()
+            data = data.tobytes()  # its bytes in C order, whatever its shape or strides
         if len(data) < 7:
             raise FormatError(f"serialized sketch truncated ({len(data)} bytes)")
         if data[:4] != MAGIC:
