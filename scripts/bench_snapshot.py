@@ -6,11 +6,14 @@ Run from anywhere; everything runs against this checkout's ``src/``:
     python3 scripts/bench_snapshot.py
 
 It takes no options, so every BENCH_<n>.json is taken the same way and the
-files stay comparable.  It records two kinds of numbers.  The benchmark's
+files stay comparable.  It records three kinds of numbers.  The benchmark's
 end-to-end metrics come from ``bench/run.py --workload W`` at that script's
-defaults (seed 1, 30 s, no tracing), one run per workload, kept as the JSON
-object each run prints last (its ``setup_s`` tells a reader whether the host
-was in a fast or a slow state).  Wall times come from timing, in fresh
+defaults (seed 1, 30 s, no tracing), one run per workload, kept under
+``bench`` as the JSON object each run prints last (its ``setup_s`` tells a
+reader whether the host was in a fast or a slow state).  Its per-layer
+metrics come from one more run per workload with ``--trace 1`` and the same
+seed and length, kept the same way under ``bench_traced``.  Wall times come
+from timing, in fresh
 interpreters, both ``scripts/reproduce_*.py --quick``, ``hllkit estimate`` on
 a p=16 sketch and the tier-1 test suite; the short commands run three times
 each and every time is kept.  The file goes to the repository root as
@@ -73,13 +76,14 @@ def _timed(label: str, argv: list[str]) -> dict:
     return {"wall_s": times}
 
 
-def bench_workload(name: str) -> dict:
-    _, done = _run([sys.executable, "bench/run.py", "--workload", name])
+def bench_workload(name: str, trace: int = 0) -> dict:
+    argv = ["bench/run.py", "--workload", name, "--trace", str(trace)]
+    _, done = _run([sys.executable, *argv])
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or not lines:
-        sys.exit(f"error: bench/run.py --workload {name} exited {done.returncode}:\n{done.stderr}")
+        sys.exit(f"error: {' '.join(argv)} exited {done.returncode}:\n{done.stderr}")
     result = json.loads(lines[-1])
-    print(f"{name}: {result['metrics']}", flush=True)
+    print(f"{name} (trace {trace}): {result['metrics']}", flush=True)
     return result
 
 
@@ -125,6 +129,7 @@ def main() -> int:
                  "cpus": os.cpu_count(), "machine": platform.machine()},
         "bench_defaults": BENCH_DEFAULTS,
         "bench": {name: bench_workload(name) for name in WORKLOADS},
+        "bench_traced": {name: bench_workload(name, trace=1) for name in WORKLOADS},
     }
     with tempfile.TemporaryDirectory() as tmp:
         sketch = str(Path(tmp) / "p16.hll")

@@ -133,14 +133,23 @@ def _histograms(stat: JointStatistic):
 
 
 def _inclusion_exclusion(stat: JointStatistic, config: SketchConfig) -> JointEstimate:
-    """Inclusion-exclusion from the corrected estimator on both sides and their union."""
+    """Inclusion-exclusion from the corrected estimator on both sides and their
+    union.  Two fully saturated sketches give (0, 0, inf), as the fit does;
+    any other saturated side or union leaves a part unbounded and raises
+    ``DegenerateHistogramError``."""
     m, q = config.m, config.q
-    return _overlap(*(_corrected(h, m, q) for h in _histograms(stat)))
+    if stat.c_equal[q + 1] == m:
+        return JointEstimate(0.0, 0.0, math.inf)
+    est = _overlap(*(_corrected(h, m, q) for h in _histograms(stat)))
+    if not all(map(math.isfinite, (est.a, est.b, est.x))):
+        raise DegenerateHistogramError("saturated")
+    return est
 
 
 def inclusion_exclusion_estimate(s1: Sketch, s2: Sketch) -> JointEstimate:
     """Overlap from three bias-corrected single-sketch estimates; components
-    may be negative."""
+    may be negative.  (0, 0, inf) for two fully saturated sketches, and
+    ``DegenerateHistogramError`` for any other saturated side or union."""
     return _inclusion_exclusion(joint_statistic(s1, s2), s1.config)
 
 
@@ -334,15 +343,12 @@ def _joint_estimates(s1: Sketch, s2: Sketch):
     stat = joint_statistic(s1, s2)
     config = s1.config
     m, q = config.m, config.q
-    ie = _inclusion_exclusion(stat, config)
+    ie = _inclusion_exclusion(stat, config)  # raises if a rate is unbounded
     if stat.c_equal[0] == m:
         return ie, JointEstimate(0.0, 0.0, 0.0)  # both sketches untouched
     if stat.c_equal[q + 1] == m:
-        return ie, JointEstimate(0.0, 0.0, math.inf)  # nothing but saturation
+        return ie, ie  # nothing but saturation: (0, 0, inf)
     lam0 = np.array([ie.a, ie.b, ie.x])
-    if not np.isfinite(lam0).all():
-        # a side or the union fully saturated: an exclusive rate is unbounded
-        raise DegenerateHistogramError("saturated")
     with np.errstate(all="ignore"):
         lam = _maximize(_JointTerms(stat, config), np.maximum(lam0, 1.0))
     return ie, JointEstimate(a=float(lam[0]), b=float(lam[1]), x=float(lam[2]))

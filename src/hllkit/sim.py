@@ -7,10 +7,13 @@ O(q) binomials for any n.  The draw is distributionally exact, which is what
 makes large-cardinality sweeps tractable.  Correctness against brute-force
 hash insertion is enforced by tests and the acceptance suite.
 
-Determinism: every trial derives its own generator from
-``(seed, stream_id, trial_index)`` via ``SeedSequence`` spawn keys, so
-results are bit-identical for a fixed ``RngSeed``.  Trials run serially,
-in index order.
+Determinism: ``RngSeed(seed, stream_id)`` seeds one PCG64 stream from
+``SeedSequence(seed, spawn_key=(stream_id,))``, and trial i draws from that
+stream jumped i times, exactly as ``PCG64.jumped(i)`` places it: at least
+2**63 steps from any other trial's start, so no two trials share a draw,
+and results are bit-identical for a fixed ``RngSeed``.  Trials run serially,
+in index order.  For p <= 16, register indices are the top p bits of
+uniform 16-bit draws, exact for any numpy ``Generator``.
 """
 
 from __future__ import annotations
@@ -36,6 +39,9 @@ from .sketch import Sketch, SketchConfig, level_weights
 
 DEFAULT_QUANTILES = (0.01, 0.05, 0.25, 0.75, 0.95, 0.99)
 MAX_CARDINALITY = 2**63 - 1  # the samplers draw element counts as int64
+# PCG64.jumped's step, (phi - 1) * 2**128; over trial indices below 2**64 no
+# two multiples of it come within 2**63.5 of each other modulo 2**128
+_JUMP = 0x9E3779B97F4A7C15F39CC0605CEDC835
 
 
 def _linear_from_histogram(hist, config):
@@ -51,13 +57,40 @@ SINGLE_ESTIMATORS = {
 }
 
 
+@lru_cache(maxsize=None)
+def _seed_words():
+    """The type of an ``RngSeed``'s seed words: an ``ISeedSequence`` that hands
+    ``PCG64`` the four uint64 words it asks for, made once.  It is built on
+    first use because numpy loads ``numpy.random`` lazily, and ``import
+    hllkit`` should not pay for that."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        def __init__(self, seed: int, stream_id: int):
+            seq = np.random.SeedSequence(seed, spawn_key=(stream_id,))
+            self.words = seq.generate_state(4, np.uint64)
+            self.words.flags.writeable = False
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words  # PCG64 reads 4 uint64 words, its only request
+
+    return SeedWords
+
+
 @dataclass(frozen=True)
 class RngSeed:
     """Root of a reproducible random stream.
 
-    ``stream_id`` separates independent experiments run from the same seed;
-    per-trial substreams are derived from it, never from generator state, so
-    identical ``(seed, stream_id)`` give bit-identical results.
+    ``(seed, stream_id)`` seeds one PCG64 stream from
+    ``SeedSequence(seed, spawn_key=(stream_id,))``; ``stream_id`` separates
+    independent experiments run from the same seed.  Trial i draws from the
+    stream jumped i times (``PCG64.jumped(i)``: i * (phi - 1) * 2**128 steps
+    on, modulo the period), so the starts of trials 0 .. 2**64 - 1 lie at
+    least 2**63 steps apart and identical ``(seed, stream_id)`` give
+    bit-identical results.  The seed words are made once per ``RngSeed``.
+    A stride of 2**64 is not used: the low 64 bits of PCG64's state repeat
+    with period 2**64, so trials that far apart share them step for step,
+    and their draws are visibly correlated.
     """
 
     seed: int
@@ -66,13 +99,18 @@ class RngSeed:
     def __post_init__(self):
         for name in ("seed", "stream_id"):
             object.__setattr__(self, name, integer(getattr(self, name), name, 0))
+        object.__setattr__(self, "_words", _seed_words()(self.seed, self.stream_id))
+
+    def __reduce__(self):  # the seed words' type is local to _seed_words
+        return RngSeed, (self.seed, self.stream_id)
 
     def generator(self, trial_index: int) -> np.random.Generator:
-        seq = np.random.SeedSequence(
-            entropy=self.seed,
-            spawn_key=(self.stream_id, integer(trial_index, "trial index", 0)),
-        )
-        return np.random.Generator(np.random.PCG64(seq))  # as default_rng(seq)
+        """A fresh generator for trial ``trial_index``, 0 <= index < 2**64."""
+        i = integer(trial_index, "trial index", 0, 2**64 - 1)
+        bits = np.random.PCG64(self._words)
+        if i:
+            bits.advance(i * _JUMP % 2**128)  # as PCG64(...).jumped(i)
+        return np.random.Generator(bits)
 
 
 def _listed(items, what: str) -> list:
@@ -103,6 +141,18 @@ def _level_tables(q: int):
     return level_weights(q)[1:], levels
 
 
+def _throw(gen: np.random.Generator, p: int, size: int) -> np.ndarray:
+    """Indices of ``size`` elements thrown uniformly onto 2**p registers.
+
+    For p <= 16 they are the top p bits of uniform 16-bit draws, which every
+    numpy ``Generator`` makes exactly and for about 60% of what a bounded
+    draw costs.
+    """
+    if p <= 16:
+        return gen.integers(0, 2**16, size, dtype=np.uint16) >> (16 - p)
+    return gen.integers(0, 1 << p, size=size)
+
+
 def sample_sketch(
     n: int, config: SketchConfig, gen: np.random.Generator
 ) -> Sketch:
@@ -128,7 +178,7 @@ def sample_sketch(
     pmf, levels = _level_tables(config.q)
     counts = gen.multinomial(n, pmf)[::-1]
     if n <= 2 * m:
-        np.maximum.at(regs, gen.integers(0, m, size=n), np.repeat(levels, counts))
+        np.maximum.at(regs, _throw(gen, config.p, n), np.repeat(levels, counts))
         return sketch
     first, rest, left = [], [], 2 * m  # each level's share of the first 2m
     for c in counts.tolist():
@@ -136,7 +186,7 @@ def sample_sketch(
         first.append(take)
         rest.append(c - take)
         left -= take
-    np.maximum.at(regs, gen.integers(0, m, size=2 * m), np.repeat(levels, first))
+    np.maximum.at(regs, _throw(gen, config.p, 2 * m), np.repeat(levels, first))
     zeros = np.nonzero(regs == 0)[0]
     for level, c in zip(levels.tolist(), rest):
         domain = m

@@ -151,6 +151,24 @@ class TestEstimate:
         assert r.returncode == 4
         assert "degenerate register histogram" in r.stderr
 
+    @pytest.mark.parametrize("estimator", ["incl-excl", "joint-ml"])
+    def test_saturated_side_exits_4_for_both_joint_estimators(self, tmp_path, estimator):
+        # p=4, q=2: every register of one sketch at 3 (saturated), of the other at 1
+        cfg = SketchConfig(p=4, q=2)
+        files = []
+        for name, value in (("sat", 3), ("low", 1)):
+            f = tmp_path / f"{name}.hlls"
+            regs = np.full(cfg.m, value, dtype=np.uint8)
+            f.write_bytes(Sketch.from_registers(cfg, regs).to_bytes())
+            files.append(str(f))
+        r = run_cli(
+            "estimate", "--sketch", files[0], "--sketch2", files[1],
+            "--estimator", estimator,
+        )
+        assert r.returncode == 4
+        assert r.stdout == ""
+        assert "degenerate register histogram (saturated)" in r.stderr
+
     def test_usage_errors_exit_1(self, tmp_path):
         f = tmp_path / "a.hlls"
         write_sketch(f, SketchConfig(p=8, q=16), 100)

@@ -485,7 +485,8 @@ def as_array(est: JointEstimate) -> np.ndarray:
 
 class TestSharedStatistic:
     """The inclusion-exclusion estimate read off one pair statistic equals the
-    corrected estimator on both histograms and the merged one, bit for bit."""
+    corrected estimator on both histograms and the merged one, bit for bit;
+    two fully saturated sketches give the fit's (0, 0, inf) instead."""
 
     @pytest.mark.parametrize(
         "cfg, cards",
@@ -501,12 +502,17 @@ class TestSharedStatistic:
     def test_matches_public_estimators(self, cfg, cards):
         for t in range(20):
             s1, s2 = sample_joint_pair(*cards, cfg, np.random.default_rng(t))
+            sides = (s1.histogram(), s2.histogram(), s1.merge(s2).histogram())
+            sizes = [improved_estimate(h, cfg) for h in sides]
             try:
                 ie, _ = _joint_estimates(s1, s2)
             except HllError:
+                assert math.isinf(sizes[2])  # only a saturated union fails
                 continue  # a failed trial scores neither method
-            sides = (s1.histogram(), s2.histogram(), s1.merge(s2).histogram())
-            want = _overlap(*(improved_estimate(h, cfg) for h in sides))
+            if math.isinf(sizes[0]) and math.isinf(sizes[1]):
+                want = JointEstimate(0.0, 0.0, math.inf)
+            else:
+                want = _overlap(*sizes)
             assert np.array_equal(as_array(ie), as_array(want), equal_nan=True)
 
     def test_saturated_union_is_a_typed_error(self):
@@ -515,10 +521,23 @@ class TestSharedStatistic:
         cfg = SketchConfig(2, 1)
         s1 = Sketch.from_registers(cfg, [2, 2, 0, 0])
         s2 = Sketch.from_registers(cfg, [0, 0, 2, 2])
-        ie = inclusion_exclusion_estimate(s1, s2)
-        assert (ie.a, ie.b, ie.x) == (math.inf, math.inf, -math.inf)
+        with pytest.raises(DegenerateHistogramError):
+            inclusion_exclusion_estimate(s1, s2)
         with pytest.raises(HllError):
             joint_ml_estimate(s1, s2)
+
+    def test_saturation_rule_matches_the_fit(self):
+        # two saturated sketches give (0, 0, inf) from both methods; one
+        # saturated side against a finite one is a typed error from both
+        cfg = SketchConfig(4, 2)
+        sat = Sketch.from_registers(cfg, np.full(cfg.m, 3, dtype=np.uint8))
+        low = Sketch.from_registers(cfg, np.full(cfg.m, 1, dtype=np.uint8))
+        for fn in (inclusion_exclusion_estimate, joint_ml_estimate):
+            est = fn(sat, sat)
+            assert (est.a, est.b, est.x) == (0.0, 0.0, math.inf)
+            for pair in ((sat, low), (low, sat)):
+                with pytest.raises(DegenerateHistogramError, match="saturated"):
+                    fn(*pair)
 
     def test_saturated_union_fails_before_the_fit(self):
         # pairs whose union is fully saturated while neither side is: the

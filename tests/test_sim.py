@@ -10,6 +10,7 @@ need no stats dependency.
 
 import itertools
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -25,6 +26,7 @@ from hllkit.sim import (
     RngSeed,
     _level_tables,
     _median_and_quantiles,
+    _throw,
     run_error_experiment,
     run_joint_experiment,
     sample_joint_pair,
@@ -69,15 +71,16 @@ class RecordingGenerator:
         return call
 
 
-def hit_registers(index_draws, m):
+def hit_registers(index_draws, p):
     """Registers the level walk's index draws landed on.
 
-    The first draw indexes all m registers; each later one indexes the zero
-    list, in register order, of the registers no earlier draw had hit.
+    The first draw is of 16-bit values whose top p bits index all 2^p
+    registers; each later one indexes the zero list, in register order, of
+    the registers no earlier draw had hit.
     """
     first, *later = index_draws
-    hit = np.zeros(m, dtype=bool)
-    hit[first] = True
+    hit = np.zeros(1 << p, dtype=bool)
+    hit[first >> (16 - p)] = True
     for positions in later:
         hit[np.nonzero(~hit)[0][positions]] = True
     return hit
@@ -158,12 +161,69 @@ class TestRngSeed:
         a = RngSeed(np.int64(3), stream_id=np.uint8(2)).generator(5).random()
         assert a == RngSeed(3, stream_id=2).generator(5).random()
 
+    @pytest.mark.parametrize("i", [0, 1, 2**64 - 1])
+    def test_trial_is_the_stream_jumped_trial_index_times(self, i):
+        seq = np.random.SeedSequence(31, spawn_key=(4,))
+        want = np.random.PCG64(seq).jumped(i)
+        got = RngSeed(31, stream_id=4).generator(i)
+        assert got.bit_generator.state == want.state
+        assert np.array_equal(
+            got.integers(0, 2**64, 8, dtype=np.uint64), want.random_raw(8)
+        )
+
+    def test_pickles_as_its_seed_and_stream(self):
+        rng = RngSeed(12, stream_id=3)
+        again = pickle.loads(pickle.dumps(rng))
+        assert again == rng
+        assert again.generator(7).random() == rng.generator(7).random()
+
+    def test_generators_are_independent_objects(self):
+        rng = RngSeed(6)
+        a, b = rng.generator(3), rng.generator(3)
+        assert a is not b and a.bit_generator is not b.bit_generator
+        first = a.random(5)
+        assert np.array_equal(b.random(5), first)  # a's draws left b where it was
+        assert np.array_equal(rng.generator(3).random(5), first)
+
+    def test_neighbouring_trials_are_uncorrelated(self):
+        # each bit of the first 64-bit output agrees between trials t and t+1
+        # half the time, within 5 standard errors; trials 2**64 steps apart
+        # share their low state bits and miss this by about 12
+        rng = RngSeed(1)
+        first = np.array(
+            [rng.generator(t).bit_generator.random_raw() for t in range(20_000)],
+            dtype=np.uint64,
+        )
+        bits = np.unpackbits(first.view(np.uint8)).reshape(-1, 64)
+        agree = (bits[1:] == bits[:-1]).mean(axis=0)
+        assert np.abs(agree - 0.5).max() <= 5 * 0.5 / math.sqrt(len(bits) - 1)
+
+
+class TestThrow:
+    BIT_GENERATORS = [np.random.PCG64, np.random.MT19937, np.random.Philox, np.random.SFC64]
+
+    @pytest.mark.parametrize("bits", BIT_GENERATORS, ids=lambda c: c.__name__)
+    @pytest.mark.parametrize("p", [2, 4, 12])
+    def test_uniform_on_the_registers(self, bits, p):
+        m = 1 << p
+        draws = 64 * m
+        idx = _throw(np.random.Generator(bits(p)), p, draws)
+        assert idx.size == draws and idx.min() >= 0 and idx.max() < m
+        counts = np.bincount(idx, minlength=m)
+        assert chi2_stat(counts, np.full(m, draws / m)) < chi2_critical(m - 1)
+
+    def test_above_16_bits_keeps_the_bounded_draw(self):
+        a = _throw(RngSeed(2).generator(0), 17, 100)
+        b = RngSeed(2).generator(0).integers(0, 1 << 17, size=100)
+        assert np.array_equal(a, b)
+
 
 @pytest.mark.parametrize(
     "call",
     [
         lambda: RngSeed(1).generator(-1),
         lambda: RngSeed(1).generator(1.5),
+        lambda: RngSeed(1).generator(2**64),
         lambda: run_error_experiment([5], 3, CFG, ["raw"], RngSeed(1)),
         lambda: run_error_experiment(5, 3, CFG, "raw", RngSeed(1)),
         lambda: run_error_experiment(None, 3, CFG, "raw", RngSeed(1)),
@@ -172,6 +232,7 @@ class TestRngSeed:
     ids=[
         "negative-trial-index",
         "float-trial-index",
+        "trial-index-2**64",
         "unhashable-estimator",
         "int-cardinalities",
         "none-cardinalities",
@@ -372,7 +433,7 @@ class TestSampleSketch:
                 assert index_draws[0].size == min(n, 2 * m)
                 if n <= 2 * m:
                     assert len(index_draws) == 1
-                occupied = hit_registers(index_draws, m)
+                occupied = hit_registers(index_draws, cfg.p)
                 assert np.all(regs[~occupied] == 0)
                 assert np.all((regs[occupied] >= 1) & (regs[occupied] <= q + 1))
                 if n:
