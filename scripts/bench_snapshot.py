@@ -20,8 +20,10 @@ each and every time is kept.  The file goes to the repository root as
 ``BENCH_<n>.json`` with the smallest n not yet taken.  It names the measured
 code by HEAD and by the git tree ids of ``bench/``, ``scripts/`` and ``src/``
 as they stood, uncommitted edits to tracked files included: a commit holds
-that code when ``git rev-parse <commit>:src`` gives the same id.  This script uses the standard library only and copies nothing out of
-``bench/``.
+that code when ``git rev-parse <commit>:src`` gives the same id.  It records
+the size of that code under ``src_lines``: the line count of each
+``src/hllkit/*.py``, as ``wc -l`` counts them, and their total.  This script
+uses the standard library only and copies nothing out of ``bench/``.
 """
 
 from __future__ import annotations
@@ -112,6 +114,13 @@ def _revision() -> dict:
     return {"commit": head.stdout.strip(), "trees": trees}
 
 
+def _src_lines() -> dict:
+    """Newlines in each src/hllkit/*.py, as ``wc -l`` counts them, and their total."""
+    files = {p.name: p.read_bytes().count(b"\n")
+             for p in sorted((ROOT / "src" / "hllkit").glob("*.py"))}
+    return {"files": files, "total": sum(files.values())}
+
+
 def _next_path() -> Path:
     n = 1
     while (ROOT / f"BENCH_{n}.json").exists():
@@ -125,6 +134,7 @@ def main() -> int:
     out = _next_path()
     snapshot = {
         **_revision(),
+        "src_lines": _src_lines(),
         "host": {"python": platform.python_version(), "numpy": _numpy_version(),
                  "cpus": os.cpu_count(), "machine": platform.machine()},
         "bench_defaults": BENCH_DEFAULTS,

@@ -77,8 +77,6 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fmt(value) -> str:
-    if isinstance(value, int):
-        return str(value)
     # repr of a builtin float is the shortest round-trip form
     return repr(float(value))
 

@@ -51,7 +51,6 @@ from .sketch import RegisterHistogram, Sketch, SketchConfig, level_weights
 
 JOINT_MAX_ITERATIONS = 500
 MAX_LOG_STEP = 4.0  # largest step in a log-rate: a factor e**4 in the rate
-_PAIR_BLOCK = 8192  # registers per bincount in joint_statistic (64 KB of indices)
 # Rates each strict-order count group depends on: a+x, b+x, a, b.
 _INCIDENCE = np.array([[1, 0, 1], [0, 1, 1], [1, 0, 0], [0, 1, 0]], dtype=float)
 
@@ -91,20 +90,17 @@ class JointEstimate:
 
 
 def joint_statistic(s1: Sketch, s2: Sketch) -> JointStatistic:
-    """Counts of register pairs, binned by value and order relation."""
+    """Counts of register pairs, binned by value and order relation, from one
+    ``bincount`` over all pairs (a temporary of 10 bytes per register)."""
     if s1.config != s2.config:
         raise ConfigMismatchError(f"cannot pair {s1.config} with {s2.config}")
     bins = s1.config.q + 2
     r1, r2 = s1.registers, s2.registers
-    # table[i, j]: pairs with sketch-1 value i and sketch-2 value j, counted a
-    # block at a time so the index array bincount needs stays small; an index
+    # table[i, j]: pairs with sketch-1 value i and sketch-2 value j; an index
     # is below bins**2 <= 4096, so it is formed in uint16
-    table = np.zeros(bins * bins, dtype=np.int64)
-    for start in range(0, r1.size, _PAIR_BLOCK):
-        pairs = r1[start : start + _PAIR_BLOCK] * np.uint16(bins)
-        pairs += r2[start : start + _PAIR_BLOCK]
-        table += np.bincount(pairs, minlength=bins * bins)
-    table = table.reshape(bins, bins)
+    pairs = r1 * np.uint16(bins)
+    pairs += r2
+    table = np.bincount(pairs, minlength=bins * bins).reshape(bins, bins)
     # running sums along a row up to its diagonal count the pairs where
     # sketch 1 is at least its partner; down a column, where sketch 2 is
     rows, cols = table.cumsum(axis=1), table.cumsum(axis=0)
@@ -339,15 +335,14 @@ def joint_ml_estimate(s1: Sketch, s2: Sketch) -> JointEstimate:
 
 def _joint_estimates(s1: Sketch, s2: Sketch):
     """Inclusion-exclusion and joint-ML estimates from one paired statistic;
-    the inclusion-exclusion estimate is also the fit's start point."""
+    the inclusion-exclusion estimate is the fit's start point, and the answer
+    of both for a pair that is all zero or all saturated."""
     stat = joint_statistic(s1, s2)
     config = s1.config
     m, q = config.m, config.q
     ie = _inclusion_exclusion(stat, config)  # raises if a rate is unbounded
-    if stat.c_equal[0] == m:
-        return ie, JointEstimate(0.0, 0.0, 0.0)  # both sketches untouched
-    if stat.c_equal[q + 1] == m:
-        return ie, ie  # nothing but saturation: (0, 0, inf)
+    if stat.c_equal[0] == m or stat.c_equal[q + 1] == m:
+        return ie, ie  # both untouched (0, 0, 0) or both saturated (0, 0, inf)
     lam0 = np.array([ie.a, ie.b, ie.x])
     with np.errstate(all="ignore"):
         lam = _maximize(_JointTerms(stat, config), np.maximum(lam0, 1.0))

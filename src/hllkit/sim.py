@@ -18,7 +18,7 @@ uniform 16-bit draws, exact for any numpy ``Generator``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -29,7 +29,6 @@ from .improved import improved_estimate
 # inclusion_exclusion_estimate and joint_ml_estimate are not called here, but
 # bench/tracing.py wraps them under these module-level names
 from .joint import (  # noqa: F401
-    JointEstimate,
     _joint_estimates,
     inclusion_exclusion_estimate,
     joint_ml_estimate,
@@ -59,20 +58,24 @@ SINGLE_ESTIMATORS = {
 
 @lru_cache(maxsize=None)
 def _seed_words():
-    """The type of an ``RngSeed``'s seed words: an ``ISeedSequence`` that hands
-    ``PCG64`` the four uint64 words it asks for, made once.  It is built on
-    first use because numpy loads ``numpy.random`` lazily, and ``import
-    hllkit`` should not pay for that."""
-    from numpy.random.bit_generator import ISeedSequence
+    """The type of an ``RngSeed``'s seed words: an ``ISpawnableSeedSequence``
+    that hands ``PCG64`` the four uint64 words of its ``SeedSequence``, made
+    once, and spawns from that ``SeedSequence``.  It is built on first use
+    because numpy loads ``numpy.random`` lazily, and ``import hllkit`` should
+    not pay for that."""
+    from numpy.random.bit_generator import ISpawnableSeedSequence
 
-    class SeedWords(ISeedSequence):
+    class SeedWords(ISpawnableSeedSequence):
         def __init__(self, seed: int, stream_id: int):
-            seq = np.random.SeedSequence(seed, spawn_key=(stream_id,))
-            self.words = seq.generate_state(4, np.uint64)
+            self.seq = np.random.SeedSequence(seed, spawn_key=(stream_id,))
+            self.words = self.seq.generate_state(4, np.uint64)
             self.words.flags.writeable = False
 
         def generate_state(self, n_words, dtype=np.uint32):
             return self.words  # PCG64 reads 4 uint64 words, its only request
+
+        def spawn(self, n_children):
+            return self.seq.spawn(n_children)
 
     return SeedWords
 
@@ -88,6 +91,8 @@ class RngSeed:
     on, modulo the period), so the starts of trials 0 .. 2**64 - 1 lie at
     least 2**63 steps apart and identical ``(seed, stream_id)`` give
     bit-identical results.  The seed words are made once per ``RngSeed``.
+    ``generator(i).spawn(n)`` hands out the next n children of that one
+    ``SeedSequence``, shared by all trials of the ``RngSeed``.
     A stride of 2**64 is not used: the low 64 bits of PCG64's state repeat
     with period 2**64, so trials that far apart share them step for step,
     and their draws are visibly correlated.
@@ -229,8 +234,8 @@ class ErrorReport:
     median_rel_err: float
     stddev_rel_err: float
     rmse_rel: float
-    quantiles: tuple = field(default_factory=tuple)
-    failures: int = 0
+    quantiles: tuple
+    failures: int
 
 
 @dataclass(frozen=True)
@@ -250,7 +255,7 @@ class JointErrorRow:
     rmse_ie: tuple
     rmse_ml: tuple
     improvement: tuple
-    failures: int = 0
+    failures: int
 
 
 def _resolve_estimator(selector):
@@ -290,24 +295,37 @@ def _median_and_quantiles(arr, quantiles):
     return median, np.where(gamma >= 0.5, b - diff * (1 - gamma), a + diff * gamma)
 
 
-def _summarize(errors, n, trials, failures):
-    if not errors:
+def _relative_errors(estimates, truth):
+    """(estimate - truth) / truth per trial, the plain difference where the
+    truth is 0; ``truth``, one trial's, is float64 so a union above 2**63 works."""
+    err = np.reshape(np.asarray(estimates, float), (-1, *np.shape(truth))) - truth
+    return np.divide(err, truth, out=err, where=truth > 0)
+
+
+def _rmse(errors):
+    """Root mean square over the trials (axis 0) as np.mean; nan for no trial."""
+    with np.errstate(invalid="ignore"):  # 0 / 0 trials is the nan reported
+        return np.sqrt(np.add.reduce(errors * errors, axis=0) / len(errors))
+
+
+def _summarize(errors, n, trials):
+    failures = trials - errors.size
+    if not errors.size:
         nan = float("nan")
         qs = tuple((p, nan) for p in DEFAULT_QUANTILES)
         return ErrorReport(n, trials, nan, nan, nan, nan, qs, failures)
-    arr = np.asarray(errors)
     # infinite errors (a saturated sketch) give nan spreads and quantiles
     # between infinities: that is the reported value, not a warning
     with np.errstate(invalid="ignore"):
-        stddev = float(np.std(arr, ddof=1)) if arr.size > 1 else 0.0
-        median, qvals = _median_and_quantiles(arr, DEFAULT_QUANTILES)
+        stddev = float(np.std(errors, ddof=1)) if errors.size > 1 else 0.0
+        median, qvals = _median_and_quantiles(errors, DEFAULT_QUANTILES)
     return ErrorReport(
         cardinality=n,
         trials=trials,
-        mean_rel_err=float(arr.mean()),
+        mean_rel_err=float(errors.mean()),
         median_rel_err=float(median),
         stddev_rel_err=stddev,
-        rmse_rel=float(np.sqrt(np.mean(arr * arr))),
+        rmse_rel=float(_rmse(errors)),
         quantiles=tuple((p, float(v)) for p, v in zip(DEFAULT_QUANTILES, qvals)),
         failures=failures,
     )
@@ -335,23 +353,15 @@ def run_error_experiment(
     ]
     reports = []
     for ci, n in enumerate(cards):
-        errors = []
+        estimates = []
         for t in range(trials):
             sketch = sample_sketch(n, config, rng.generator(ci * trials + t))
             try:
-                est = fn(sketch.histogram(), config)
+                estimates.append(fn(sketch.histogram(), config))
             except HllError:
                 continue
-            errors.append((est - n) / n if n > 0 else est)
-        reports.append(_summarize(errors, n, trials, trials - len(errors)))
+        reports.append(_summarize(_relative_errors(estimates, float(n)), n, trials))
     return reports
-
-
-def _joint_errors(est: JointEstimate, truth):
-    out = []
-    for got, want in zip((est.a, est.b, est.x, est.union), truth):
-        out.append((got - want) / want if want > 0 else got - want)
-    return out
 
 
 def run_joint_experiment(
@@ -367,8 +377,8 @@ def run_joint_experiment(
     ]
     rows = []
     for gi, (card_a, card_b, card_x) in enumerate(configurations):
-        truth = (card_a, card_b, card_x, card_a + card_b + card_x)
-        kept = []
+        truth = np.array([card_a, card_b, card_x, card_a + card_b + card_x], float)
+        ie_parts, ml_parts = [], []
         for t in range(trials):
             gen = rng.generator(gi * trials + t)
             s1, s2 = sample_joint_pair(card_a, card_b, card_x, config, gen)
@@ -376,26 +386,13 @@ def run_joint_experiment(
                 ie, ml = _joint_estimates(s1, s2)
             except HllError:
                 continue
-            kept.append((_joint_errors(ie, truth), _joint_errors(ml, truth)))
-        if kept:
-            ie_err = np.asarray([o[0] for o in kept])
-            ml_err = np.asarray([o[1] for o in kept])
-            rmse_ie = np.sqrt(np.mean(ie_err * ie_err, axis=0))
-            rmse_ml = np.sqrt(np.mean(ml_err * ml_err, axis=0))
-            with np.errstate(divide="ignore", invalid="ignore"):
-                impr = rmse_ie / rmse_ml
-        else:
-            rmse_ie = rmse_ml = impr = np.full(4, np.nan)
-        rows.append(
-            JointErrorRow(
-                card_a=card_a,
-                card_b=card_b,
-                card_x=card_x,
-                trials=trials,
-                rmse_ie=tuple(float(v) for v in rmse_ie),
-                rmse_ml=tuple(float(v) for v in rmse_ml),
-                improvement=tuple(float(v) for v in impr),
-                failures=trials - len(kept),
-            )
-        )
+            ie_parts.append((ie.a, ie.b, ie.x, ie.union))
+            ml_parts.append((ml.a, ml.b, ml.x, ml.union))
+        rmse_ie = _rmse(_relative_errors(ie_parts, truth))
+        rmse_ml = _rmse(_relative_errors(ml_parts, truth))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            impr = rmse_ie / rmse_ml
+        stats = (tuple(v.tolist()) for v in (rmse_ie, rmse_ml, impr))
+        failures = trials - len(ie_parts)
+        rows.append(JointErrorRow(card_a, card_b, card_x, trials, *stats, failures))
     return rows

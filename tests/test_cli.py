@@ -515,6 +515,33 @@ class TestJointSimulate:
         assert r.returncode == 0, r.stderr
         assert len(r.stdout.strip().splitlines()) == 2
 
+    def test_every_trial_failing_gives_a_nan_row(self, capsys):
+        # at p=4, q=1 only sketch 1 saturates, so inclusion-exclusion raises
+        # in every trial and no error is left to score
+        rc = main([
+            "joint-simulate", "--p", "4", "--q", "1", "--configs", "1000000,0,0",
+            "--trials", "3", "--seed", "1",
+        ])
+        out, err = capsys.readouterr()
+        assert rc == 0 and err == ""
+        assert out == JOINT_HEADER + "\n1000000,0,0,3," + "nan," * 12 + "3\n"
+
+    def test_union_above_int64_is_scored(self, capsys):
+        # the first union is 3 * (2**63 - 1); both methods give (0, 0, inf)
+        # there, and the second triple saturates sketch 1 alone
+        top = "9223372036854775807"
+        rc = main([
+            "joint-simulate", "--p", "4", "--q", "2",
+            "--configs", f"{top},{top},{top};{top},0,5", "--trials", "2", "--seed", "1",
+        ])
+        out, err = capsys.readouterr()
+        assert rc == 0 and err == ""
+        assert out == (
+            JOINT_HEADER
+            + f"\n{top},{top},{top},2,1.0,1.0,inf,inf,1.0,1.0,inf,inf,1.0,1.0,nan,nan,0"
+            + f"\n{top},0,5,2," + "nan," * 12 + "2\n"
+        )
+
 
 SIMULATION_ARGS = {
     "simulate": [

@@ -114,7 +114,8 @@ class TestJointStatistic:
         assert stat.c1_less[CFG.q + 1] == 0 and stat.c2_less[CFG.q + 1] == 0
         assert stat.c1_greater[0] == 0 and stat.c2_greater[0] == 0
 
-    # (14, q) has m = 16384, two _PAIR_BLOCKs; (2, 62) is the largest q
+    # (14, q) has m = 16384; (2, 62) is the largest q, whose 64**2 pair
+    # indices are the most the uint16 bincount input holds here
     @given(pq=st.integers(2, 15).flatmap(
                lambda p: st.tuples(st.just(p), st.integers(0, 64 - p))),
            share=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))

@@ -185,6 +185,14 @@ class TestRngSeed:
         assert np.array_equal(b.random(5), first)  # a's draws left b where it was
         assert np.array_equal(rng.generator(3).random(5), first)
 
+    def test_trial_generator_spawns_children_of_the_stream_seed(self):
+        children = RngSeed(8, stream_id=2).generator(3).spawn(2)
+        seqs = np.random.SeedSequence(8, spawn_key=(2,)).spawn(2)
+        draws = [g.integers(0, 2**64, 8, dtype=np.uint64) for g in children]
+        for got, seq in zip(draws, seqs):
+            assert np.array_equal(got, np.random.PCG64(seq).random_raw(8))
+        assert not np.array_equal(*draws)
+
     def test_neighbouring_trials_are_uncorrelated(self):
         # each bit of the first 64-bit output agrees between trials t and t+1
         # half the time, within 5 standard errors; trials 2**64 steps apart
