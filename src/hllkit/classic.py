@@ -26,7 +26,7 @@ from .errors import (
     integer,
     real,
 )
-from .sketch import RegisterHistogram, SketchConfig, pow2_weights
+from .sketch import RegisterHistogram, SketchConfig, weighted_sum
 
 ALPHA_INF = 1.0 / (2.0 * math.log(2.0))
 _HASH_SPACE = 2.0**32  # the composite method's 32 relevant hash bits
@@ -36,8 +36,7 @@ def raw_estimate(h: RegisterHistogram, config: SketchConfig) -> float:
     """Harmonic-mean estimate alpha_inf * m^2 / sum_{k=0}^{q+1} C_k 2^-k."""
     h.check(config)
     m = config.m
-    denom = float(h.counts @ pow2_weights(config.q))
-    return ALPHA_INF * m * m / denom
+    return ALPHA_INF * m * m / weighted_sum(h.counts, 0, config.q + 2)
 
 
 def linear_counting_estimate(c0: int, m: int) -> float:

@@ -29,7 +29,7 @@ import numpy as np
 
 from .classic import ALPHA_INF
 from .errors import DomainError, real
-from .sketch import RegisterHistogram, SketchConfig, pow2_weights
+from .sketch import RegisterHistogram, SketchConfig, weighted_sum
 
 LN2 = math.log(2.0)
 
@@ -132,7 +132,7 @@ def _corrected(counts, m: int, q: int) -> float:
     if counts[q + 1] == m:
         return math.inf
     low = m * sigma(counts[0] / m)
-    mid = float(counts[1:-1] @ pow2_weights(q)[1:-1])
+    mid = weighted_sum(counts, 1, q + 1)
     high = m * tau(1.0 - counts[q + 1] / m) * 2.0**-q
     return ALPHA_INF * m * m / (low + mid + high)
 

@@ -47,7 +47,7 @@ from .errors import (
 # this module-level name
 from .improved import _corrected, improved_estimate  # noqa: F401
 from .ml import EPSILON
-from .sketch import RegisterHistogram, Sketch, SketchConfig, level_weights
+from .sketch import RegisterHistogram, Sketch, SketchConfig, level_weights, weighted_sum
 
 JOINT_MAX_ITERATIONS = 500
 MAX_LOG_STEP = 4.0  # largest step in a log-rate: a factor e**4 in the rate
@@ -120,23 +120,24 @@ def _overlap(n1: float, n2: float, nu: float) -> JointEstimate:
 
 
 def _histograms(stat: JointStatistic):
-    """Histograms of sketch 1, sketch 2 and their union (the larger of a pair)."""
+    """Histograms of sketch 1, sketch 2, their union and their pair minimum."""
     return (
         stat.c1_less + stat.c_equal + stat.c1_greater,
         stat.c2_less + stat.c_equal + stat.c2_greater,
         stat.c1_greater + stat.c_equal + stat.c2_greater,
+        stat.c1_less + stat.c_equal + stat.c2_less,
     )
 
 
-def _inclusion_exclusion(stat: JointStatistic, config: SketchConfig) -> JointEstimate:
+def _inclusion_exclusion(hists, config: SketchConfig) -> JointEstimate:
     """Inclusion-exclusion from the corrected estimator on both sides and their
-    union.  Two fully saturated sketches give (0, 0, inf), as the fit does;
-    any other saturated side or union leaves a part unbounded and raises
-    ``DegenerateHistogramError``."""
+    union, given the ``_histograms`` of a pair.  Two fully saturated sketches
+    give (0, 0, inf), as the fit does; any other saturated side or union
+    leaves a part unbounded and raises ``DegenerateHistogramError``."""
     m, q = config.m, config.q
-    if stat.c_equal[q + 1] == m:
+    if hists[3][q + 1] == m:  # the smaller of every pair is saturated
         return JointEstimate(0.0, 0.0, math.inf)
-    est = _overlap(*(_corrected(h, m, q) for h in _histograms(stat)))
+    est = _overlap(*(_corrected(h, m, q) for h in hists[:3]))
     if not all(map(math.isfinite, (est.a, est.b, est.x))):
         raise DegenerateHistogramError("saturated")
     return est
@@ -146,7 +147,7 @@ def inclusion_exclusion_estimate(s1: Sketch, s2: Sketch) -> JointEstimate:
     """Overlap from three bias-corrected single-sketch estimates; components
     may be negative.  (0, 0, inf) for two fully saturated sketches, and
     ``DegenerateHistogramError`` for any other saturated side or union."""
-    return _inclusion_exclusion(joint_statistic(s1, s2), s1.config)
+    return _inclusion_exclusion(_histograms(joint_statistic(s1, s2)), s1.config)
 
 
 class _JointTerms:
@@ -155,12 +156,12 @@ class _JointTerms:
     Strict-order counts ``c`` sit on rows of the 0/1 matrix ``inc`` that pick
     the rates their value depends on, with scales ``s``; equal-pair counts
     and scales are ``eq_c``/``eq_s``; ``w`` holds the linear weights
-    (1/m) sum_{k<=q} counts_k 2^-k of the three rates.
+    (1/m) sum_{k<=q} counts_k 2^-k of the three rates, over ``hists``.
     """
 
     __slots__ = ("inc", "c", "s", "cs", "cs2", "eq_c", "eq_s", "eq_cs", "w")
 
-    def __init__(self, stat: JointStatistic, config: SketchConfig):
+    def __init__(self, stat: JointStatistic, hists, config: SketchConfig):
         q = config.q
         scale = level_weights(q) / config.m  # 1/(m 2^min(k,q)) for k = 0..q+1
         strict = np.array(
@@ -179,9 +180,8 @@ class _JointTerms:
         self.eq_c = stat.c_equal[ks].astype(float)
         self.eq_s = scale[ks]
         self.eq_cs = self.eq_c * self.eq_s
-        h1, h2, _ = _histograms(stat)
-        h_min = stat.c1_less + stat.c_equal + stat.c2_less  # the smaller of a pair
-        self.w = np.array([h[: q + 1] @ scale[: q + 1] for h in (h1, h2, h_min)])
+        h1, h2, _, h_min = hists
+        self.w = np.array([weighted_sum(h, 0, q + 1) for h in (h1, h2, h_min)]) / config.m
 
     def evaluate(self, lam: np.ndarray):
         """Log-likelihood at rates ``lam``, and its gradient and Hessian in
@@ -301,17 +301,22 @@ def _maximize(terms: _JointTerms, lam0) -> np.ndarray:
 
 def _evaluate(est: JointEstimate, stat: JointStatistic, config: SketchConfig):
     """``_JointTerms.evaluate`` at ``est``; DomainError unless the rates are
-    positive and finite floats, RangeError unless ``stat`` pairs two sketches
+    positive and finite floats, RangeError unless each of the five count
+    arrays of ``stat`` is a histogram of q+2 bins and they pair two sketches
     of ``config``."""
     lam = real([est.a, est.b, est.x], "a rate")
     if not (np.isfinite(lam).all() and (lam > 0).all()):
         raise DomainError(
             f"rates ({est.a}, {est.b}, {est.x}) must all be positive and finite"
         )
-    for h in _histograms(stat)[:2]:
+    stat = JointStatistic(
+        *(RegisterHistogram(c).check_bins(config).counts for c in vars(stat).values())
+    )
+    hists = _histograms(stat)
+    for h in hists:
         RegisterHistogram(h).check(config)
     with np.errstate(all="ignore"):
-        return _JointTerms(stat, config).evaluate(lam)
+        return _JointTerms(stat, hists, config).evaluate(lam)
 
 
 def joint_log_likelihood(
@@ -340,10 +345,11 @@ def _joint_estimates(s1: Sketch, s2: Sketch):
     stat = joint_statistic(s1, s2)
     config = s1.config
     m, q = config.m, config.q
-    ie = _inclusion_exclusion(stat, config)  # raises if a rate is unbounded
+    hists = _histograms(stat)
+    ie = _inclusion_exclusion(hists, config)  # raises if a rate is unbounded
     if stat.c_equal[0] == m or stat.c_equal[q + 1] == m:
         return ie, ie  # both untouched (0, 0, 0) or both saturated (0, 0, inf)
     lam0 = np.array([ie.a, ie.b, ie.x])
     with np.errstate(all="ignore"):
-        lam = _maximize(_JointTerms(stat, config), np.maximum(lam0, 1.0))
+        lam = _maximize(_JointTerms(stat, hists, config), np.maximum(lam0, 1.0))
     return ie, JointEstimate(a=float(lam[0]), b=float(lam[1]), x=float(lam[2]))

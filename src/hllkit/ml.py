@@ -35,7 +35,7 @@ from .errors import (
     RangeError,
     real,
 )
-from .sketch import RegisterHistogram, SketchConfig, level_weights
+from .sketch import RegisterHistogram, SketchConfig, level_weights, weighted_sum
 
 
 EPSILON = 1e-2
@@ -84,13 +84,11 @@ def _weights(h: RegisterHistogram, config: SketchConfig):
     rate scales (never rising with the level), and the linear weight."""
     q = config.q
     counts = h.counts
-    levels = level_weights(q)
     ks = np.nonzero(counts[1:])[0] + 1  # value levels 1..q+1 with C_k > 0
     c = counts[ks].astype(float)
-    scale = levels[ks] / config.m  # 1/(m 2^min(k,q))
+    scale = level_weights(q)[ks] / config.m  # 1/(m 2^min(k,q))
     # linear term weight: sum_{k=0}^q C_k 2^-k
-    w = float(counts[: q + 1] @ levels[: q + 1])
-    return c, scale, w
+    return c, scale, weighted_sum(counts, 0, q + 1)
 
 
 def _root_function(h: RegisterHistogram, config: SketchConfig):
@@ -124,14 +122,13 @@ def _bracket(h: RegisterHistogram, config: SketchConfig) -> tuple[float, float]:
     """The bounds of ``ml_bracket`` for a histogram already checked against
     ``config``."""
     m, q = config.m, config.q
-    counts = h.counts
     c0 = h.c0
     if c0 == m:
         raise DegenerateHistogramError("zero")
     if h.saturated == m:
         raise DegenerateHistogramError("saturated")
-    mid = float(counts[1 : q + 1] @ level_weights(q)[1 : q + 1])
-    sat_w = float(counts[q + 1]) * 2.0 ** -(q + 1)
+    mid = weighted_sum(h.counts, 1, q + 1)
+    sat_w = h.saturated * 2.0 ** -(q + 1)
     lower = m * (m - c0) / (c0 + 1.5 * mid + sat_w)
     upper = m * (m - c0) / (c0 + mid)
     return lower, upper

@@ -34,9 +34,10 @@ _POW2 = np.exp2(-np.arange(HASH_BITS + 1, dtype=float))
 _POW2.flags.writeable = False
 
 
-def pow2_weights(q: int) -> np.ndarray:
-    """Read-only 2^-k for every register value k = 0..q+1."""
-    return _POW2[: q + 2]
+def weighted_sum(counts, lo: int, hi: int) -> float:
+    """sum_{k=lo}^{hi-1} counts[k] 2^-k as one dot; numpy's dot does not add
+    left to right, so a sum of the dots of parts can differ in its last bits."""
+    return float(counts[lo:hi] @ _POW2[lo:hi])
 
 
 @lru_cache(maxsize=None)  # q <= 62, so at most 63 tables
@@ -112,13 +113,17 @@ class RegisterHistogram:
     def total(self) -> int:
         return int(self.counts.sum())
 
-    def check(self, config: SketchConfig) -> "RegisterHistogram":
-        """Validate this histogram against a configuration (shape and mass)."""
+    def check_bins(self, config: SketchConfig) -> "RegisterHistogram":
+        """Validate this histogram's shape against a configuration: q+2 bins."""
         if self.counts.size != config.q + 2:
             raise RangeError(
                 f"histogram has {self.counts.size} bins, config wants {config.q + 2}"
             )
-        if self.total() != config.m:
+        return self
+
+    def check(self, config: SketchConfig) -> "RegisterHistogram":
+        """Validate this histogram against a configuration (shape and mass)."""
+        if self.check_bins(config).total() != config.m:
             raise RangeError(f"histogram mass {self.total()} != m={config.m}")
         return self
 

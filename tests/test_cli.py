@@ -2,10 +2,11 @@
 
 Covers the exit-code contract (0 success, 1 usage, 2 unreadable file,
 3 config mismatch, 4 estimator domain failure), output formats, seed
-determinism across runs and thread counts, and golden files pinning the
-CSV schemas.
+determinism across runs and thread counts, golden files pinning the CSV
+schemas, and the sha256 of both ``scripts/reproduce_*.py --quick`` CSVs.
 """
 
+import hashlib
 import subprocess
 import sys
 import tracemalloc
@@ -21,6 +22,7 @@ from hllkit.errors import HllError
 from hllkit.sim import SINGLE_ESTIMATORS
 
 DATA = Path(__file__).parent / "data"
+SCRIPTS = Path(__file__).parent.parent / "scripts"
 
 SIMULATE_HEADER = (
     "estimator,p,q,cardinality,trials,mean_rel_err,median_rel_err,"
@@ -634,3 +636,18 @@ class TestGoldenFiles:
         )
         assert r.returncode == 0
         assert r.stdout == golden
+
+    @pytest.mark.parametrize("script, want", [
+        ("reproduce_error_curves.py",
+         "0e4b1deedc91e6647fecff9c7b16470f6d38cc4e137767e46636941b5dca3e33"),
+        ("reproduce_joint_table.py",
+         "a8edd14c89e1c7f481994b6753a02ad2447b27ce8a3a302c28973d1d5e76b939"),
+    ], ids=["error-curves", "joint-table"])
+    def test_quick_reproduction_pinned(self, script, want, tmp_path):
+        out = tmp_path / "quick.csv"
+        r = subprocess.run(
+            [sys.executable, str(SCRIPTS / script), "--quick", "--out", str(out)],
+            capture_output=True, text=True, timeout=300,
+        )
+        assert r.returncode == 0, r.stderr
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == want

@@ -5,6 +5,7 @@ independent oracle; optimizer quality is checked against likelihood
 monotonicity, stationarity, and small Monte-Carlo runs with known overlap.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -28,6 +29,7 @@ from hllkit.joint import (
     JointEstimate,
     JointStatistic,
     _joint_estimates,
+    _histograms,
     _JointTerms,
     _overlap,
     inclusion_exclusion_estimate,
@@ -214,6 +216,39 @@ class TestJointLikelihood:
         with pytest.raises(RangeError):
             fn(JointEstimate(300.0, 400.0, 200.0), stat, config)
 
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(JointStatistic)])
+    @pytest.mark.parametrize("fn", [joint_log_likelihood, joint_gradient])
+    def test_field_one_bin_short_rejected(self, field, fn):
+        # a field one bin short raised numpy's broadcast ValueError
+        stat = joint_statistic(*overlapping_pair(np.random.default_rng(4), CFG, 300, 400, 200))
+        bad = dataclasses.replace(stat, **{field: getattr(stat, field)[:-1]})
+        with pytest.raises(RangeError, match="bins"):
+            fn(JointEstimate(300.0, 400.0, 200.0), bad, CFG)
+
+    @pytest.mark.parametrize("fn", [joint_log_likelihood, joint_gradient])
+    def test_negative_count_rejected(self, fn):
+        # c1_less[2] = -1, balanced in c1_greater so that sketch 1 keeps its
+        # mass, gave a log-likelihood
+        stat = joint_statistic(*overlapping_pair(np.random.default_rng(4), CFG, 300, 400, 200))
+        less, greater = stat.c1_less.copy(), stat.c1_greater.copy()
+        greater[2] += less[2] + 1
+        less[2] = -1
+        bad = dataclasses.replace(stat, c1_less=less, c1_greater=greater)
+        with pytest.raises(RangeError, match="non-negative"):
+            fn(JointEstimate(300.0, 400.0, 200.0), bad, CFG)
+
+    @pytest.mark.parametrize("fn", [joint_log_likelihood, joint_gradient])
+    def test_fractional_counts_rejected(self, fn):
+        # +0.5 and -0.5 that cancel in sketch 1's histogram gave a value
+        stat = joint_statistic(*overlapping_pair(np.random.default_rng(4), CFG, 300, 400, 200))
+        less, greater = stat.c1_less.astype(float), stat.c1_greater.astype(float)
+        k = np.nonzero(greater)[0][0]
+        less[k] += 0.5
+        greater[k] -= 0.5
+        bad = dataclasses.replace(stat, c1_less=less, c1_greater=greater)
+        with pytest.raises(RangeError, match="integers"):
+            fn(JointEstimate(300.0, 400.0, 200.0), bad, CFG)
+
     def test_role_swap_symmetry(self):
         rng = np.random.default_rng(5)
         s1, s2 = overlapping_pair(rng, CFG, 1500, 700, 900)
@@ -278,7 +313,7 @@ class TestJointLikelihood:
         na, nb, nx = rng.integers(200, 5000, size=3)
         s1, s2 = overlapping_pair(rng, CFG, int(na), int(nb), int(nx))
         stat = joint_statistic(s1, s2)
-        terms = _JointTerms(stat, CFG)
+        terms = _JointTerms(stat, _histograms(stat), CFG)
         for _ in range(4):
             lam = np.exp(rng.uniform(np.log(50.0), np.log(20000.0), size=3))
             with np.errstate(all="ignore"):

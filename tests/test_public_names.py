@@ -8,6 +8,11 @@ attribute or a ``from hllkit import <name>``.
 
 The integer and float-range input rules live only in ``errors.py``: no other
 module catches ``OverflowError`` or tests for ``(int, np.integer)`` itself.
+
+The histogram's weighted sum, sum C_k 2^-k over a slice of k, lives only in
+``sketch.weighted_sum``: no other module takes an ``@`` with a weight table,
+that is ``level_weights(...)``, ``pow2_weights(...)``, ``_POW2`` or a name
+bound to one of them.
 """
 
 import ast
@@ -17,6 +22,7 @@ import hllkit
 
 ROOT = Path(__file__).resolve().parent.parent
 IMPORT_LINE = "from hllkit import "
+WEIGHT_CALLS = {"level_weights", "pow2_weights"}
 
 
 def _sources():
@@ -61,3 +67,50 @@ def test_input_rules_have_one_home():
         if pattern in path.read_text()
     ]
     assert not copies, f"use errors.integer or errors.real instead: {copies}"
+
+
+def _name(node):
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def _is_weight_table(node, aliases) -> bool:
+    """A weight table, or one sliced, scaled or bound to a name."""
+    if isinstance(node, ast.Subscript):
+        return _is_weight_table(node.value, aliases)
+    if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Mult, ast.Div)):
+        return _is_weight_table(node.left, aliases) or _is_weight_table(node.right, aliases)
+    if isinstance(node, ast.Call):
+        return _name(node.func) in WEIGHT_CALLS
+    return _name(node) == "_POW2" or (isinstance(node, ast.Name) and node.id in aliases)
+
+
+def _weighted_sums(tree):
+    """Line numbers of the ``@`` products with a weight table in one module."""
+    assigns = [
+        (node.targets[0].id, node.value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+    ]
+    aliases = set()
+    while True:  # until no name bound to a table is left to find
+        new = {name for name, value in assigns if _is_weight_table(value, aliases)}
+        if new <= aliases:
+            break
+        aliases |= new
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.MatMult)
+        and (_is_weight_table(node.left, aliases) or _is_weight_table(node.right, aliases))
+    ]
+
+
+def test_weighted_sum_has_one_home():
+    copies = [
+        f"{path.name}:{line}"
+        for path in sorted((ROOT / "src" / "hllkit").glob("*.py"))
+        if path.name != "sketch.py"
+        for line in _weighted_sums(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert not copies, f"use sketch.weighted_sum instead: {copies}"

@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hllkit.classic import raw_estimate
-from hllkit.errors import ConfigMismatchError, FormatError, RangeError
+from hllkit.errors import ConfigMismatchError, FormatError, HllError, RangeError
 from hllkit.improved import improved_estimate
+from hllkit.joint import inclusion_exclusion_estimate, joint_ml_estimate
 from hllkit.ml import ml_bracket, ml_estimate, ml_root_function
 from hllkit.sim import RngSeed, sample_joint_pair, sample_sketch
 from hllkit.sketch import RegisterHistogram, Sketch, SketchConfig, _register_values
@@ -576,6 +577,66 @@ class TestKernelDigests:
             digest.update(self._estimates(h, config).encode())
         assert digest.hexdigest() == (
             "b670fb966472da9d6dcf06194b3478bec5a6b34cbdc1af542a1ad101a0357483")
+
+    def test_estimators_wide_words(self):
+        # with p + q > 52 a histogram's sum of C_k 2^-k holds more bits than a
+        # float does, so a sum taken in another order moves the last bits:
+        # histograms whose register values are spread over 0..q+1, among them
+        # one where adding the dot's slices apart moves raw and ML two ulps
+        cases = []
+        for p, q in ((4, 60), (2, 62), (11, 53)):
+            config, rng = SketchConfig(p, q), np.random.default_rng(p * 100 + q)
+            for _ in range(300):
+                top = int(rng.integers(1, q + 2))
+                counts = np.bincount(rng.integers(0, top + 1, size=config.m), minlength=q + 2)
+                if counts[0] < config.m and counts[-1] < config.m:
+                    cases.append((config, RegisterHistogram(counts)))
+        config = SketchConfig(4, 60)
+        counts = np.zeros(config.q + 2, dtype=np.int64)
+        counts[[0, 5, 6, 8, 12, 15, 16, 21, 24, 28, 30, 31, 53, 55, 57, 58]] = 1
+        cases.append((config, RegisterHistogram(counts)))
+        digest = hashlib.sha256()
+        for config, h in cases:
+            digest.update(self._estimates(h, config).encode())
+        assert digest.hexdigest() == (
+            "d23ffc325a94a83e57ccf366b41240a69badb9c31bc2a63778154cfe05bc2fa9")
+
+    def test_joint_estimators(self):
+        # sampled pairs, a pair with saturated registers on both sides, two
+        # fully saturated sketches and one saturated side against a finite
+        # one; a failed estimate is pinned by its error's type
+        pairs = []
+        for p, q in ((12, 16), (12, 20), (11, 53)):
+            config, rng = SketchConfig(p, q), RngSeed(p * 100 + q)
+            for gi, cards in enumerate([(10000, 10000, 10000), (10000, 10000, 100),
+                                        (100, 100, 10000), (100000, 1000, 1000)]):
+                pairs += [sample_joint_pair(*cards, config, rng.generator(gi * 5 + t))
+                          for t in range(5)]
+        # pairs whose values are spread over 0..q+1 while each side keeps
+        # registers at zero, so that their histograms' sums are wide words too
+        for p, q in ((4, 60), (11, 53)):
+            config, rng = SketchConfig(p, q), np.random.default_rng(p * 100 + q)
+            for _ in range(100):
+                top = int(rng.integers(1, q + 2))
+                regs = rng.integers(0, top + 1, size=(3, config.m))
+                ra, rb, rx = regs * (rng.random((3, config.m)) < 0.6)
+                pairs.append((Sketch.from_registers(config, np.maximum(ra, rx)),
+                              Sketch.from_registers(config, np.maximum(rb, rx))))
+        config = SketchConfig(4, 2)
+        pairs.append(sample_joint_pair(20, 20, 20, config, RngSeed(42).generator(0)))
+        full = Sketch.from_registers(config, np.full(config.m, config.q + 1))
+        pairs += [(full, full), (full, Sketch.from_registers(config, np.ones(config.m)))]
+        digest = hashlib.sha256()
+        for s1, s2 in pairs:
+            for fn in (inclusion_exclusion_estimate, joint_ml_estimate):
+                try:
+                    est = fn(s1, s2)
+                    out = [est.a, est.b, est.x]
+                except HllError as exc:
+                    out = type(exc).__name__
+                digest.update(repr(out).encode())
+        assert digest.hexdigest() == (
+            "4a0178878a1f441f6c6b0de0c64090fec1540a61bea520cab21a44389f5cefc5")
 
     def test_sample_sketch_error_curve_grid(self):
         config, rng = SketchConfig(12, 20), RngSeed(2017)
