@@ -1,11 +1,13 @@
 """Exception types shared across the sketch and estimator modules, and the
-two rules that turn an outside number into one the library computes with.
+rules that turn an outside number or sequence into one the library computes with.
 
 * ``integer``: a Python or numpy integer in a given range becomes an ``int``;
   anything else, an integral float included, raises ``RangeError``.
 * ``real``: a number or array becomes float64; an int past the float range
   raises the caller's error class (``DomainError`` by default).  Finiteness
   and range stay with the caller, whose domains differ.
+* ``array``: a sequence becomes an ndarray; one that numpy cannot read, such
+  as a ragged one, raises the caller's error class (``RangeError`` by default).
 """
 
 import numpy as np
@@ -70,15 +72,21 @@ def integer(value, what: str, low: int, high: int | None = None) -> int:
     raise RangeError(f"{what} {value!r} is not an integer {bound}")
 
 
+def array(value, what: str, error: type[HllError] = RangeError, dtype=None) -> np.ndarray:
+    """``value`` as ``np.asarray`` reads it; a ragged sequence, or for a float
+    ``dtype`` a non-number or an int past the float range, raises ``error``."""
+    try:
+        return np.asarray(value, dtype=dtype)
+    except (OverflowError, TypeError, ValueError) as exc:
+        raise error(f"{what} is not an array of numbers: {exc}") from None
+
+
 def real(value, what: str, error: type[HllError] = DomainError):
     """``value`` as float64: a ``float`` for a scalar, an ndarray for an array
-    or sequence.  An int past the float range raises ``error``."""
-    try:
-        # a scalar skips the array round trip: sigma, tau and Bracket take one
-        # per estimate
-        if isinstance(value, (float, int, np.generic)):
-            return float(value)
-        out = np.asarray(value, dtype=np.float64)
-    except OverflowError:
-        raise error(f"{what} is past the float range") from None
+    or sequence.  What ``array`` cannot read as float64 raises ``error``."""
+    # a float skips the array round trip: sigma, tau and Bracket take one
+    # per estimate
+    if isinstance(value, (float, np.floating)):
+        return float(value)
+    out = array(value, what, error, np.float64)
     return out if out.ndim else float(out)

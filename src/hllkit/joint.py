@@ -1,12 +1,12 @@
 """Two-sketch estimation of set overlap from paired registers.
 
-Registers of two mergeable sketches are compared position by position and
-reduced to five count arrays (partner-smaller / partner-larger counts for
-each sketch plus equal counts).  These are a sufficient statistic for the
-three rates (a, b, x) = (|S1 \\ S2|, |S2 \\ S1|, |S1 ∩ S2|) under the
+Registers of two mergeable sketches are counted position by position into
+a (q+2)x(q+2) table of value pairs, a sufficient statistic for the three
+rates (a, b, x) = (|S1 \\ S2|, |S2 \\ S1|, |S1 ∩ S2|) under the
 independent-rate register model, because a register pair shares its
 intersection component: position i holds K1 = max(Ka, Kx) and
-K2 = max(Kb, Kx) with latent values driven by the three rates.
+K2 = max(Kb, Kx) with latent values driven by the three rates.  The paper's
+five order-count vectors are derived from the table in one place, ``_pair_counts``.
 
 Estimators provided:
 
@@ -47,7 +47,8 @@ from .errors import (
 # this module-level name
 from .improved import _corrected, improved_estimate  # noqa: F401
 from .ml import EPSILON
-from .sketch import RegisterHistogram, Sketch, SketchConfig, level_weights, weighted_sum
+from .sketch import (Sketch, SketchConfig, check_tally, level_weights, register_counts,
+                     weighted_sum)
 
 JOINT_MAX_ITERATIONS = 500
 MAX_LOG_STEP = 4.0  # largest step in a log-rate: a factor e**4 in the rate
@@ -57,18 +58,14 @@ _INCIDENCE = np.array([[1, 0, 1], [0, 1, 1], [1, 0, 0], [0, 1, 0]], dtype=float)
 
 @dataclass(frozen=True)
 class JointStatistic:
-    """Five histograms over paired registers, each indexed by value 0..q+1.
+    """The pair table: ``table[i, j]`` counts the register positions where
+    sketch 1 holds value i and sketch 2 value j, for i, j in 0..q+1.
 
-    ``c1_less[k]``: sketch-1 registers equal to k and smaller than their partner;
-    ``c1_greater[k]``: equal to k and larger; ``c2_less``/``c2_greater`` the same for
-    sketch 2; ``c_equal[k]``: register pairs equal at value k.
+    Its m counts are the statistic; every table of non-negative integers
+    that sum to m is the statistic of some pair of sketches.
     """
 
-    c1_less: np.ndarray
-    c1_greater: np.ndarray
-    c2_less: np.ndarray
-    c2_greater: np.ndarray
-    c_equal: np.ndarray
+    table: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -90,28 +87,30 @@ class JointEstimate:
 
 
 def joint_statistic(s1: Sketch, s2: Sketch) -> JointStatistic:
-    """Counts of register pairs, binned by value and order relation, from one
-    ``bincount`` over all pairs (a temporary of 10 bytes per register)."""
+    """The int64 pair table of two sketches, from one ``bincount`` over all
+    pairs (a temporary of 10 bytes per register)."""
     if s1.config != s2.config:
         raise ConfigMismatchError(f"cannot pair {s1.config} with {s2.config}")
     bins = s1.config.q + 2
-    r1, r2 = s1.registers, s2.registers
-    # table[i, j]: pairs with sketch-1 value i and sketch-2 value j; an index
-    # is below bins**2 <= 4096, so it is formed in uint16
-    pairs = r1 * np.uint16(bins)
-    pairs += r2
-    table = np.bincount(pairs, minlength=bins * bins).reshape(bins, bins)
+    # pair index i * bins + j is below bins**2 <= 4096, so it is formed in uint16
+    pairs = s1.registers * np.uint16(bins)
+    pairs += s2.registers
+    return JointStatistic(np.bincount(pairs, minlength=bins * bins).reshape(bins, bins))
+
+
+def _pair_counts(table: np.ndarray):
+    """By value 0..q+1: the registers below their partner in sketch 1 and in
+    sketch 2, then above it in sketch 1 and in sketch 2, as the rows of one
+    array; the pairs equal at that value; and the histograms of sketch 1,
+    sketch 2, their union (the pair maximum) and their pair minimum."""
     # running sums along a row up to its diagonal count the pairs where
     # sketch 1 is at least its partner; down a column, where sketch 2 is
     rows, cols = table.cumsum(axis=1), table.cumsum(axis=0)
     equal, row_upto, col_upto = table.diagonal(), rows.diagonal(), cols.diagonal()
-    return JointStatistic(
-        c1_less=rows[:, -1] - row_upto,
-        c1_greater=row_upto - equal,
-        c2_less=cols[-1] - col_upto,
-        c2_greater=col_upto - equal,
-        c_equal=equal.copy(),
-    )
+    h1, h2 = rows[:, -1], cols[-1]
+    union = row_upto + col_upto - equal
+    strict = np.array([h1 - row_upto, h2 - col_upto, row_upto - equal, col_upto - equal])
+    return strict, equal, (h1, h2, union, h1 + h2 - union)
 
 
 def _overlap(n1: float, n2: float, nu: float) -> JointEstimate:
@@ -119,19 +118,9 @@ def _overlap(n1: float, n2: float, nu: float) -> JointEstimate:
     return JointEstimate(a=nu - n2, b=nu - n1, x=n1 + n2 - nu)
 
 
-def _histograms(stat: JointStatistic):
-    """Histograms of sketch 1, sketch 2, their union and their pair minimum."""
-    return (
-        stat.c1_less + stat.c_equal + stat.c1_greater,
-        stat.c2_less + stat.c_equal + stat.c2_greater,
-        stat.c1_greater + stat.c_equal + stat.c2_greater,
-        stat.c1_less + stat.c_equal + stat.c2_less,
-    )
-
-
 def _inclusion_exclusion(hists, config: SketchConfig) -> JointEstimate:
     """Inclusion-exclusion from the corrected estimator on both sides and their
-    union, given the ``_histograms`` of a pair.  Two fully saturated sketches
+    union, given the histograms of ``_pair_counts``.  Two fully saturated sketches
     give (0, 0, inf), as the fit does; any other saturated side or union
     leaves a part unbounded and raises ``DegenerateHistogramError``."""
     m, q = config.m, config.q
@@ -147,7 +136,7 @@ def inclusion_exclusion_estimate(s1: Sketch, s2: Sketch) -> JointEstimate:
     """Overlap from three bias-corrected single-sketch estimates; components
     may be negative.  (0, 0, inf) for two fully saturated sketches, and
     ``DegenerateHistogramError`` for any other saturated side or union."""
-    return _inclusion_exclusion(_histograms(joint_statistic(s1, s2)), s1.config)
+    return _inclusion_exclusion(_pair_counts(joint_statistic(s1, s2).table)[2], s1.config)
 
 
 class _JointTerms:
@@ -156,28 +145,24 @@ class _JointTerms:
     Strict-order counts ``c`` sit on rows of the 0/1 matrix ``inc`` that pick
     the rates their value depends on, with scales ``s``; equal-pair counts
     and scales are ``eq_c``/``eq_s``; ``w`` holds the linear weights
-    (1/m) sum_{k<=q} counts_k 2^-k of the three rates, over ``hists``.
+    (1/m) sum_{k<=q} counts_k 2^-k of the three rates, over ``_pair_counts``'s ``hists``.
     """
 
     __slots__ = ("inc", "c", "s", "cs", "cs2", "eq_c", "eq_s", "eq_cs", "w")
 
-    def __init__(self, stat: JointStatistic, hists, config: SketchConfig):
+    def __init__(self, strict, equal, hists, config: SketchConfig):
         q = config.q
         scale = level_weights(q) / config.m  # 1/(m 2^min(k,q)) for k = 0..q+1
-        strict = np.array(
-            [stat.c1_less, stat.c2_less, stat.c1_greater, stat.c2_greater],
-            dtype=float,
-        )
+        strict = strict.astype(float)
         strict[:, 0] = 0.0  # value 0 enters through the linear weights only
-        strict[:2, q + 1] = 0.0  # a register below its partner holds at most q
         group, ks = np.nonzero(strict)
         self.inc = _INCIDENCE[group]
         self.c = strict[group, ks]
         self.s = scale[ks]
         self.cs = self.c * self.s
         self.cs2 = self.cs * self.s
-        ks = np.nonzero(stat.c_equal[1:])[0] + 1
-        self.eq_c = stat.c_equal[ks].astype(float)
+        ks = np.nonzero(equal[1:])[0] + 1
+        self.eq_c = equal[ks].astype(float)
         self.eq_s = scale[ks]
         self.eq_cs = self.eq_c * self.eq_s
         h1, h2, _, h_min = hists
@@ -301,22 +286,18 @@ def _maximize(terms: _JointTerms, lam0) -> np.ndarray:
 
 def _evaluate(est: JointEstimate, stat: JointStatistic, config: SketchConfig):
     """``_JointTerms.evaluate`` at ``est``; DomainError unless the rates are
-    positive and finite floats, RangeError unless each of the five count
-    arrays of ``stat`` is a histogram of q+2 bins and they pair two sketches
-    of ``config``."""
+    positive and finite floats, RangeError unless ``stat`` holds a
+    (q+2)x(q+2) table of non-negative integers that tally the m register
+    pairs of ``config``."""
     lam = real([est.a, est.b, est.x], "a rate")
     if not (np.isfinite(lam).all() and (lam > 0).all()):
         raise DomainError(
             f"rates ({est.a}, {est.b}, {est.x}) must all be positive and finite"
         )
-    stat = JointStatistic(
-        *(RegisterHistogram(c).check_bins(config).counts for c in vars(stat).values())
-    )
-    hists = _histograms(stat)
-    for h in hists:
-        RegisterHistogram(h).check(config)
+    table = register_counts(stat.table, "pair table counts")
+    check_tally(table, config, (config.q + 2,) * 2, "pair table")
     with np.errstate(all="ignore"):
-        return _JointTerms(stat, hists, config).evaluate(lam)
+        return _JointTerms(*_pair_counts(table), config).evaluate(lam)
 
 
 def joint_log_likelihood(
@@ -342,14 +323,12 @@ def _joint_estimates(s1: Sketch, s2: Sketch):
     """Inclusion-exclusion and joint-ML estimates from one paired statistic;
     the inclusion-exclusion estimate is the fit's start point, and the answer
     of both for a pair that is all zero or all saturated."""
-    stat = joint_statistic(s1, s2)
     config = s1.config
-    m, q = config.m, config.q
-    hists = _histograms(stat)
+    strict, equal, hists = _pair_counts(joint_statistic(s1, s2).table)
     ie = _inclusion_exclusion(hists, config)  # raises if a rate is unbounded
-    if stat.c_equal[0] == m or stat.c_equal[q + 1] == m:
+    if equal[0] == config.m or equal[-1] == config.m:
         return ie, ie  # both untouched (0, 0, 0) or both saturated (0, 0, inf)
     lam0 = np.array([ie.a, ie.b, ie.x])
     with np.errstate(all="ignore"):
-        lam = _maximize(_JointTerms(stat, hists, config), np.maximum(lam0, 1.0))
+        lam = _maximize(_JointTerms(strict, equal, hists, config), np.maximum(lam0, 1.0))
     return ie, JointEstimate(a=float(lam[0]), b=float(lam[1]), x=float(lam[2]))

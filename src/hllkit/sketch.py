@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigMismatchError, FormatError, RangeError, integer
+from .errors import ConfigMismatchError, FormatError, RangeError, array, integer
 
 MAGIC = b"HLLS"
 VERSION = 1
@@ -83,20 +83,35 @@ def _config(p: int, q: int) -> SketchConfig:
     return SketchConfig(p, q)
 
 
+def register_counts(values, what: str) -> np.ndarray:
+    """``values`` as an int64 array of counts, or RangeError unless they are
+    non-negative integers below 2**63 (a larger one would wrap in int64)."""
+    counts = array(values, what)
+    if not _is_integral(counts):
+        raise RangeError(f"{what} must be integers")
+    if (counts < 0).any():
+        raise RangeError(f"{what} must be non-negative")
+    if counts.dtype.kind in "uf" and (counts >= 2**63).any():
+        raise RangeError(f"{what} must be below 2**63 to fit int64")
+    return counts.astype(np.int64, copy=False)
+
+
+def check_tally(counts: np.ndarray, config: SketchConfig, shape: tuple, what: str) -> None:
+    """RangeError unless the non-negative int64 ``counts`` have ``shape`` and tally
+    the m registers of ``config``: they sum to m, so each is at most m."""
+    if counts.shape != shape:
+        raise RangeError(f"{what} has shape {counts.shape}, config wants {shape}")
+    if (total := sum(counts.ravel().tolist())) != config.m:  # Python ints cannot wrap
+        raise RangeError(f"{what} mass {total} != m={config.m}")
+
+
 class RegisterHistogram:
     """Counts of register values: counts[k] registers hold value k, k in 0..q+1."""
 
     __slots__ = ("counts",)
 
     def __init__(self, counts):
-        counts = np.asarray(counts)
-        if not _is_integral(counts):
-            raise RangeError("histogram counts must be integers")
-        if (counts < 0).any():
-            raise RangeError("histogram counts must be non-negative")
-        if counts.dtype.kind in "uf" and (counts >= 2**63).any():
-            raise RangeError("histogram counts must be below 2**63 to fit int64")
-        self.counts = counts.astype(np.int64, copy=False)
+        self.counts = register_counts(counts, "histogram counts")
         if self.counts.ndim != 1 or self.counts.size < 2:
             raise RangeError("histogram needs one count per register value 0..q+1")
 
@@ -110,21 +125,9 @@ class RegisterHistogram:
         """Number of registers at the maximum value q+1."""
         return int(self.counts[-1])
 
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-    def check_bins(self, config: SketchConfig) -> "RegisterHistogram":
-        """Validate this histogram's shape against a configuration: q+2 bins."""
-        if self.counts.size != config.q + 2:
-            raise RangeError(
-                f"histogram has {self.counts.size} bins, config wants {config.q + 2}"
-            )
-        return self
-
     def check(self, config: SketchConfig) -> "RegisterHistogram":
-        """Validate this histogram against a configuration (shape and mass)."""
-        if self.check_bins(config).total() != config.m:
-            raise RangeError(f"histogram mass {self.total()} != m={config.m}")
+        """Validate against a configuration: q+2 bins that tally the m registers."""
+        check_tally(self.counts, config, (config.q + 2,), "histogram")
         return self
 
     def __eq__(self, other):
@@ -156,7 +159,7 @@ class Sketch:
         finite integers, and anything else raises RangeError rather than being
         cast.
         """
-        arr = np.asarray(values)
+        arr = array(values, "register values")
         if arr.shape != (config.m,):
             raise RangeError(f"expected {config.m} register values, got {arr.shape}")
         if not _is_integral(arr):
@@ -287,7 +290,7 @@ def _hash_array(hashes) -> np.ndarray:
     reads a list that mixes ints below and above 2**63 as float64, so only
     the original elements are exact.
     """
-    h = np.asarray(hashes)
+    h = array(hashes, "hash values")
     if h.dtype.kind in "ub":
         return h.astype(np.uint64, copy=False)
     if h.dtype.kind == "i":

@@ -5,8 +5,8 @@ independent oracle; optimizer quality is checked against likelihood
 monotonicity, stationarity, and small Monte-Carlo runs with known overlap.
 """
 
-import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,15 +23,15 @@ from hllkit.errors import (
     NoConvergenceError,
     RangeError,
 )
-from hllkit.sim import sample_joint_pair
+from hllkit.sim import RngSeed, sample_joint_pair
 from hllkit.improved import improved_estimate
 from hllkit.joint import (
     JointEstimate,
     JointStatistic,
     _joint_estimates,
-    _histograms,
     _JointTerms,
     _overlap,
+    _pair_counts,
     inclusion_exclusion_estimate,
     joint_gradient,
     joint_log_likelihood,
@@ -64,33 +64,25 @@ def overlapping_pair(rng, cfg, na, nb, nx):
 
 
 def swapped(stat: JointStatistic) -> JointStatistic:
-    return JointStatistic(
-        c1_less=stat.c2_less,
-        c1_greater=stat.c2_greater,
-        c2_less=stat.c1_less,
-        c2_greater=stat.c1_greater,
-        c_equal=stat.c_equal,
-    )
+    return JointStatistic(stat.table.T)
 
 
 class TestJointStatistic:
     def test_identical_sketches_all_equal(self):
         rng = np.random.default_rng(0)
         s = sketch_of(CFG, random_hashes(rng, 500))
-        stat = joint_statistic(s, s)
-        assert np.array_equal(stat.c_equal, s.histogram().counts)
-        for arr in (stat.c1_less, stat.c1_greater, stat.c2_less, stat.c2_greater):
-            assert not arr.any()
+        table = joint_statistic(s, s).table
+        assert np.array_equal(np.diag(table), s.histogram().counts)
+        assert np.array_equal(table, np.diag(np.diag(table)))  # nothing off the diagonal
 
     def test_fresh_against_all_ones(self):
         s1 = Sketch(CFG)
         s2 = Sketch.from_registers(CFG, np.ones(CFG.m, dtype=np.uint8))
-        stat = joint_statistic(s1, s2)
-        assert stat.c1_less[0] == CFG.m
-        assert stat.c2_greater[1] == CFG.m
-        assert stat.c1_less.sum() == CFG.m and stat.c2_greater.sum() == CFG.m
-        assert not stat.c1_greater.any() and not stat.c2_less.any()
-        assert not stat.c_equal.any()
+        table = joint_statistic(s1, s2).table
+        assert table[0, 1] == CFG.m and table.sum() == CFG.m
+        strict, equal, _ = _pair_counts(table)
+        assert strict[0, 0] == CFG.m and strict[3, 1] == CFG.m  # 1 below at 0, 2 above at 1
+        assert strict.sum() == 2 * CFG.m and not equal.any()
 
     @given(seed=st.integers(0, 2**32 - 1), na=st.integers(0, 3000),
            nb=st.integers(0, 3000), nx=st.integers(0, 3000))
@@ -98,23 +90,26 @@ class TestJointStatistic:
     def test_totals_consistent(self, seed, na, nb, nx):
         rng = np.random.default_rng(seed)
         s1, s2 = overlapping_pair(rng, CFG, na, nb, nx)
-        stat = joint_statistic(s1, s2)
+        table = joint_statistic(s1, s2).table
         m = CFG.m
-        assert (stat.c1_less + stat.c_equal + stat.c1_greater).sum() == m
-        assert (stat.c2_less + stat.c_equal + stat.c2_greater).sum() == m
+        assert table.dtype == np.int64 and table.shape == (CFG.q + 2, CFG.q + 2)
+        assert table.sum() == m
+        strict, equal, (h1, h2, union, h_min) = _pair_counts(table)
+        c1_less, c2_less, c1_greater, c2_greater = strict
+        assert np.array_equal(c1_less + equal + c1_greater, h1)
+        assert np.array_equal(c2_less + equal + c2_greater, h2)
+        assert np.array_equal(h1, s1.histogram().counts)
+        assert np.array_equal(h2, s2.histogram().counts)
+        assert np.array_equal(union, s1.merge(s2).histogram().counts)
+        assert h_min.sum() == m
         # strict inequalities pair up across orientations
-        assert stat.c1_less.sum() == stat.c2_greater.sum()
-        assert stat.c2_less.sum() == stat.c1_greater.sum()
-        total = sum(
-            int(a.sum())
-            for a in (stat.c1_less, stat.c1_greater, stat.c2_less,
-                      stat.c2_greater, stat.c_equal)
-        )
-        assert total == 2 * m - stat.c_equal.sum()
+        assert c1_less.sum() == c2_greater.sum()
+        assert c2_less.sum() == c1_greater.sum()
+        assert strict.sum() + equal.sum() == 2 * m - equal.sum()
         # a register cannot be below its partner while at the ceiling,
         # nor above its partner while at zero
-        assert stat.c1_less[CFG.q + 1] == 0 and stat.c2_less[CFG.q + 1] == 0
-        assert stat.c1_greater[0] == 0 and stat.c2_greater[0] == 0
+        assert c1_less[CFG.q + 1] == 0 and c2_less[CFG.q + 1] == 0
+        assert c1_greater[0] == 0 and c2_greater[0] == 0
 
     # (14, q) has m = 16384; (2, 62) is the largest q, whose 64**2 pair
     # indices are the most the uint16 bincount input holds here
@@ -132,11 +127,14 @@ class TestJointStatistic:
         rng = np.random.default_rng(seed)
         r1 = rng.integers(0, rng.integers(1, q + 3), cfg.m)
         r2 = np.where(rng.random(cfg.m) < share, r1, rng.integers(0, q + 2, cfg.m))
-        stat = joint_statistic(Sketch.from_registers(cfg, r1),
-                               Sketch.from_registers(cfg, r2))
+        table = joint_statistic(Sketch.from_registers(cfg, r1),
+                                Sketch.from_registers(cfg, r2)).table
+        want_table = np.zeros((q + 2, q + 2), dtype=np.int64)
         want = {name: np.zeros(q + 2, dtype=np.int64) for name in
-                ("c1_less", "c1_greater", "c2_less", "c2_greater", "c_equal")}
+                ("c1_less", "c2_less", "c1_greater", "c2_greater", "equal", "h_min")}
         for v1, v2 in zip(r1.tolist(), r2.tolist()):
+            want_table[v1, v2] += 1
+            want["h_min"][min(v1, v2)] += 1
             if v1 < v2:
                 want["c1_less"][v1] += 1
                 want["c2_greater"][v2] += 1
@@ -144,10 +142,43 @@ class TestJointStatistic:
                 want["c1_greater"][v1] += 1
                 want["c2_less"][v2] += 1
             else:
-                want["c_equal"][v1] += 1
+                want["equal"][v1] += 1
+        assert table.dtype == np.int64 and table.tolist() == want_table.tolist()
+        strict, equal, hists = _pair_counts(table)
+        got = dict(zip(want, [*strict, equal, hists[3]]))
         for name, counts in want.items():
-            got = getattr(stat, name)
-            assert got.dtype == np.int64 and got.tolist() == counts.tolist(), name
+            assert got[name].dtype == np.int64 and got[name].tolist() == counts.tolist(), name
+
+    @pytest.mark.parametrize("pq", [(4, 2), (8, 16), (6, 58)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_table_round_trip(self, pq, seed):
+        # any table of mass m is the statistic of the register pairs it lists
+        cfg = SketchConfig(*pq)
+        bins = cfg.q + 2
+        rng = np.random.default_rng(seed)
+        table = rng.multinomial(cfg.m, rng.dirichlet(np.full(bins * bins, 0.1)))
+        table = table.reshape(bins, bins)
+        i, j = np.indices(table.shape)
+        s1 = Sketch.from_registers(cfg, np.repeat(i.ravel(), table.ravel()))
+        s2 = Sketch.from_registers(cfg, np.repeat(j.ravel(), table.ravel()))
+        assert np.array_equal(joint_statistic(s1, s2).table, table)
+        assert np.array_equal(joint_statistic(s2, s1).table, table.T)
+
+    @pytest.mark.parametrize(
+        "fn", [joint_statistic, inclusion_exclusion_estimate, _joint_estimates]
+    )
+    def test_memory_is_ten_bytes_per_register(self, fn):
+        # the uint16 pair indices and the intp copy that bincount makes of
+        # them; the table and the fit add a few kilobytes whatever m is
+        cfg = SketchConfig(20, 16)
+        s1, s2 = sample_joint_pair(10**6, 10**6, 10**6, cfg, RngSeed(20).generator(0))
+        tracemalloc.start()
+        try:
+            fn(s1, s2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * cfg.m + 16 * 1024
 
     def test_config_mismatch(self):
         other = Sketch(SketchConfig(p=9, q=16))
@@ -216,38 +247,50 @@ class TestJointLikelihood:
         with pytest.raises(RangeError):
             fn(JointEstimate(300.0, 400.0, 200.0), stat, config)
 
-    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(JointStatistic)])
+    @pytest.mark.parametrize(
+        "cut",
+        [lambda t: t[:-1], lambda t: t[:, :-1], np.ravel],
+        ids=["row-short", "column-short", "flat"],
+    )
     @pytest.mark.parametrize("fn", [joint_log_likelihood, joint_gradient])
-    def test_field_one_bin_short_rejected(self, field, fn):
-        # a field one bin short raised numpy's broadcast ValueError
+    def test_table_shape_rejected(self, cut, fn):
+        # one bin short in a derived count array raised numpy's broadcast ValueError
         stat = joint_statistic(*overlapping_pair(np.random.default_rng(4), CFG, 300, 400, 200))
-        bad = dataclasses.replace(stat, **{field: getattr(stat, field)[:-1]})
-        with pytest.raises(RangeError, match="bins"):
-            fn(JointEstimate(300.0, 400.0, 200.0), bad, CFG)
+        with pytest.raises(RangeError, match="shape"):
+            fn(JointEstimate(300.0, 400.0, 200.0), JointStatistic(cut(stat.table)), CFG)
 
     @pytest.mark.parametrize("fn", [joint_log_likelihood, joint_gradient])
     def test_negative_count_rejected(self, fn):
-        # c1_less[2] = -1, balanced in c1_greater so that sketch 1 keeps its
-        # mass, gave a log-likelihood
-        stat = joint_statistic(*overlapping_pair(np.random.default_rng(4), CFG, 300, 400, 200))
-        less, greater = stat.c1_less.copy(), stat.c1_greater.copy()
-        greater[2] += less[2] + 1
-        less[2] = -1
-        bad = dataclasses.replace(stat, c1_less=less, c1_greater=greater)
+        # a count of -1 balanced in the same row, so that sketch 1 keeps its
+        # histogram, gave a log-likelihood
+        table = joint_statistic(
+            *overlapping_pair(np.random.default_rng(4), CFG, 300, 400, 200)).table.copy()
+        table[2, 3] += table[2, 4] + 1
+        table[2, 4] = -1
         with pytest.raises(RangeError, match="non-negative"):
-            fn(JointEstimate(300.0, 400.0, 200.0), bad, CFG)
+            fn(JointEstimate(300.0, 400.0, 200.0), JointStatistic(table), CFG)
 
     @pytest.mark.parametrize("fn", [joint_log_likelihood, joint_gradient])
     def test_fractional_counts_rejected(self, fn):
-        # +0.5 and -0.5 that cancel in sketch 1's histogram gave a value
-        stat = joint_statistic(*overlapping_pair(np.random.default_rng(4), CFG, 300, 400, 200))
-        less, greater = stat.c1_less.astype(float), stat.c1_greater.astype(float)
-        k = np.nonzero(greater)[0][0]
-        less[k] += 0.5
-        greater[k] -= 0.5
-        bad = dataclasses.replace(stat, c1_less=less, c1_greater=greater)
+        # +0.5 and -0.5 that cancel in the table's mass gave a value
+        table = joint_statistic(
+            *overlapping_pair(np.random.default_rng(4), CFG, 300, 400, 200)).table.astype(float)
+        i, j = np.argwhere(np.triu(table, 1))[0]  # a pair with sketch 1 below sketch 2
+        table[i, j] -= 0.5
+        table[j, i] += 0.5
         with pytest.raises(RangeError, match="integers"):
-            fn(JointEstimate(300.0, 400.0, 200.0), bad, CFG)
+            fn(JointEstimate(300.0, 400.0, 200.0), JointStatistic(table), CFG)
+
+    @pytest.mark.parametrize("fn", [joint_log_likelihood, joint_gradient])
+    def test_counts_whose_int64_sum_wraps_to_m_rejected(self, fn):
+        # at (4, 2), counts of 2**63 - 1 wrapped to mass m = 16 in every
+        # histogram of the five count arrays, and the log-likelihood was -3.84e19
+        cfg = SketchConfig(4, 2)
+        table = np.zeros((4, 4), dtype=np.int64)
+        table[0, 1] = table[1, 0] = 2**63 - 1
+        table[1, 1] = 18
+        with pytest.raises(RangeError, match=f"mass {2**64 + 16} != m=16"):
+            fn(JointEstimate(30.0, 20.0, 10.0), JointStatistic(table), cfg)
 
     def test_role_swap_symmetry(self):
         rng = np.random.default_rng(5)
@@ -313,7 +356,7 @@ class TestJointLikelihood:
         na, nb, nx = rng.integers(200, 5000, size=3)
         s1, s2 = overlapping_pair(rng, CFG, int(na), int(nb), int(nx))
         stat = joint_statistic(s1, s2)
-        terms = _JointTerms(stat, _histograms(stat), CFG)
+        terms = _JointTerms(*_pair_counts(stat.table), CFG)
         for _ in range(4):
             lam = np.exp(rng.uniform(np.log(50.0), np.log(20000.0), size=3))
             with np.errstate(all="ignore"):

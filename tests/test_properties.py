@@ -7,7 +7,8 @@ the checked constructor gives for the same registers; decoding any byte
 string, in the library or through ``hllkit inspect``, either succeeds or
 fails with a typed error and its documented exit code; every public function
 that takes numbers or sequences, given one bad value (nan, an infinity, a
-number past int64 or past the float range, a non-iterable, a wrong length),
+number past int64 or past the float range, a non-iterable, a wrong length,
+a ragged sequence),
 raises a typed error or returns a documented value, with no warning; and any
 argv drawn from a grammar of valid, malformed and edge values for the four
 subcommands ends in a documented exit code, with one ``error:`` line and no
@@ -17,7 +18,6 @@ directory.
 
 import builtins
 import contextlib
-import dataclasses
 import io
 import math
 import os
@@ -195,13 +195,14 @@ def test_inspect_exits_0_or_2_on_any_file(tmp_path_factory, data):
 
 BAD_NUMBERS = [math.nan, math.inf, -math.inf, 2.0**63, 2**64, 2**1100]
 NON_ITERABLES = [5, None, 1.5]
+RAGGED = [[1], [2, 3]]
 
 
 def _sequence(valid, short=None):
-    """Non-iterables, ``short`` (a wrong length) and ``valid`` with its first
-    element made a bad number."""
+    """Non-iterables, a ragged sequence, ``short`` (a wrong length) and
+    ``valid`` with its first element made a bad number."""
     wrong = [] if short is None else [short]
-    return [*NON_ITERABLES, *wrong, *([v, *valid[1:]] for v in BAD_NUMBERS)]
+    return [*NON_ITERABLES, RAGGED, *wrong, *([v, *valid[1:]] for v in BAD_NUMBERS)]
 
 
 def _inserted_many(hashes):
@@ -221,7 +222,7 @@ _CFG = SketchConfig(4, 8)
 _COUNTS = [8, 4, 2, 1, 1, 0, 0, 0, 0, 0]
 _REGS = [0] * 8 + [1] * 4 + [2, 2, 3, 4]
 _STAT = joint_statistic(*sample_joint_pair(30, 20, 10, _CFG, np.random.default_rng(0)))
-_SHORT_STAT = JointStatistic(*(f[:-1] for f in dataclasses.astuple(_STAT)))
+_SHORT_STAT = JointStatistic(_STAT.table[:-1])  # one row short
 _TRIPLE_ELEMENT = [[(v, 20, 10)] for v in BAD_NUMBERS]
 # name: (call, valid arguments, bad values for each argument, None if not probed)
 INPUT_CASES = {
@@ -278,7 +279,7 @@ INPUT_CASES = {
         fn.__name__: (
             _joint(fn),
             (30.0, 20.0, 10.0, _STAT),
-            [*[BAD_NUMBERS] * 3, [_SHORT_STAT]],
+            [*[BAD_NUMBERS] * 3, [_SHORT_STAT, JointStatistic(RAGGED)]],
         )
         for fn in (joint_log_likelihood, joint_gradient)
     },

@@ -305,7 +305,7 @@ class TestHistogram:
         for h in hashes:
             sk.insert(h)
         h = sk.histogram()
-        assert h.total() == 32
+        assert h.counts.sum() == 32
         assert h.counts.size == 13
         h.check(sk.config)  # must not raise
 
@@ -314,7 +314,7 @@ class TestHistogram:
         a, b = make(6, 10), make(6, 10)
         a.insert_many(rng.integers(0, 2**64, 500, dtype=np.uint64))
         b.insert_many(rng.integers(0, 2**64, 500, dtype=np.uint64))
-        assert a.merge(b).histogram().total() == 64
+        assert a.merge(b).histogram().counts.sum() == 64
 
     # byte counts up to m = 256 (q+2) registers, byte pairs above: (11, 6) and
     # (10, 2) sit on the switch, (11, 5) and (10, 1) just above it
@@ -341,6 +341,15 @@ class TestHistogram:
             RegisterHistogram([2, 2]).check(SketchConfig(2, 1))  # 3 bins wanted
         with pytest.raises(RangeError):
             RegisterHistogram([4, -1, 1])
+
+    @pytest.mark.parametrize("estimate", [raw_estimate, improved_estimate, ml_estimate, ml_bracket])
+    def test_counts_whose_int64_sum_wraps_to_m_rejected(self, estimate):
+        # 2 (2**63 - 1) + 18 wraps to 16 = m in int64: the mass check passed,
+        # then ml_estimate gave 9.2058, raw_estimate 1.33e-17, improved_estimate
+        # a DomainError and ml_bracket an invalid bracket
+        h = RegisterHistogram([2**63 - 1, 2**63 - 1, 18, 0])
+        with pytest.raises(RangeError, match=f"mass {2**64 + 16} != m=16"):
+            estimate(h, SketchConfig(4, 2))
 
     @pytest.mark.parametrize(
         "counts", [[1.5, 2.5], [2.0, np.nan], [2.0, np.inf], ["1", "3"], [1, 2**70]]
