@@ -247,17 +247,30 @@ class TestJointLikelihood:
         with pytest.raises(RangeError):
             fn(JointEstimate(300.0, 400.0, 200.0), stat, config)
 
-    @pytest.mark.parametrize(
-        "cut",
-        [lambda t: t[:-1], lambda t: t[:, :-1], np.ravel],
-        ids=["row-short", "column-short", "flat"],
-    )
+    # each order count is indexed by sketch 1's value (the table's rows),
+    # sketch 2's value (its columns) or both (its diagonal)
+    _ONE_BIN_SHORT = {
+        "c1_less": lambda t: t[:-1],
+        "c1_greater": lambda t: t[:-1],
+        "c2_less": lambda t: t[:, :-1],
+        "c2_greater": lambda t: t[:, :-1],
+        "c_equal": lambda t: t[:-1, :-1],
+    }
+
+    @pytest.mark.parametrize("field", list(_ONE_BIN_SHORT))
     @pytest.mark.parametrize("fn", [joint_log_likelihood, joint_gradient])
-    def test_table_shape_rejected(self, cut, fn):
-        # one bin short in a derived count array raised numpy's broadcast ValueError
+    def test_field_one_bin_short_rejected(self, field, fn):
+        # a count array one bin short raised numpy's broadcast ValueError
+        stat = joint_statistic(*overlapping_pair(np.random.default_rng(4), CFG, 300, 400, 200))
+        bad = JointStatistic(self._ONE_BIN_SHORT[field](stat.table))
+        with pytest.raises(RangeError, match="shape"):
+            fn(JointEstimate(300.0, 400.0, 200.0), bad, CFG)
+
+    @pytest.mark.parametrize("fn", [joint_log_likelihood, joint_gradient])
+    def test_flat_table_rejected(self, fn):
         stat = joint_statistic(*overlapping_pair(np.random.default_rng(4), CFG, 300, 400, 200))
         with pytest.raises(RangeError, match="shape"):
-            fn(JointEstimate(300.0, 400.0, 200.0), JointStatistic(cut(stat.table)), CFG)
+            fn(JointEstimate(300.0, 400.0, 200.0), JointStatistic(stat.table.ravel()), CFG)
 
     @pytest.mark.parametrize("fn", [joint_log_likelihood, joint_gradient])
     def test_negative_count_rejected(self, fn):
