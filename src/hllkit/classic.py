@@ -52,6 +52,7 @@ def linear_counting_estimate(c0: int, m: int) -> float:
 def large_range_correction(raw: float) -> float:
     """Collision correction -2^32 * ln(1 - raw / 2^32) near saturation of the
     fixed 2^32 hash space."""
+    raw = real(raw, "raw estimate", OutOfDomainError)
     if not raw >= 0:  # nan fails this test too
         raise OutOfDomainError(f"raw estimate {raw} is negative or nan")
     if raw >= _HASH_SPACE:

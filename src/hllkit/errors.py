@@ -3,9 +3,10 @@ rules that turn an outside number or sequence into one the library computes with
 
 * ``integer``: a Python or numpy integer in a given range becomes an ``int``;
   anything else, an integral float included, raises ``RangeError``.
-* ``real``: a number or array becomes float64; an int past the float range
-  raises the caller's error class (``DomainError`` by default).  Finiteness
-  and range stay with the caller, whose domains differ.
+* ``real``: a Python or numpy int or float, or a 0-d array of one, becomes a
+  ``float``; anything else (a sequence, a string, ``None``, a complex number)
+  or an int past the float range raises the caller's error class
+  (``DomainError`` by default).  Finiteness and range stay with the caller.
 * ``array``: a sequence becomes an ndarray; one that numpy cannot read, such
   as a ragged one, raises the caller's error class (``RangeError`` by default).
 """
@@ -81,12 +82,16 @@ def array(value, what: str, error: type[HllError] = RangeError, dtype=None) -> n
         raise error(f"{what} is not an array of numbers: {exc}") from None
 
 
-def real(value, what: str, error: type[HllError] = DomainError):
-    """``value`` as float64: a ``float`` for a scalar, an ndarray for an array
-    or sequence.  What ``array`` cannot read as float64 raises ``error``."""
-    # a float skips the array round trip: sigma, tau and Bracket take one
-    # per estimate
+def real(value, what: str, error: type[HllError] = DomainError) -> float:
+    """``value`` as a ``float`` if it is one number, else ``error``."""
+    # floats first: sigma and tau each take one per estimate
     if isinstance(value, (float, np.floating)):
         return float(value)
-    out = array(value, what, error, np.float64)
-    return out if out.ndim else float(out)
+    if isinstance(value, np.ndarray) and value.ndim == 0:
+        value = value[()]  # the scalar a 0-d array holds
+    if isinstance(value, (int, float, np.integer, np.floating)):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise error(f"{what} {value!r} is not a real number")

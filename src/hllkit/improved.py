@@ -28,7 +28,7 @@ import math
 import numpy as np
 
 from .classic import ALPHA_INF
-from .errors import DomainError, real
+from .errors import DomainError, array, real
 from .sketch import RegisterHistogram, SketchConfig, weighted_sum
 
 LN2 = math.log(2.0)
@@ -110,14 +110,14 @@ def zeta(x):
     fractional part of x; the omitted tails are far below every tolerance
     used in this package.
     """
-    arr = real(x, "zeta argument")
+    arr = array(x, "zeta argument", DomainError, np.float64)
     if not np.isfinite(arr).all():
         raise DomainError(f"zeta argument {x!r} is not finite")
     frac = arr - np.floor(arr)  # period 1
     u = np.exp2(np.add.outer(frac, np.arange(-64, 65, dtype=float)))
     with np.errstate(under="ignore"):
         total = LN2 * np.sum(u * np.exp(-u), axis=-1)
-    return total if isinstance(arr, np.ndarray) else float(total)
+    return total if arr.ndim else float(total)
 
 
 def _corrected(counts, m: int, q: int) -> float:

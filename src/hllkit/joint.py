@@ -289,7 +289,7 @@ def _evaluate(est: JointEstimate, stat: JointStatistic, config: SketchConfig):
     positive and finite floats, RangeError unless ``stat`` holds a
     (q+2)x(q+2) table of non-negative integers that tally the m register
     pairs of ``config``."""
-    lam = real([est.a, est.b, est.x], "a rate")
+    lam = np.array([real(rate, "a rate") for rate in (est.a, est.b, est.x)])
     if not (np.isfinite(lam).all() and (lam > 0).all()):
         raise DomainError(
             f"rates ({est.a}, {est.b}, {est.x}) must all be positive and finite"

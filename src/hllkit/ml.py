@@ -135,22 +135,20 @@ def _bracket(h: RegisterHistogram, config: SketchConfig) -> tuple[float, float]:
 
 
 def _secant_solve(f, x1, f0_at_zero, m):
-    """Secant from (0, f(0)) and the lower bound, stopped by ``stop_delta(m)``;
-    returns (root, iterates)."""
+    """The root by secant from (0, f(0)) and the lower bound ``x1``, stopped
+    by ``stop_delta(m)``."""
     delta = stop_delta(m)
     x0, f0 = 0.0, f0_at_zero
-    iterates = [x1]
     with np.errstate(**_QUIET):
         f1 = f(x1)
         for _ in range(ML_MAX_ITERATIONS):
             if f1 == 0.0 or f1 == f0:
-                return x1, iterates
+                return x1
             x2 = x1 - f1 * (x1 - x0) / (f1 - f0)
             if x2 <= x1:  # step stalled at float resolution
-                return x1, iterates
-            iterates.append(x2)
+                return x1
             if x2 - x1 < delta * x2:
-                return x2, iterates
+                return x2
             x0, f0 = x1, f1
             x1 = x2
             f1 = f(x1)
@@ -168,4 +166,4 @@ def ml_estimate(h: RegisterHistogram, config: SketchConfig) -> float:
     if h.saturated == m:
         return math.inf
     lower, _ = _bracket(h, config)
-    return _secant_solve(_root_function(h, config), lower, float(m - h.c0), m)[0]
+    return _secant_solve(_root_function(h, config), lower, float(m - h.c0), m)

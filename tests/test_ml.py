@@ -288,9 +288,15 @@ class TestMlEstimate:
     def test_iterates_monotone_never_below_start(self):
         for h in random_hists(20, CFG, seed=19):
             br = ml_bracket(h, CFG)
-            root, iterates = _secant_solve(
-                _root_function(h, CFG), br.lower, float(CFG.m - h.c0), CFG.m
-            )
+            f, evaluated = _root_function(h, CFG), []
+
+            def recording(lam):
+                evaluated.append(lam)
+                return f(lam)
+
+            root = _secant_solve(recording, br.lower, float(CFG.m - h.c0), CFG.m)
+            # a stalled or exact step returns the last point it evaluated
+            iterates = evaluated if root == evaluated[-1] else [*evaluated, root]
             assert iterates[0] == br.lower
             assert all(b > a for a, b in zip(iterates, iterates[1:]))
             assert min(iterates) >= br.lower

@@ -8,8 +8,9 @@ string, in the library or through ``hllkit inspect``, either succeeds or
 fails with a typed error and its documented exit code; every public function
 that takes numbers or sequences, given one bad value (nan, an infinity, a
 number past int64 or past the float range, a non-iterable, a wrong length,
-a ragged sequence),
-raises a typed error or returns a documented value, with no warning; and any
+a ragged sequence, or a non-number where one number is wanted),
+raises a typed error or returns a documented value, with no warning, and
+every non-number raises a typed error; and any
 argv drawn from a grammar of valid, malformed and edge values for the four
 subcommands ends in a documented exit code, with one ``error:`` line and no
 stdout on failure, and writes files only under the test's temporary
@@ -194,6 +195,8 @@ def test_inspect_exits_0_or_2_on_any_file(tmp_path_factory, data):
 
 
 BAD_NUMBERS = [math.nan, math.inf, -math.inf, 2.0**63, 2**64, 2**1100]
+NOT_NUMBERS = [None, 1 + 2j, "0.5", [0.5], [0.5, 0.5], np.array([0.5, 0.5])]
+SCALAR = [*BAD_NUMBERS, *NOT_NUMBERS]  # the probes of an argument that takes one number
 NON_ITERABLES = [5, None, 1.5]
 RAGGED = [[1], [2, 3]]
 
@@ -226,40 +229,40 @@ _SHORT_STAT = JointStatistic(_STAT.table[:-1])  # one row short
 _TRIPLE_ELEMENT = [[(v, 20, 10)] for v in BAD_NUMBERS]
 # name: (call, valid arguments, bad values for each argument, None if not probed)
 INPUT_CASES = {
-    "linear_counting_estimate": (linear_counting_estimate, (8, 16), [BAD_NUMBERS] * 2),
-    "large_range_correction": (large_range_correction, (1000.0,), [BAD_NUMBERS]),
-    "sigma": (sigma, (0.5,), [BAD_NUMBERS]),
-    "tau": (tau, (0.5,), [BAD_NUMBERS]),
+    "linear_counting_estimate": (linear_counting_estimate, (8, 16), [SCALAR] * 2),
+    "large_range_correction": (large_range_correction, (1000.0,), [SCALAR]),
+    "sigma": (sigma, (0.5,), [SCALAR]),
+    "tau": (tau, (0.5,), [SCALAR]),
     "zeta": (zeta, (0.3,), [BAD_NUMBERS]),
     "zeta-array": (zeta, ([0.3, 0.7],), [_sequence([0.3, 0.7])]),
     "ml_root_function": (
         lambda lam: ml_root_function(lam, RegisterHistogram(_COUNTS), _CFG),
         (100.0,),
-        [BAD_NUMBERS],
+        [SCALAR],
     ),
-    "SketchConfig": (SketchConfig, (4, 8), [BAD_NUMBERS] * 2),
-    "RngSeed": (RngSeed, (1, 2), [BAD_NUMBERS] * 2),
-    "RngSeed.generator": (lambda t: RngSeed(1).generator(t), (3,), [BAD_NUMBERS]),
+    "SketchConfig": (SketchConfig, (4, 8), [SCALAR] * 2),
+    "RngSeed": (RngSeed, (1, 2), [SCALAR] * 2),
+    "RngSeed.generator": (lambda t: RngSeed(1).generator(t), (3,), [SCALAR]),
     "sample_sketch": (
         lambda n: sample_sketch(n, _CFG, np.random.default_rng(0)),
         (100,),
-        [BAD_NUMBERS],
+        [SCALAR],
     ),
     "sample_joint_pair": (
         lambda a, b, x: sample_joint_pair(a, b, x, _CFG, np.random.default_rng(0)),
         (30, 20, 10),
-        [BAD_NUMBERS] * 3,
+        [SCALAR] * 3,
     ),
     # no cardinalities, so that a huge trial count runs no trial
     "run_error_experiment": (
         lambda cards, trials: run_error_experiment(cards, trials, _CFG, "raw", RngSeed(1)),
         ([], 2),
-        [_sequence([0]), BAD_NUMBERS],
+        [_sequence([0]), SCALAR],
     ),
     "run_joint_experiment": (
         lambda configs, trials: run_joint_experiment(configs, trials, _CFG, RngSeed(1)),
         ([], 2),
-        [[*NON_ITERABLES, [(30, 20)], *_TRIPLE_ELEMENT], BAD_NUMBERS],
+        [[*NON_ITERABLES, [(30, 20)], *_TRIPLE_ELEMENT], SCALAR],
     ),
     "RegisterHistogram": (RegisterHistogram, (_COUNTS,), [_sequence(_COUNTS, [16])]),
     "Sketch.from_registers": (
@@ -267,19 +270,19 @@ INPUT_CASES = {
         (_REGS,),
         [_sequence(_REGS, _REGS[:-1])],
     ),
-    "Sketch.insert": (lambda h: Sketch(_CFG).insert(h), (5,), [BAD_NUMBERS]),
+    "Sketch.insert": (lambda h: Sketch(_CFG).insert(h), (5,), [SCALAR]),
     "Sketch.insert_many": (_inserted_many, ([5, 2**63 + 7],), [_sequence([5, 2**63 + 7])]),
     "Sketch.from_bytes": (
         Sketch.from_bytes,
         (Sketch(_CFG).to_bytes(),),
         [[*NON_ITERABLES, Sketch(_CFG).to_bytes()[:-1]]],
     ),
-    "Bracket": (Bracket, (1.0, 2.0), [BAD_NUMBERS] * 2),
+    "Bracket": (Bracket, (1.0, 2.0), [SCALAR] * 2),
     **{
         fn.__name__: (
             _joint(fn),
             (30.0, 20.0, 10.0, _STAT),
-            [*[BAD_NUMBERS] * 3, [_SHORT_STAT, JointStatistic(RAGGED)]],
+            [*[SCALAR] * 3, [_SHORT_STAT, JointStatistic(RAGGED)]],
         )
         for fn in (joint_log_likelihood, joint_gradient)
     },
@@ -328,7 +331,7 @@ def test_bad_input_gives_a_typed_error_or_a_documented_value(case):
         except HllError:
             assert i is not None, f"{name} rejected valid arguments {args!r}"
             return
-    if name == "ml_root_function" and bad == math.inf:
+    if name == "ml_root_function" and isinstance(bad, float) and bad == math.inf:
         assert value == -math.inf  # documented: f(inf) = -inf
     elif name == "Sketch.insert_many" and i is not None and isinstance(bad, int):
         want = Sketch(_CFG)
@@ -336,6 +339,23 @@ def test_bad_input_gives_a_typed_error_or_a_documented_value(case):
         assert value == want  # documented: a single integer is one hash
     elif isinstance(value, (float, np.ndarray)):
         assert np.isfinite(value).all(), (name, args, value)
+
+
+def test_every_non_number_gives_a_typed_error():
+    leaks = []
+    for name, (fn, valid, probes) in INPUT_CASES.items():
+        for i in (i for i, bads in enumerate(probes) if bads is SCALAR):
+            for bad in NOT_NUMBERS:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    try:
+                        value = fn(*valid[:i], bad, *valid[i + 1 :])
+                    except HllError:
+                        continue
+                    except Exception as exc:  # a raw error is the leak looked for
+                        value = exc
+                leaks.append(f"{name}[{i}] {bad!r}: {value!r}")
+    assert not leaks, leaks
 
 
 # The exit codes the hllkit.cli module docstring documents.

@@ -63,7 +63,7 @@ def test_input_rules_have_one_home():
         f"{path.name}: {pattern}"
         for path in sorted((ROOT / "src" / "hllkit").glob("*.py"))
         if path.name != "errors.py"
-        for pattern in ("except OverflowError", "(int, np.integer)")
+        for pattern in ("except OverflowError", "(int, np.integer)", "(float, np.floating)")
         if pattern in path.read_text()
     ]
     assert not copies, f"use errors.integer or errors.real instead: {copies}"
