@@ -31,7 +31,6 @@ from .errors import (
 from .improved import improved_estimate, sigma, tau, zeta
 from .joint import (
     JointEstimate,
-    JointStatistic,
     inclusion_exclusion_estimate,
     joint_gradient,
     joint_log_likelihood,
@@ -63,7 +62,6 @@ __all__ = [
     "HllError",
     "JointErrorRow",
     "JointEstimate",
-    "JointStatistic",
     "NoConvergenceError",
     "OutOfDomainError",
     "RangeError",

@@ -9,6 +9,8 @@ rules that turn an outside number or sequence into one the library computes with
   (``DomainError`` by default).  Finiteness and range stay with the caller.
 * ``array``: a sequence becomes an ndarray; one that numpy cannot read, such
   as a ragged one, raises the caller's error class (``RangeError`` by default).
+* ``reals``: a number or a sequence of them becomes a float64 ndarray, each
+  element read as ``real`` reads one number, else ``DomainError``.
 """
 
 import numpy as np
@@ -73,13 +75,21 @@ def integer(value, what: str, low: int, high: int | None = None) -> int:
     raise RangeError(f"{what} {value!r} is not an integer {bound}")
 
 
-def array(value, what: str, error: type[HllError] = RangeError, dtype=None) -> np.ndarray:
-    """``value`` as ``np.asarray`` reads it; a ragged sequence, or for a float
-    ``dtype`` a non-number or an int past the float range, raises ``error``."""
+def array(value, what: str, error: type[HllError] = RangeError) -> np.ndarray:
+    """``value`` as ``np.asarray`` reads it; a ragged sequence raises ``error``."""
     try:
-        return np.asarray(value, dtype=dtype)
+        return np.asarray(value)
     except (OverflowError, TypeError, ValueError) as exc:
         raise error(f"{what} is not an array of numbers: {exc}") from None
+
+
+def reals(value, what: str) -> np.ndarray:
+    """``value`` as a float64 array if each element is one number, else ``DomainError``."""
+    arr = array(value, what, DomainError)
+    if arr.dtype.kind not in "biuf":  # strings, complex numbers, ints past int64
+        items = [real(v, what) for v in arr.ravel().tolist()]
+        arr = np.array(items).reshape(arr.shape)
+    return arr.astype(np.float64, copy=False)
 
 
 def real(value, what: str, error: type[HllError] = DomainError) -> float:

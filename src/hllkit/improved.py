@@ -17,8 +17,9 @@ denominator
     sigma(x) + tau(x) = alpha_inf * zeta(log2(ln(1/x))) / ln(1/x),
 
 used here only for cross-validation; the estimator itself never evaluates
-zeta.  Series evaluation stops at the double-precision fixed point; a
-relative-epsilon cap is kept as a safety valve.
+zeta.  ``sigma`` stops at the double-precision fixed point for about 60% of
+arguments c/m (m = 2^4..2^20) and once a term falls below ``REL_EPS`` of the
+sum for the rest; ``tau`` always stops on ``REL_EPS``.
 """
 
 from __future__ import annotations
@@ -28,12 +29,12 @@ import math
 import numpy as np
 
 from .classic import ALPHA_INF
-from .errors import DomainError, array, real
+from .errors import DomainError, real, reals
 from .sketch import RegisterHistogram, SketchConfig, weighted_sum
 
 LN2 = math.log(2.0)
 
-# safety cap for series termination; the fixed-point test normally fires first
+# relative term size that stops a series: tau always, sigma on about 40% of arguments
 REL_EPS = 1e-12
 _MAX_TERMS = 1200
 
@@ -110,7 +111,7 @@ def zeta(x):
     fractional part of x; the omitted tails are far below every tolerance
     used in this package.
     """
-    arr = array(x, "zeta argument", DomainError, np.float64)
+    arr = reals(x, "zeta argument")
     if not np.isfinite(arr).all():
         raise DomainError(f"zeta argument {x!r} is not finite")
     frac = arr - np.floor(arr)  # period 1

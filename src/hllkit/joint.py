@@ -57,18 +57,6 @@ _INCIDENCE = np.array([[1, 0, 1], [0, 1, 1], [1, 0, 0], [0, 1, 0]], dtype=float)
 
 
 @dataclass(frozen=True)
-class JointStatistic:
-    """The pair table: ``table[i, j]`` counts the register positions where
-    sketch 1 holds value i and sketch 2 value j, for i, j in 0..q+1.
-
-    Its m counts are the statistic; every table of non-negative integers
-    that sum to m is the statistic of some pair of sketches.
-    """
-
-    table: np.ndarray
-
-
-@dataclass(frozen=True)
 class JointEstimate:
     """Estimated exclusive cardinalities ``a``, ``b`` and intersection ``x``.
 
@@ -86,16 +74,19 @@ class JointEstimate:
         return self.a + self.b + self.x
 
 
-def joint_statistic(s1: Sketch, s2: Sketch) -> JointStatistic:
-    """The int64 pair table of two sketches, from one ``bincount`` over all
-    pairs (a temporary of 10 bytes per register)."""
+def joint_statistic(s1: Sketch, s2: Sketch) -> np.ndarray:
+    """The int64 pair table of two sketches: ``table[i, j]`` counts the
+    register positions where sketch 1 holds value i and sketch 2 value j, for
+    i, j in 0..q+1.  Every table of non-negative integers that sum to m is the
+    statistic of some pair of sketches.  One ``bincount`` over all pairs
+    makes it, with a temporary of 10 bytes per register."""
     if s1.config != s2.config:
         raise ConfigMismatchError(f"cannot pair {s1.config} with {s2.config}")
     bins = s1.config.q + 2
     # pair index i * bins + j is below bins**2 <= 4096, so it is formed in uint16
     pairs = s1.registers * np.uint16(bins)
     pairs += s2.registers
-    return JointStatistic(np.bincount(pairs, minlength=bins * bins).reshape(bins, bins))
+    return np.bincount(pairs, minlength=bins * bins).reshape(bins, bins)
 
 
 def _pair_counts(table: np.ndarray):
@@ -136,7 +127,7 @@ def inclusion_exclusion_estimate(s1: Sketch, s2: Sketch) -> JointEstimate:
     """Overlap from three bias-corrected single-sketch estimates; components
     may be negative.  (0, 0, inf) for two fully saturated sketches, and
     ``DegenerateHistogramError`` for any other saturated side or union."""
-    return _inclusion_exclusion(_pair_counts(joint_statistic(s1, s2).table)[2], s1.config)
+    return _inclusion_exclusion(_pair_counts(joint_statistic(s1, s2))[2], s1.config)
 
 
 class _JointTerms:
@@ -284,47 +275,43 @@ def _maximize(terms: _JointTerms, lam0) -> np.ndarray:
     raise NoConvergenceError(f"no convergence in {JOINT_MAX_ITERATIONS} iterations")
 
 
-def _evaluate(est: JointEstimate, stat: JointStatistic, config: SketchConfig):
+def _evaluate(est: JointEstimate, table, config: SketchConfig):
     """``_JointTerms.evaluate`` at ``est``; DomainError unless the rates are
-    positive and finite floats, RangeError unless ``stat`` holds a
-    (q+2)x(q+2) table of non-negative integers that tally the m register
-    pairs of ``config``."""
+    positive and finite floats, RangeError unless ``table`` is a (q+2)x(q+2)
+    table of non-negative integers that tally the m register pairs of
+    ``config``."""
     lam = np.array([real(rate, "a rate") for rate in (est.a, est.b, est.x)])
     if not (np.isfinite(lam).all() and (lam > 0).all()):
         raise DomainError(
             f"rates ({est.a}, {est.b}, {est.x}) must all be positive and finite"
         )
-    table = register_counts(stat.table, "pair table counts")
+    table = register_counts(table, "pair table counts")
     check_tally(table, config, (config.q + 2,) * 2, "pair table")
     with np.errstate(all="ignore"):
         return _JointTerms(*_pair_counts(table), config).evaluate(lam)
 
 
-def joint_log_likelihood(
-    est: JointEstimate, stat: JointStatistic, config: SketchConfig
-) -> float:
-    """Joint log-likelihood of the three rates given the paired-register counts."""
-    return _evaluate(est, stat, config)[0]
+def joint_log_likelihood(est: JointEstimate, table, config: SketchConfig) -> float:
+    """Joint log-likelihood of the three rates given the pair table."""
+    return _evaluate(est, table, config)[0]
 
 
-def joint_gradient(
-    est: JointEstimate, stat: JointStatistic, config: SketchConfig
-) -> np.ndarray:
+def joint_gradient(est: JointEstimate, table, config: SketchConfig) -> np.ndarray:
     """Gradient of the joint log-likelihood in log-rate coordinates."""
-    return np.array(_evaluate(est, stat, config)[1])
+    return np.array(_evaluate(est, table, config)[1])
 
 
 def joint_ml_estimate(s1: Sketch, s2: Sketch) -> JointEstimate:
-    """Maximum-likelihood overlap estimate from the paired-register statistic."""
+    """Maximum-likelihood overlap estimate from the pair table."""
     return _joint_estimates(s1, s2)[1]
 
 
 def _joint_estimates(s1: Sketch, s2: Sketch):
-    """Inclusion-exclusion and joint-ML estimates from one paired statistic;
+    """Inclusion-exclusion and joint-ML estimates from one pair table;
     the inclusion-exclusion estimate is the fit's start point, and the answer
     of both for a pair that is all zero or all saturated."""
     config = s1.config
-    strict, equal, hists = _pair_counts(joint_statistic(s1, s2).table)
+    strict, equal, hists = _pair_counts(joint_statistic(s1, s2))
     ie = _inclusion_exclusion(hists, config)  # raises if a rate is unbounded
     if equal[0] == config.m or equal[-1] == config.m:
         return ie, ie  # both untouched (0, 0, 0) or both saturated (0, 0, inf)

@@ -27,9 +27,11 @@ from hllkit.sim import RngSeed, sample_joint_pair
 from hllkit.improved import improved_estimate
 from hllkit.joint import (
     JointEstimate,
-    JointStatistic,
+    _cholesky_solve,
     _joint_estimates,
     _JointTerms,
+    _maximize,
+    _newton_direction,
     _overlap,
     _pair_counts,
     inclusion_exclusion_estimate,
@@ -63,22 +65,22 @@ def overlapping_pair(rng, cfg, na, nb, nx):
     return s1, s2
 
 
-def swapped(stat: JointStatistic) -> JointStatistic:
-    return JointStatistic(stat.table.T)
+def swapped(table: np.ndarray) -> np.ndarray:
+    return table.T
 
 
 class TestJointStatistic:
     def test_identical_sketches_all_equal(self):
         rng = np.random.default_rng(0)
         s = sketch_of(CFG, random_hashes(rng, 500))
-        table = joint_statistic(s, s).table
+        table = joint_statistic(s, s)
         assert np.array_equal(np.diag(table), s.histogram().counts)
         assert np.array_equal(table, np.diag(np.diag(table)))  # nothing off the diagonal
 
     def test_fresh_against_all_ones(self):
         s1 = Sketch(CFG)
         s2 = Sketch.from_registers(CFG, np.ones(CFG.m, dtype=np.uint8))
-        table = joint_statistic(s1, s2).table
+        table = joint_statistic(s1, s2)
         assert table[0, 1] == CFG.m and table.sum() == CFG.m
         strict, equal, _ = _pair_counts(table)
         assert strict[0, 0] == CFG.m and strict[3, 1] == CFG.m  # 1 below at 0, 2 above at 1
@@ -90,7 +92,7 @@ class TestJointStatistic:
     def test_totals_consistent(self, seed, na, nb, nx):
         rng = np.random.default_rng(seed)
         s1, s2 = overlapping_pair(rng, CFG, na, nb, nx)
-        table = joint_statistic(s1, s2).table
+        table = joint_statistic(s1, s2)
         m = CFG.m
         assert table.dtype == np.int64 and table.shape == (CFG.q + 2, CFG.q + 2)
         assert table.sum() == m
@@ -128,7 +130,7 @@ class TestJointStatistic:
         r1 = rng.integers(0, rng.integers(1, q + 3), cfg.m)
         r2 = np.where(rng.random(cfg.m) < share, r1, rng.integers(0, q + 2, cfg.m))
         table = joint_statistic(Sketch.from_registers(cfg, r1),
-                                Sketch.from_registers(cfg, r2)).table
+                                Sketch.from_registers(cfg, r2))
         want_table = np.zeros((q + 2, q + 2), dtype=np.int64)
         want = {name: np.zeros(q + 2, dtype=np.int64) for name in
                 ("c1_less", "c2_less", "c1_greater", "c2_greater", "equal", "h_min")}
@@ -161,8 +163,8 @@ class TestJointStatistic:
         i, j = np.indices(table.shape)
         s1 = Sketch.from_registers(cfg, np.repeat(i.ravel(), table.ravel()))
         s2 = Sketch.from_registers(cfg, np.repeat(j.ravel(), table.ravel()))
-        assert np.array_equal(joint_statistic(s1, s2).table, table)
-        assert np.array_equal(joint_statistic(s2, s1).table, table.T)
+        assert np.array_equal(joint_statistic(s1, s2), table)
+        assert np.array_equal(joint_statistic(s2, s1), table.T)
 
     @pytest.mark.parametrize(
         "fn", [joint_statistic, inclusion_exclusion_estimate, _joint_estimates]
@@ -262,7 +264,7 @@ class TestJointLikelihood:
     def test_field_one_bin_short_rejected(self, field, fn):
         # a count array one bin short raised numpy's broadcast ValueError
         stat = joint_statistic(*overlapping_pair(np.random.default_rng(4), CFG, 300, 400, 200))
-        bad = JointStatistic(self._ONE_BIN_SHORT[field](stat.table))
+        bad = self._ONE_BIN_SHORT[field](stat)
         with pytest.raises(RangeError, match="shape"):
             fn(JointEstimate(300.0, 400.0, 200.0), bad, CFG)
 
@@ -270,29 +272,29 @@ class TestJointLikelihood:
     def test_flat_table_rejected(self, fn):
         stat = joint_statistic(*overlapping_pair(np.random.default_rng(4), CFG, 300, 400, 200))
         with pytest.raises(RangeError, match="shape"):
-            fn(JointEstimate(300.0, 400.0, 200.0), JointStatistic(stat.table.ravel()), CFG)
+            fn(JointEstimate(300.0, 400.0, 200.0), stat.ravel(), CFG)
 
     @pytest.mark.parametrize("fn", [joint_log_likelihood, joint_gradient])
     def test_negative_count_rejected(self, fn):
         # a count of -1 balanced in the same row, so that sketch 1 keeps its
         # histogram, gave a log-likelihood
         table = joint_statistic(
-            *overlapping_pair(np.random.default_rng(4), CFG, 300, 400, 200)).table.copy()
+            *overlapping_pair(np.random.default_rng(4), CFG, 300, 400, 200)).copy()
         table[2, 3] += table[2, 4] + 1
         table[2, 4] = -1
         with pytest.raises(RangeError, match="non-negative"):
-            fn(JointEstimate(300.0, 400.0, 200.0), JointStatistic(table), CFG)
+            fn(JointEstimate(300.0, 400.0, 200.0), table, CFG)
 
     @pytest.mark.parametrize("fn", [joint_log_likelihood, joint_gradient])
     def test_fractional_counts_rejected(self, fn):
         # +0.5 and -0.5 that cancel in the table's mass gave a value
         table = joint_statistic(
-            *overlapping_pair(np.random.default_rng(4), CFG, 300, 400, 200)).table.astype(float)
+            *overlapping_pair(np.random.default_rng(4), CFG, 300, 400, 200)).astype(float)
         i, j = np.argwhere(np.triu(table, 1))[0]  # a pair with sketch 1 below sketch 2
         table[i, j] -= 0.5
         table[j, i] += 0.5
         with pytest.raises(RangeError, match="integers"):
-            fn(JointEstimate(300.0, 400.0, 200.0), JointStatistic(table), CFG)
+            fn(JointEstimate(300.0, 400.0, 200.0), table, CFG)
 
     @pytest.mark.parametrize("fn", [joint_log_likelihood, joint_gradient])
     def test_counts_whose_int64_sum_wraps_to_m_rejected(self, fn):
@@ -303,7 +305,21 @@ class TestJointLikelihood:
         table[0, 1] = table[1, 0] = 2**63 - 1
         table[1, 1] = 18
         with pytest.raises(RangeError, match=f"mass {2**64 + 16} != m=16"):
-            fn(JointEstimate(30.0, 20.0, 10.0), JointStatistic(table), cfg)
+            fn(JointEstimate(30.0, 20.0, 10.0), table, cfg)
+
+    @pytest.mark.parametrize("fn", [joint_log_likelihood, joint_gradient])
+    def test_table_like_values_give_the_same_bits(self, fn):
+        table = joint_statistic(*overlapping_pair(np.random.default_rng(4), CFG, 300, 400, 200))
+        est = JointEstimate(300.0, 400.0, 200.0)
+        want = np.asarray(fn(est, table, CFG)).tobytes()
+        for like in (table.tolist(), table.astype(float), table.astype(np.uint16)):
+            assert np.asarray(fn(est, like, CFG)).tobytes() == want
+
+    @pytest.mark.parametrize("bad", [None, "x", [[1], [2, 3]]], ids=repr)
+    @pytest.mark.parametrize("fn", [joint_log_likelihood, joint_gradient])
+    def test_non_table_rejected(self, fn, bad):
+        with pytest.raises(RangeError):
+            fn(JointEstimate(300.0, 400.0, 200.0), bad, CFG)
 
     def test_role_swap_symmetry(self):
         rng = np.random.default_rng(5)
@@ -369,7 +385,7 @@ class TestJointLikelihood:
         na, nb, nx = rng.integers(200, 5000, size=3)
         s1, s2 = overlapping_pair(rng, CFG, int(na), int(nb), int(nx))
         stat = joint_statistic(s1, s2)
-        terms = _JointTerms(*_pair_counts(stat.table), CFG)
+        terms = _JointTerms(*_pair_counts(stat), CFG)
         for _ in range(4):
             lam = np.exp(rng.uniform(np.log(50.0), np.log(20000.0), size=3))
             with np.errstate(all="ignore"):
@@ -557,6 +573,52 @@ class TestNewtonFit:
         monkeypatch.setattr(hllkit.joint, "JOINT_MAX_ITERATIONS", 1)
         with pytest.raises(NoConvergenceError):
             joint_ml_estimate(s1, s2)
+
+    def test_direction_when_shifted_curvature_is_indefinite(self):
+        # -H has a 2x2 block with eigenvalues -1 and 3, and dropping the
+        # positive g entries leaves it indefinite: the diagonal-dominance
+        # shift is what gives an ascent direction
+        g = [-1.0, 0.5, 1.0]
+        hess = [[-1.0, -2.0, 0.0], [-2.0, -1.0, 0.0], [0.0, 0.0, -1.0]]
+        neg = [[-v for v in row] for row in hess]
+        assert _cholesky_solve(neg, g) is None
+        shifted = [[v + max(gi, 0.0) * (i == j) for j, v in enumerate(row)]
+                   for i, (row, gi) in enumerate(zip(neg, g))]
+        assert _cholesky_solve(shifted, g) is None
+        d = _newton_direction(g, hess)
+        assert all(map(math.isfinite, d))
+        assert sum(gi * di for gi, di in zip(g, d)) > 0
+
+    def test_cholesky_rejects_each_non_positive_pivot(self):
+        g = [1.0, 1.0, 1.0]
+        for a in ([[0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+                  [[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+                  [[1.0, 0.0, 2.0], [0.0, 1.0, 0.0], [2.0, 0.0, 1.0]],
+                  [[math.nan] * 3] * 3):
+            assert _cholesky_solve(a, g) is None
+
+    class _Terms:
+        """Stands in for ``_JointTerms``: an ascent gradient and ``hess`` at
+        every rate, and f below its start value everywhere else."""
+
+        def __init__(self, hess):
+            self.hess, self.calls = hess, 0
+
+        def evaluate(self, lam):
+            self.calls += 1
+            return (0.0 if self.calls == 1 else -1.0), [1.0, 1.0, 1.0], self.hess
+
+    def test_nan_curvature_raises(self):
+        terms = self._Terms([[math.nan] * 3] * 3)
+        with pytest.raises(NoConvergenceError, match="non-finite curvature"):
+            _maximize(terms, np.ones(3))
+        assert terms.calls == 1
+
+    def test_line_search_without_ascent_raises(self):
+        terms = self._Terms([[-1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, -1.0]])
+        with pytest.raises(NoConvergenceError, match="line search found no ascent"):
+            _maximize(terms, np.ones(3))
+        assert terms.calls == 61  # the start and 60 halved steps
 
     @staticmethod
     def _count_evaluations(monkeypatch):

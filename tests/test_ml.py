@@ -301,6 +301,21 @@ class TestMlEstimate:
             assert all(b > a for a, b in zip(iterates, iterates[1:]))
             assert min(iterates) >= br.lower
 
+    @pytest.mark.parametrize(
+        "f", [lambda lam: 100.0 - lam, lambda lam: 100.0], ids=["root-at-start", "flat"]
+    )
+    def test_root_or_flat_at_start_returns_it(self, f):
+        # f(100) = 0 is the root; f(100) = f(0) would make the secant step
+        # divide by zero: either way the start point comes back after one call
+        evaluated = []
+
+        def recording(lam):
+            evaluated.append(lam)
+            return f(lam)
+
+        assert _secant_solve(recording, 100.0, 100.0, CFG.m) == 100.0
+        assert evaluated == [100.0]
+
     def test_residual_consistent_with_stop_rule(self):
         delta = stop_delta(CFG.m)
         for h in random_hists(30, CFG, seed=23):

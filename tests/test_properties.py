@@ -8,7 +8,8 @@ string, in the library or through ``hllkit inspect``, either succeeds or
 fails with a typed error and its documented exit code; every public function
 that takes numbers or sequences, given one bad value (nan, an infinity, a
 number past int64 or past the float range, a non-iterable, a wrong length,
-a ragged sequence, or a non-number where one number is wanted),
+a ragged sequence, a non-number where one number is wanted, or numbers
+written as text),
 raises a typed error or returns a documented value, with no warning, and
 every non-number raises a typed error; and any
 argv drawn from a grammar of valid, malformed and edge values for the four
@@ -33,7 +34,6 @@ from hypothesis import strategies as st
 from hllkit import (
     Bracket,
     JointEstimate,
-    JointStatistic,
     RngSeed,
     joint_gradient,
     joint_log_likelihood,
@@ -50,7 +50,7 @@ from hllkit import (
 )
 from hllkit.classic import raw_estimate
 from hllkit.cli import main
-from hllkit.errors import FormatError, HllError, RangeError
+from hllkit.errors import DomainError, FormatError, HllError, RangeError
 from hllkit.improved import improved_estimate
 from hllkit.ml import ml_estimate, stop_delta
 from hllkit.sim import sample_sketch
@@ -197,15 +197,22 @@ def test_inspect_exits_0_or_2_on_any_file(tmp_path_factory, data):
 BAD_NUMBERS = [math.nan, math.inf, -math.inf, 2.0**63, 2**64, 2**1100]
 NOT_NUMBERS = [None, 1 + 2j, "0.5", [0.5], [0.5, 0.5], np.array([0.5, 0.5])]
 SCALAR = [*BAD_NUMBERS, *NOT_NUMBERS]  # the probes of an argument that takes one number
+TEXT_NUMBERS = ["0.3", b"0.3", ["0.3", 0.7], np.array(["0.3"])]  # zeta's non-numbers
 NON_ITERABLES = [5, None, 1.5]
 RAGGED = [[1], [2, 3]]
 
 
+def _with_first(valid, v):
+    """``valid``, a list or a nested one, with its first number made ``v``."""
+    first = _with_first(valid[0], v) if isinstance(valid[0], list) else v
+    return [first, *valid[1:]]
+
+
 def _sequence(valid, short=None):
     """Non-iterables, a ragged sequence, ``short`` (a wrong length) and
-    ``valid`` with its first element made a bad number."""
+    ``valid`` with its first number made a bad number."""
     wrong = [] if short is None else [short]
-    return [*NON_ITERABLES, RAGGED, *wrong, *([v, *valid[1:]] for v in BAD_NUMBERS)]
+    return [*NON_ITERABLES, RAGGED, *wrong, *(_with_first(valid, v) for v in BAD_NUMBERS)]
 
 
 def _inserted_many(hashes):
@@ -225,7 +232,6 @@ _CFG = SketchConfig(4, 8)
 _COUNTS = [8, 4, 2, 1, 1, 0, 0, 0, 0, 0]
 _REGS = [0] * 8 + [1] * 4 + [2, 2, 3, 4]
 _STAT = joint_statistic(*sample_joint_pair(30, 20, 10, _CFG, np.random.default_rng(0)))
-_SHORT_STAT = JointStatistic(_STAT.table[:-1])  # one row short
 _TRIPLE_ELEMENT = [[(v, 20, 10)] for v in BAD_NUMBERS]
 # name: (call, valid arguments, bad values for each argument, None if not probed)
 INPUT_CASES = {
@@ -233,8 +239,8 @@ INPUT_CASES = {
     "large_range_correction": (large_range_correction, (1000.0,), [SCALAR]),
     "sigma": (sigma, (0.5,), [SCALAR]),
     "tau": (tau, (0.5,), [SCALAR]),
-    "zeta": (zeta, (0.3,), [BAD_NUMBERS]),
-    "zeta-array": (zeta, ([0.3, 0.7],), [_sequence([0.3, 0.7])]),
+    "zeta": (zeta, (0.3,), [[*BAD_NUMBERS, *TEXT_NUMBERS]]),
+    "zeta-array": (zeta, ([0.3, 0.7],), [[*_sequence([0.3, 0.7]), *TEXT_NUMBERS]]),
     "ml_root_function": (
         lambda lam: ml_root_function(lam, RegisterHistogram(_COUNTS), _CFG),
         (100.0,),
@@ -282,7 +288,7 @@ INPUT_CASES = {
         fn.__name__: (
             _joint(fn),
             (30.0, 20.0, 10.0, _STAT),
-            [*[SCALAR] * 3, [_SHORT_STAT, JointStatistic(RAGGED)]],
+            [*[SCALAR] * 3, _sequence(_STAT.tolist(), _STAT[:-1])],
         )
         for fn in (joint_log_likelihood, joint_gradient)
     },
@@ -356,6 +362,13 @@ def test_every_non_number_gives_a_typed_error():
                         value = exc
                 leaks.append(f"{name}[{i}] {bad!r}: {value!r}")
     assert not leaks, leaks
+
+
+@pytest.mark.parametrize("bad", TEXT_NUMBERS, ids=repr)
+def test_zeta_reads_no_text(bad):
+    # numpy's float64 conversion parsed each of these as a number
+    with pytest.raises(DomainError, match="not a real number"):
+        zeta(bad)
 
 
 # The exit codes the hllkit.cli module docstring documents.
