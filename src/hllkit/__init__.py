@@ -47,7 +47,7 @@ from .sim import (
     sample_joint_pair,
     sample_sketch,
 )
-from .sketch import RegisterHistogram, Sketch, SketchConfig
+from .sketch import Sketch, SketchConfig
 
 __version__ = "0.1.0"
 
@@ -65,7 +65,6 @@ __all__ = [
     "NoConvergenceError",
     "OutOfDomainError",
     "RangeError",
-    "RegisterHistogram",
     "RngSeed",
     "Sketch",
     "SketchConfig",

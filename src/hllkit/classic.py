@@ -26,17 +26,17 @@ from .errors import (
     integer,
     real,
 )
-from .sketch import RegisterHistogram, SketchConfig, weighted_sum
+from .sketch import SketchConfig, tally, weighted_sum
 
 ALPHA_INF = 1.0 / (2.0 * math.log(2.0))
 _HASH_SPACE = 2.0**32  # the composite method's 32 relevant hash bits
 
 
-def raw_estimate(h: RegisterHistogram, config: SketchConfig) -> float:
+def raw_estimate(h, config: SketchConfig) -> float:
     """Harmonic-mean estimate alpha_inf * m^2 / sum_{k=0}^{q+1} C_k 2^-k."""
-    h.check(config)
+    counts = tally(h, config, (config.q + 2,), "histogram")
     m = config.m
-    return ALPHA_INF * m * m / weighted_sum(h.counts, 0, config.q + 2)
+    return ALPHA_INF * m * m / weighted_sum(counts, 0, config.q + 2)
 
 
 def linear_counting_estimate(c0: int, m: int) -> float:
@@ -62,7 +62,7 @@ def large_range_correction(raw: float) -> float:
     return -_HASH_SPACE * math.log1p(-raw / _HASH_SPACE)
 
 
-def original_estimate(h: RegisterHistogram, config: SketchConfig) -> float:
+def original_estimate(h, config: SketchConfig) -> float:
     """Composite estimator with the empirical switchovers (requires p + q = 32).
 
     Low range (raw <= 2.5m with zero registers left): linear counting.
@@ -73,9 +73,10 @@ def original_estimate(h: RegisterHistogram, config: SketchConfig) -> float:
         raise UnsupportedConfigError(
             f"composite switchover constants assume p+q=32, got {config.p + config.q}"
         )
-    raw = raw_estimate(h, config)
-    if raw <= 2.5 * config.m and h.c0 > 0:
-        return linear_counting_estimate(h.c0, config.m)
+    counts = tally(h, config, (config.q + 2,), "histogram")
+    raw = raw_estimate(counts, config)
+    if raw <= 2.5 * config.m and counts[0] > 0:
+        return linear_counting_estimate(counts[0], config.m)
     if raw > _HASH_SPACE / 30.0:
         return large_range_correction(raw)
     return raw

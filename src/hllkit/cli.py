@@ -207,7 +207,7 @@ def cmd_inspect(args) -> int:
     print(f"q: {cfg.q}")
     print(f"registers: {cfg.m}")
     print("value,count")
-    for value, count in enumerate(sketch.histogram().counts):
+    for value, count in enumerate(sketch.histogram()):
         print(f"{value},{int(count)}")
     return 0
 

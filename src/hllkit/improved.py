@@ -30,7 +30,7 @@ import numpy as np
 
 from .classic import ALPHA_INF
 from .errors import DomainError, real, reals
-from .sketch import RegisterHistogram, SketchConfig, weighted_sum
+from .sketch import SketchConfig, tally, weighted_sum
 
 LN2 = math.log(2.0)
 
@@ -90,11 +90,8 @@ def tau(x: float) -> float:
         root = math.sqrt(root)
         scale *= 0.5
         t = (1.0 - root) ** 2 * scale
-        z_new = z - t
-        if z_new == z:
-            break
         terms.append(t)
-        z = z_new
+        z -= t
         if z > 0 and t < REL_EPS * z:
             break
     tail = 0.0
@@ -138,8 +135,8 @@ def _corrected(counts, m: int, q: int) -> float:
     return ALPHA_INF * m * m / (low + mid + high)
 
 
-def improved_estimate(h: RegisterHistogram, config: SketchConfig) -> float:
+def improved_estimate(h, config: SketchConfig) -> float:
     """Corrected harmonic-mean estimate: 0 for an untouched sketch, +inf for a
     fully saturated one."""
-    h.check(config)
-    return _corrected(h.counts, config.m, config.q)
+    counts = tally(h, config, (config.q + 2,), "histogram")
+    return _corrected(counts, config.m, config.q)

@@ -37,7 +37,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    ConfigMismatchError,
     DegenerateHistogramError,
     DomainError,
     NoConvergenceError,
@@ -47,8 +46,7 @@ from .errors import (
 # this module-level name
 from .improved import _corrected, improved_estimate  # noqa: F401
 from .ml import EPSILON
-from .sketch import (Sketch, SketchConfig, check_tally, level_weights, register_counts,
-                     weighted_sum)
+from .sketch import Sketch, SketchConfig, level_weights, shared_config, tally, weighted_sum
 
 JOINT_MAX_ITERATIONS = 500
 MAX_LOG_STEP = 4.0  # largest step in a log-rate: a factor e**4 in the rate
@@ -80,9 +78,7 @@ def joint_statistic(s1: Sketch, s2: Sketch) -> np.ndarray:
     i, j in 0..q+1.  Every table of non-negative integers that sum to m is the
     statistic of some pair of sketches.  One ``bincount`` over all pairs
     makes it, with a temporary of 10 bytes per register."""
-    if s1.config != s2.config:
-        raise ConfigMismatchError(f"cannot pair {s1.config} with {s2.config}")
-    bins = s1.config.q + 2
+    bins = shared_config(s1, s2, "pair").q + 2
     # pair index i * bins + j is below bins**2 <= 4096, so it is formed in uint16
     pairs = s1.registers * np.uint16(bins)
     pairs += s2.registers
@@ -285,8 +281,7 @@ def _evaluate(est: JointEstimate, table, config: SketchConfig):
         raise DomainError(
             f"rates ({est.a}, {est.b}, {est.x}) must all be positive and finite"
         )
-    table = register_counts(table, "pair table counts")
-    check_tally(table, config, (config.q + 2,) * 2, "pair table")
+    table = tally(table, config, (config.q + 2,) * 2, "pair table")
     with np.errstate(all="ignore"):
         return _JointTerms(*_pair_counts(table), config).evaluate(lam)
 
@@ -310,8 +305,8 @@ def _joint_estimates(s1: Sketch, s2: Sketch):
     """Inclusion-exclusion and joint-ML estimates from one pair table;
     the inclusion-exclusion estimate is the fit's start point, and the answer
     of both for a pair that is all zero or all saturated."""
-    config = s1.config
     strict, equal, hists = _pair_counts(joint_statistic(s1, s2))
+    config = s1.config
     ie = _inclusion_exclusion(hists, config)  # raises if a rate is unbounded
     if equal[0] == config.m or equal[-1] == config.m:
         return ie, ie  # both untouched (0, 0, 0) or both saturated (0, 0, inf)

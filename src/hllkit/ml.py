@@ -35,7 +35,7 @@ from .errors import (
     RangeError,
     real,
 )
-from .sketch import RegisterHistogram, SketchConfig, level_weights, weighted_sum
+from .sketch import SketchConfig, level_weights, tally, weighted_sum
 
 
 EPSILON = 1e-2
@@ -79,11 +79,10 @@ def _u_over_expm1(u):
     return out
 
 
-def _weights(h: RegisterHistogram, config: SketchConfig):
+def _weights(counts: np.ndarray, config: SketchConfig):
     """Per-histogram constants: counts at the nonzero value levels, their
     rate scales (never rising with the level), and the linear weight."""
     q = config.q
-    counts = h.counts
     ks = np.nonzero(counts[1:])[0] + 1  # value levels 1..q+1 with C_k > 0
     c = counts[ks].astype(float)
     scale = level_weights(q)[ks] / config.m  # 1/(m 2^min(k,q))
@@ -91,10 +90,10 @@ def _weights(h: RegisterHistogram, config: SketchConfig):
     return c, scale, weighted_sum(counts, 0, q + 1)
 
 
-def _root_function(h: RegisterHistogram, config: SketchConfig):
-    """The root function of a checked histogram, for rates lam > 0; call it
-    under ``np.errstate(**_QUIET)``."""
-    c, scale, w = _weights(h, config)
+def _root_function(counts: np.ndarray, config: SketchConfig):
+    """The root function of checked histogram counts, for rates lam > 0; call
+    it under ``np.errstate(**_QUIET)``."""
+    c, scale, w = _weights(counts, config)
     lin = w / config.m
 
     def f(lam):
@@ -103,32 +102,32 @@ def _root_function(h: RegisterHistogram, config: SketchConfig):
     return f
 
 
-def ml_root_function(lam: float, h: RegisterHistogram, config: SketchConfig) -> float:
+def ml_root_function(lam: float, h, config: SketchConfig) -> float:
     """Monotone decreasing f whose unique root is the ML estimate; f(0) = m - C0."""
     lam = real(lam, "rate")
     if not lam >= 0:  # nan fails this test too
         raise DomainError(f"rate {lam} must be non-negative")
-    h.check(config)
+    counts = tally(h, config, (config.q + 2,), "histogram")
     with np.errstate(**_QUIET):
-        return _root_function(h, config)(lam)
+        return _root_function(counts, config)(lam)
 
 
-def ml_bracket(h: RegisterHistogram, config: SketchConfig) -> Bracket:
+def ml_bracket(h, config: SketchConfig) -> Bracket:
     """Closed-form bounds enclosing the ML rate (ratio at most 3/2 apart)."""
-    return Bracket(*_bracket(h.check(config), config))
+    return Bracket(*_bracket(tally(h, config, (config.q + 2,), "histogram"), config))
 
 
-def _bracket(h: RegisterHistogram, config: SketchConfig) -> tuple[float, float]:
-    """The bounds of ``ml_bracket`` for a histogram already checked against
-    ``config``."""
+def _bracket(counts: np.ndarray, config: SketchConfig) -> tuple[float, float]:
+    """The bounds of ``ml_bracket`` for histogram counts already checked
+    against ``config``."""
     m, q = config.m, config.q
-    c0 = h.c0
+    c0, saturated = int(counts[0]), int(counts[-1])
     if c0 == m:
         raise DegenerateHistogramError("zero")
-    if h.saturated == m:
+    if saturated == m:
         raise DegenerateHistogramError("saturated")
-    mid = weighted_sum(h.counts, 1, q + 1)
-    sat_w = h.saturated * 2.0 ** -(q + 1)
+    mid = weighted_sum(counts, 1, q + 1)
+    sat_w = saturated * 2.0 ** -(q + 1)
     lower = m * (m - c0) / (c0 + 1.5 * mid + sat_w)
     upper = m * (m - c0) / (c0 + mid)
     return lower, upper
@@ -157,13 +156,13 @@ def _secant_solve(f, x1, f0_at_zero, m):
     )
 
 
-def ml_estimate(h: RegisterHistogram, config: SketchConfig) -> float:
+def ml_estimate(h, config: SketchConfig) -> float:
     """ML cardinality estimate: 0 for all-zero, +inf for all-saturated registers."""
-    h.check(config)
+    counts = tally(h, config, (config.q + 2,), "histogram")
     m = config.m
-    if h.c0 == m:
+    if counts[0] == m:
         return 0.0
-    if h.saturated == m:
+    if counts[-1] == m:
         return math.inf
-    lower, _ = _bracket(h, config)
-    return _secant_solve(_root_function(h, config), lower, float(m - h.c0), m)
+    lower, _ = _bracket(counts, config)
+    return _secant_solve(_root_function(counts, config), lower, float(m - counts[0]), m)

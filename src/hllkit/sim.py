@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .classic import linear_counting_estimate, original_estimate, raw_estimate
-from .errors import HllError, RangeError, integer
+from .errors import HllError, RangeError, integer, real
 from .improved import improved_estimate
 # inclusion_exclusion_estimate and joint_ml_estimate are not called here, but
 # bench/tracing.py wraps them under these module-level names
@@ -34,7 +34,7 @@ from .joint import (  # noqa: F401
     joint_ml_estimate,
 )
 from .ml import ml_estimate
-from .sketch import Sketch, SketchConfig, level_weights
+from .sketch import Sketch, SketchConfig, level_weights, tally
 
 DEFAULT_QUANTILES = (0.01, 0.05, 0.25, 0.75, 0.95, 0.99)
 MAX_CARDINALITY = 2**63 - 1  # the samplers draw element counts as int64
@@ -43,8 +43,9 @@ MAX_CARDINALITY = 2**63 - 1  # the samplers draw element counts as int64
 _JUMP = 0x9E3779B97F4A7C15F39CC0605CEDC835
 
 
-def _linear_from_histogram(hist, config):
-    return linear_counting_estimate(hist.check(config).c0, config.m)
+def _linear_from_histogram(h, config):
+    c0 = tally(h, config, (config.q + 2,), "histogram")[0]
+    return linear_counting_estimate(c0, config.m)
 
 
 SINGLE_ESTIMATORS = {
@@ -341,9 +342,11 @@ def run_error_experiment(
     """Estimator error statistics over sampled sketches, one report per n.
 
     ``estimator`` is a name from ``SINGLE_ESTIMATORS`` or any callable
-    ``(histogram, config) -> float``.  Trial t of cardinality index i uses
-    the substream for global index ``i * trials + t``, so runs with the same
-    ``RngSeed`` see identical sketches for every estimator choice.
+    ``(counts, config) -> float`` given the sketch's int64 histogram counts; a
+    trial fails when it raises an ``HllError`` or returns a non-number.  Trial
+    t of cardinality index i uses the substream for global index
+    ``i * trials + t``, so runs with the same ``RngSeed`` see identical
+    sketches for every estimator choice.
     """
     trials = integer(trials, "trials", 2)
     fn = _resolve_estimator(estimator)
@@ -357,7 +360,7 @@ def run_error_experiment(
         for t in range(trials):
             sketch = sample_sketch(n, config, rng.generator(ci * trials + t))
             try:
-                estimates.append(fn(sketch.histogram(), config))
+                estimates.append(real(fn(sketch.histogram(), config), "estimate"))
             except HllError:
                 continue
         reports.append(_summarize(_relative_errors(estimates, float(n)), n, trials))

@@ -7,7 +7,8 @@ bits are all zero).  The register keeps the maximum position seen, so a
 sketch is fully determined by the *set* of hashes inserted, never by their
 order or multiplicity.  All estimators in this package consume only the
 histogram of register values, which therefore acts as the sufficient
-statistic of the sketch.
+statistic of the sketch.  ``Sketch.histogram`` returns it as an int64 array,
+and every estimator reads its histogram argument through ``tally``.
 
 Valid parameters: 2 <= p <= 26, q >= 0, p + q <= 64.  Register values live
 in 0..q+1 and fit one byte.
@@ -83,60 +84,21 @@ def _config(p: int, q: int) -> SketchConfig:
     return SketchConfig(p, q)
 
 
-def register_counts(values, what: str) -> np.ndarray:
-    """``values`` as an int64 array of counts, or RangeError unless they are
-    non-negative integers below 2**63 (a larger one would wrap in int64)."""
+def tally(values, config: SketchConfig, shape: tuple, what: str) -> np.ndarray:
+    """``values`` as int64 counts, or RangeError unless they are integers of
+    ``shape`` that tally the m registers of ``config``: non-negative and
+    summing to m, so each is at most m and fits int64."""
     counts = array(values, what)
-    if not _is_integral(counts):
-        raise RangeError(f"{what} must be integers")
-    if (counts < 0).any():
-        raise RangeError(f"{what} must be non-negative")
-    if counts.dtype.kind in "uf" and (counts >= 2**63).any():
-        raise RangeError(f"{what} must be below 2**63 to fit int64")
-    return counts.astype(np.int64, copy=False)
-
-
-def check_tally(counts: np.ndarray, config: SketchConfig, shape: tuple, what: str) -> None:
-    """RangeError unless the non-negative int64 ``counts`` have ``shape`` and tally
-    the m registers of ``config``: they sum to m, so each is at most m."""
     if counts.shape != shape:
         raise RangeError(f"{what} has shape {counts.shape}, config wants {shape}")
-    if (total := sum(counts.ravel().tolist())) != config.m:  # Python ints cannot wrap
+    if not _is_integral(counts):
+        raise RangeError(f"{what} must be integers")
+    items = counts.ravel().tolist()  # Python numbers: the sum cannot wrap
+    if min(items) < 0:
+        raise RangeError(f"{what} must be non-negative")
+    if (total := sum(items)) != config.m:
         raise RangeError(f"{what} mass {total} != m={config.m}")
-
-
-class RegisterHistogram:
-    """Counts of register values: counts[k] registers hold value k, k in 0..q+1."""
-
-    __slots__ = ("counts",)
-
-    def __init__(self, counts):
-        self.counts = register_counts(counts, "histogram counts")
-        if self.counts.ndim != 1 or self.counts.size < 2:
-            raise RangeError("histogram needs one count per register value 0..q+1")
-
-    @property
-    def c0(self) -> int:
-        """Number of registers still at zero."""
-        return int(self.counts[0])
-
-    @property
-    def saturated(self) -> int:
-        """Number of registers at the maximum value q+1."""
-        return int(self.counts[-1])
-
-    def check(self, config: SketchConfig) -> "RegisterHistogram":
-        """Validate against a configuration: q+2 bins that tally the m registers."""
-        check_tally(self.counts, config, (config.q + 2,), "histogram")
-        return self
-
-    def __eq__(self, other):
-        if not isinstance(other, RegisterHistogram):
-            return NotImplemented
-        return np.array_equal(self.counts, other.counts)
-
-    def __repr__(self):
-        return f"RegisterHistogram({self.counts.tolist()})"
+    return counts.astype(np.int64, copy=False)
 
 
 class Sketch:
@@ -202,8 +164,8 @@ class Sketch:
         idx = (h >> (HASH_BITS - p)).view(np.int64)
         np.maximum.at(self._regs, idx, _register_values(h, p, q))
 
-    def histogram(self) -> RegisterHistogram:
-        """Count of registers at each value 0..q+1.
+    def histogram(self) -> np.ndarray:
+        """The int64 count of registers at each value 0..q+1.
 
         Small sketches are counted a byte at a time.  Above 256(q+2)
         registers, ``bincount`` reads them two bytes at a time (m is even), so
@@ -212,30 +174,17 @@ class Sketch:
         smaller than the registers.  Value k is counted by the pairs with k in
         one byte (row k) plus those with k in the other (column k).  The fold
         is symmetric in the two bytes, so byte order does not matter.
-
-        The counts skip ``RegisterHistogram``'s checks, as ``from_bytes``
-        skips those of ``from_registers``: registers lie in 0..q+1, so either
-        path gives q+2 non-negative int64 counts in one dimension, which is
-        all the constructor would confirm.  Its checks cost about a quarter
-        of a p=12 histogram, and the error studies build one per trial.
         """
         q2 = self.config.q + 2
         if self._regs.size <= 256 * q2:
-            counts = np.bincount(self._regs, minlength=q2)
-        else:
-            pairs = np.bincount(self._regs.view(np.uint16), minlength=256 * q2)
-            pairs = pairs.reshape(q2, 256)[:, :q2]
-            counts = pairs.sum(0) + pairs.sum(1)
-        hist = RegisterHistogram.__new__(RegisterHistogram)
-        hist.counts = counts
-        return hist
+            return np.bincount(self._regs, minlength=q2)
+        pairs = np.bincount(self._regs.view(np.uint16), minlength=256 * q2)
+        pairs = pairs.reshape(q2, 256)[:, :q2]
+        return pairs.sum(0) + pairs.sum(1)
 
     def merge(self, other: "Sketch") -> "Sketch":
         """Pure register-wise maximum; inputs are left untouched."""
-        if self.config != other.config:
-            raise ConfigMismatchError(
-                f"cannot merge {self.config} with {other.config}"
-            )
+        shared_config(self, other, "merge")
         out = Sketch(self.config)
         np.maximum(self._regs, other._regs, out=out._regs)
         return out
@@ -280,6 +229,15 @@ class Sketch:
     def __repr__(self):
         filled = int(np.count_nonzero(self._regs))
         return f"Sketch(p={self.config.p}, q={self.config.q}, nonzero={filled})"
+
+
+def shared_config(s1, s2, verb: str) -> SketchConfig:
+    """The configuration of ``s1`` and ``s2``, or ConfigMismatchError unless
+    both are sketches of the same one."""
+    if isinstance(s1, Sketch) and isinstance(s2, Sketch) and s1.config == s2.config:
+        return s1.config
+    c1, c2 = (s.config if isinstance(s, Sketch) else type(s).__name__ for s in (s1, s2))
+    raise ConfigMismatchError(f"cannot {verb} {c1} with {c2}")
 
 
 def _hash_array(hashes) -> np.ndarray:

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from hllkit.sketch import RegisterHistogram, SketchConfig
+from hllkit.sketch import SketchConfig
 
 
 def register_value_probs(config: SketchConfig, lam: float) -> np.ndarray:
@@ -24,10 +24,10 @@ def register_value_probs(config: SketchConfig, lam: float) -> np.ndarray:
 def random_histogram(rng: np.random.Generator, config: SketchConfig, lam: float):
     """Random histogram with register values drawn from the rate-lam model."""
     counts = rng.multinomial(config.m, register_value_probs(config, lam))
-    return RegisterHistogram(counts)
+    return counts
 
 
-def log_likelihood(lam: float, h: RegisterHistogram, config: SketchConfig) -> float:
+def log_likelihood(lam: float, h, config: SketchConfig) -> float:
     """Poisson-model log-likelihood of rate lam, term by term from the formula
     in the ``hllkit.ml`` docstring:
 
@@ -35,7 +35,7 @@ def log_likelihood(lam: float, h: RegisterHistogram, config: SketchConfig) -> fl
             - (lam/m) sum_{k=0}^{q} C_k 2^-k.
     """
     m, q = config.m, config.q
-    counts = [int(c) for c in h.counts]
+    counts = [int(c) for c in h]
     total = 0.0
     for k in range(1, q + 2):
         if counts[k]:

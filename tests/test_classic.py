@@ -19,25 +19,21 @@ from hllkit.errors import (
     UnsupportedConfigError,
     ZeroRegistersExhaustedError,
 )
-from hllkit.sketch import RegisterHistogram, Sketch, SketchConfig
+from hllkit.sketch import Sketch, SketchConfig
 
 CFG = SketchConfig(12, 20)
-
-
-def hist_from_counts(counts):
-    return RegisterHistogram(counts)
 
 
 def fresh_hist(config):
     counts = np.zeros(config.q + 2, dtype=np.int64)
     counts[0] = config.m
-    return RegisterHistogram(counts)
+    return counts
 
 
 def saturated_hist(config):
     counts = np.zeros(config.q + 2, dtype=np.int64)
     counts[-1] = config.m
-    return RegisterHistogram(counts)
+    return counts
 
 
 class TestAlpha:
@@ -74,14 +70,14 @@ class TestRawEstimate:
         # moving one register from value k to k+1 shrinks the denominator
         rng = np.random.default_rng(5)
         counts = rng.multinomial(CFG.m, np.full(CFG.q + 2, 1.0 / (CFG.q + 2)))
-        base = raw_estimate(hist_from_counts(counts), CFG)
+        base = raw_estimate(counts, CFG)
         for k in range(CFG.q + 1):
             if counts[k] == 0:
                 continue
             bumped = counts.copy()
             bumped[k] -= 1
             bumped[k + 1] += 1
-            assert raw_estimate(hist_from_counts(bumped), CFG) > base
+            assert raw_estimate(bumped, CFG) > base
 
     def test_depends_only_on_histogram(self):
         a = Sketch.from_registers(SketchConfig(2, 3), [0, 1, 4, 2])
@@ -173,9 +169,8 @@ class TestOriginalEstimate:
         counts = np.zeros(CFG.q + 2, dtype=np.int64)
         counts[0] = CFG.m - 100
         counts[1] = 100
-        h = hist_from_counts(counts)
-        assert raw_estimate(h, CFG) <= 2.5 * CFG.m
-        assert original_estimate(h, CFG) == linear_counting_estimate(CFG.m - 100, CFG.m)
+        assert raw_estimate(counts, CFG) <= 2.5 * CFG.m
+        assert original_estimate(counts, CFG) == linear_counting_estimate(CFG.m - 100, CFG.m)
 
     def test_all_saturated_is_out_of_domain(self):
         # raw = alpha_inf * 2^33 > 2^32: the correction has no value to give

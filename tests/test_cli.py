@@ -242,7 +242,7 @@ class TestInspect:
         assert sum(int(c) for _, c in rows) == cfg.m
         hist = s.histogram()
         for value, count in rows:
-            assert hist.counts[int(value)] == int(count)
+            assert hist[int(value)] == int(count)
 
     def test_bad_file_exits_2(self, tmp_path):
         bad = tmp_path / "bad"

@@ -33,25 +33,21 @@ from hllkit.ml import (
     ml_root_function,
     stop_delta,
 )
-from hllkit.sketch import RegisterHistogram, SketchConfig
+from hllkit.sketch import SketchConfig
 
 CFG = SketchConfig(12, 20)
-
-
-def hist(counts):
-    return RegisterHistogram(counts)
 
 
 def fresh(config):
     c = np.zeros(config.q + 2, dtype=np.int64)
     c[0] = config.m
-    return hist(c)
+    return c
 
 
 def saturated(config):
     c = np.zeros(config.q + 2, dtype=np.int64)
     c[-1] = config.m
-    return hist(c)
+    return c
 
 
 def _u_over_expm1_reference(u):
@@ -123,7 +119,7 @@ def random_hists(n, config, seed=0, lo=1.0, hi=None):
     while len(out) < n:
         lam = math.exp(rng.uniform(math.log(lo), math.log(hi)))
         h = random_histogram(rng, config, lam)
-        if h.c0 != config.m and h.saturated != config.m:
+        if h[0] != config.m and h[-1] != config.m:
             out.append(h)
     return out
 
@@ -166,7 +162,7 @@ class TestRootFunction:
         counts = np.zeros(CFG.q + 2, dtype=np.int64)
         counts[0] = CFG.m - 17
         counts[3] = 17
-        assert ml_root_function(0.0, hist(counts), CFG) == CFG.m - (CFG.m - 17)
+        assert ml_root_function(0.0, counts, CFG) == CFG.m - (CFG.m - 17)
 
     def test_rejects_negative_rate(self):
         with pytest.raises(DomainError):
@@ -211,7 +207,7 @@ class TestRootFunction:
     def test_no_cancellation_blowup_near_zero(self):
         # tiny rates: f must approach m - C0 smoothly
         h = random_hists(1, CFG, seed=2)[0]
-        target = CFG.m - h.c0
+        target = CFG.m - h[0]
         for lam in (1e-12, 1e-9, 1e-6):
             assert ml_root_function(lam, h, CFG) == pytest.approx(target, rel=1e-6)
 
@@ -225,7 +221,7 @@ class TestBracket:
         counts = np.zeros(CFG.q + 2, dtype=np.int64)
         counts[0] = CFG.m - 1
         counts[1] = 1
-        br = ml_bracket(hist(counts), CFG)
+        br = ml_bracket(counts, CFG)
         assert br.lower == pytest.approx(4096.0 / 4095.75, rel=1e-15)
         assert br.upper == pytest.approx(4096.0 / 4095.5, rel=1e-15)
 
@@ -233,7 +229,7 @@ class TestBracket:
         counts = np.zeros(CFG.q + 2, dtype=np.int64)
         counts[5] = 2000
         counts[6] = 2096
-        br = ml_bracket(hist(counts), CFG)
+        br = ml_bracket(counts, CFG)
         assert br.upper / br.lower == pytest.approx(1.5, rel=1e-12)
         rng = np.random.default_rng(3)
         for _ in range(20):
@@ -241,7 +237,7 @@ class TestBracket:
             inner = rng.multinomial(CFG.m, np.full(CFG.q, 1.0 / CFG.q))
             counts = np.zeros(CFG.q + 2, dtype=np.int64)
             counts[1 : CFG.q + 1] = inner
-            br = ml_bracket(hist(counts), CFG)
+            br = ml_bracket(counts, CFG)
             assert br.upper / br.lower <= 1.5 + 1e-12
 
     def test_degenerate_zero(self):
@@ -275,7 +271,7 @@ class TestMlEstimate:
         rng = np.random.default_rng(31)
         for _ in range(100):
             c0 = int(rng.integers(1, m))
-            est = ml_estimate(RegisterHistogram([c0, m - c0]), cfg)
+            est = ml_estimate([c0, m - c0], cfg)
             exact = m * math.log(m / c0)
             assert abs(est / exact - 1.0) <= delta
 
@@ -294,7 +290,7 @@ class TestMlEstimate:
                 evaluated.append(lam)
                 return f(lam)
 
-            root = _secant_solve(recording, br.lower, float(CFG.m - h.c0), CFG.m)
+            root = _secant_solve(recording, br.lower, float(CFG.m - h[0]), CFG.m)
             # a stalled or exact step returns the last point it evaluated
             iterates = evaluated if root == evaluated[-1] else [*evaluated, root]
             assert iterates[0] == br.lower

@@ -2,16 +2,19 @@
 
 Raising one register never lowers a cardinality estimate; merging is
 idempotent, commutative and associative, on the registers and on every
-estimate; ``Sketch.histogram``, which skips the histogram checks, gives what
-the checked constructor gives for the same registers; decoding any byte
+estimate; ``Sketch.histogram`` gives the int64 ``bincount`` of the
+registers, which the count rule of every estimator accepts as it is, and
+every function that takes a histogram gives the same bits for those counts,
+their list and an integral float copy; decoding any byte
 string, in the library or through ``hllkit inspect``, either succeeds or
 fails with a typed error and its documented exit code; every public function
-that takes numbers or sequences, given one bad value (nan, an infinity, a
-number past int64 or past the float range, a non-iterable, a wrong length,
-a ragged sequence, a non-number where one number is wanted, or numbers
-written as text),
-raises a typed error or returns a documented value, with no warning, and
-every non-number raises a typed error; and any
+that takes numbers, sequences or sketches, given one bad value (nan, an
+infinity, a number past int64 or past the float range, a non-iterable, a
+wrong length, a ragged sequence, a non-number where one number is wanted,
+numbers written as text, or a non-sketch), raises a typed error or returns a
+documented value, with no warning; every non-number raises a typed error,
+every bad histogram ``RangeError`` and every non-sketch
+``ConfigMismatchError``; and any
 argv drawn from a grammar of valid, malformed and edge values for the four
 subcommands ends in a documented exit code, with one ``error:`` line and no
 stdout on failure, and writes files only under the test's temporary
@@ -33,14 +36,19 @@ from hypothesis import strategies as st
 
 from hllkit import (
     Bracket,
+    ConfigMismatchError,
     JointEstimate,
     RngSeed,
+    inclusion_exclusion_estimate,
     joint_gradient,
     joint_log_likelihood,
+    joint_ml_estimate,
     joint_statistic,
     large_range_correction,
     linear_counting_estimate,
+    ml_bracket,
     ml_root_function,
+    original_estimate,
     run_error_experiment,
     run_joint_experiment,
     sample_joint_pair,
@@ -53,8 +61,8 @@ from hllkit.cli import main
 from hllkit.errors import DomainError, FormatError, HllError, RangeError
 from hllkit.improved import improved_estimate
 from hllkit.ml import ml_estimate, stop_delta
-from hllkit.sim import sample_sketch
-from hllkit.sketch import MAGIC, RegisterHistogram, Sketch, SketchConfig
+from hllkit.sim import SINGLE_ESTIMATORS, sample_sketch
+from hllkit.sketch import MAGIC, Sketch, SketchConfig, tally
 
 
 def _config_and_rng(draw):
@@ -106,16 +114,18 @@ def sketch_triples(draw):
     return [Sketch.from_registers(cfg, _registers(draw, cfg, rng)) for _ in range(3)]
 
 
+def _outcome(fn, h, cfg):
+    """repr of ``fn(h, cfg)``, exact to the bit, or the name of its error."""
+    try:
+        return repr(fn(h, cfg))
+    except HllError as e:
+        return type(e).__name__
+
+
 def _estimates(sketch):
     """raw, improved and ML estimates as exact reprs, or the error each raised."""
     h, cfg = sketch.histogram(), sketch.config
-    out = []
-    for estimate in (raw_estimate, improved_estimate, ml_estimate):
-        try:
-            out.append(repr(estimate(h, cfg)))
-        except HllError as e:
-            out.append(type(e).__name__)
-    return out
+    return [_outcome(fn, h, cfg) for fn in (raw_estimate, improved_estimate, ml_estimate)]
 
 
 @settings(max_examples=200, deadline=None)
@@ -134,9 +144,10 @@ def test_merge_is_idempotent_commutative_and_associative(sketches):
 @st.composite
 def any_shape_registers(draw):
     """A configuration with p in 2..16 and any q, so that both the byte and
-    the byte-pair count run, and registers drawn in a random value range."""
+    the byte-pair count run, or the q = 32 - p that ``original_estimate``
+    needs, and registers drawn in a random value range."""
     p = draw(st.integers(2, 16))
-    cfg = SketchConfig(p, draw(st.integers(0, 64 - p)))
+    cfg = SketchConfig(p, draw(st.one_of(st.integers(0, 64 - p), st.just(32 - p))))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     lo = draw(st.integers(0, cfg.q + 1))
     hi = draw(st.integers(lo, cfg.q + 1))
@@ -148,9 +159,34 @@ def any_shape_registers(draw):
 def test_histogram_matches_the_checked_bincount(case):
     cfg, regs = case
     got = Sketch.from_registers(cfg, regs).histogram()
-    want = RegisterHistogram(np.bincount(regs, minlength=cfg.q + 2))
-    assert got == want and got.counts.dtype == want.counts.dtype
-    assert got.check(cfg) is got
+    assert np.array_equal(got, np.bincount(regs, minlength=cfg.q + 2))
+    assert got.dtype == np.int64
+    assert tally(got, cfg, (cfg.q + 2,), "histogram") is got
+
+
+_HIST_CFG = SketchConfig(4, 28)  # p + q = 32, as original_estimate needs
+_HIST = [8, 4, 2, 1, 1, *[0] * 25]
+# every function that takes a histogram, called as (histogram, config)
+HISTOGRAM_FUNCTIONS = {
+    "raw_estimate": raw_estimate,
+    "original_estimate": original_estimate,
+    "improved_estimate": improved_estimate,
+    "ml_estimate": ml_estimate,
+    "ml_bracket": ml_bracket,
+    "ml_root_function": lambda h, cfg: ml_root_function(100.0, h, cfg),
+    "SINGLE_ESTIMATORS['linear']": SINGLE_ESTIMATORS["linear"],
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(any_shape_registers())
+def test_every_histogram_form_gives_the_same_bits(case):
+    cfg, regs = case
+    h = Sketch.from_registers(cfg, regs).histogram()
+    for fn in HISTOGRAM_FUNCTIONS.values():
+        want = _outcome(fn, h, cfg)
+        assert _outcome(fn, h.tolist(), cfg) == want
+        assert _outcome(fn, h.astype(float), cfg) == want
 
 
 @st.composite
@@ -231,7 +267,15 @@ def _joint(fn):
 _CFG = SketchConfig(4, 8)
 _COUNTS = [8, 4, 2, 1, 1, 0, 0, 0, 0, 0]
 _REGS = [0] * 8 + [1] * 4 + [2, 2, 3, 4]
-_STAT = joint_statistic(*sample_joint_pair(30, 20, 10, _CFG, np.random.default_rng(0)))
+_PAIR = sample_joint_pair(30, 20, 10, _CFG, np.random.default_rng(0))
+_STAT = joint_statistic(*_PAIR)
+# a histogram argument: None and the other non-iterables, text, a ragged
+# list, one bin short, bad numbers, a negative count and a wrong mass
+BAD_HISTOGRAMS = [
+    *_sequence(_HIST, _HIST[:-1]), "x", [9, -1, *_HIST[2:]], [9, *_HIST[1:]]
+]
+# a sketch argument: non-sketches, and a sketch of another configuration
+NOT_SKETCHES = [None, [0] * 16, "x", _REGS, Sketch(SketchConfig(4, 9))]
 _TRIPLE_ELEMENT = [[(v, 20, 10)] for v in BAD_NUMBERS]
 # name: (call, valid arguments, bad values for each argument, None if not probed)
 INPUT_CASES = {
@@ -242,10 +286,14 @@ INPUT_CASES = {
     "zeta": (zeta, (0.3,), [[*BAD_NUMBERS, *TEXT_NUMBERS]]),
     "zeta-array": (zeta, ([0.3, 0.7],), [[*_sequence([0.3, 0.7]), *TEXT_NUMBERS]]),
     "ml_root_function": (
-        lambda lam: ml_root_function(lam, RegisterHistogram(_COUNTS), _CFG),
+        lambda lam: ml_root_function(lam, _COUNTS, _CFG),
         (100.0,),
         [SCALAR],
     ),
+    **{
+        f"{name} histogram": (lambda h, fn=fn: fn(h, _HIST_CFG), (_HIST,), [BAD_HISTOGRAMS])
+        for name, fn in HISTOGRAM_FUNCTIONS.items()
+    },
     "SketchConfig": (SketchConfig, (4, 8), [SCALAR] * 2),
     "RngSeed": (RngSeed, (1, 2), [SCALAR] * 2),
     "RngSeed.generator": (lambda t: RngSeed(1).generator(t), (3,), [SCALAR]),
@@ -270,7 +318,6 @@ INPUT_CASES = {
         ([], 2),
         [[*NON_ITERABLES, [(30, 20)], *_TRIPLE_ELEMENT], SCALAR],
     ),
-    "RegisterHistogram": (RegisterHistogram, (_COUNTS,), [_sequence(_COUNTS, [16])]),
     "Sketch.from_registers": (
         lambda regs: Sketch.from_registers(_CFG, regs),
         (_REGS,),
@@ -278,6 +325,11 @@ INPUT_CASES = {
     ),
     "Sketch.insert": (lambda h: Sketch(_CFG).insert(h), (5,), [SCALAR]),
     "Sketch.insert_many": (_inserted_many, ([5, 2**63 + 7],), [_sequence([5, 2**63 + 7])]),
+    "Sketch.merge": (lambda other: Sketch(_CFG).merge(other), (_PAIR[1],), [NOT_SKETCHES]),
+    **{
+        fn.__name__: (fn, _PAIR, [NOT_SKETCHES] * 2)
+        for fn in (joint_statistic, inclusion_exclusion_estimate, joint_ml_estimate)
+    },
     "Sketch.from_bytes": (
         Sketch.from_bytes,
         (Sketch(_CFG).to_bytes(),),
@@ -362,6 +414,26 @@ def test_every_non_number_gives_a_typed_error():
                         value = exc
                 leaks.append(f"{name}[{i}] {bad!r}: {value!r}")
     assert not leaks, leaks
+
+
+@pytest.mark.parametrize("name", sorted(HISTOGRAM_FUNCTIONS))
+def test_every_bad_histogram_raises_range_error(name):
+    for bad in BAD_HISTOGRAMS:
+        with pytest.raises(RangeError):
+            HISTOGRAM_FUNCTIONS[name](bad, _HIST_CFG)
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [Sketch.merge, joint_statistic, inclusion_exclusion_estimate, joint_ml_estimate],
+    ids=lambda fn: fn.__qualname__,
+)
+def test_every_non_sketch_raises_config_mismatch(fn):
+    # before, each raised a raw AttributeError on the missing .config
+    for bad in NOT_SKETCHES:
+        for args in ((_PAIR[0], bad), (bad, _PAIR[1])):
+            with pytest.raises(ConfigMismatchError):
+                fn(*args)
 
 
 @pytest.mark.parametrize("bad", TEXT_NUMBERS, ids=repr)

@@ -32,7 +32,7 @@ from hllkit.sim import (
     sample_joint_pair,
     sample_sketch,
 )
-from hllkit.sketch import RegisterHistogram, Sketch, SketchConfig
+from hllkit.sketch import Sketch, SketchConfig
 
 CFG = SketchConfig(p=8, q=16)
 
@@ -136,14 +136,14 @@ def assert_matches_insertion(cfg, n, seed, brute_seed, draws=4000, check=None):
         h = sample_sketch(n, cfg, gen).histogram()
         if check:
             check(gen)
-        zero_a[t], mass_a[t] = h.c0, h.counts @ weights
+        zero_a[t], mass_a[t] = h[0], h @ weights
     rng = np.random.default_rng(brute_seed)
     zero_b, mass_b = np.empty(draws), np.empty(draws)
     for t in range(draws):
         s = Sketch(cfg)
         s.insert_many(rng.integers(0, 2**64, size=n, dtype=np.uint64))
         h = s.histogram()
-        zero_b[t], mass_b[t] = h.c0, h.counts @ weights
+        zero_b[t], mass_b[t] = h[0], h @ weights
     for a, b in ((zero_a, zero_b), (mass_a, mass_b)):
         se = math.sqrt(a.var(ddof=1) / draws + b.var(ddof=1) / draws)
         assert abs(a.mean() - b.mean()) <= 3.0 * se
@@ -375,8 +375,8 @@ class TestSampleSketch:
         pow2 = np.exp2(-np.minimum(np.arange(CFG.q + 2), CFG.q).astype(float))
         for t in range(draws):
             h = sample_sketch(n, CFG, seed.generator(t)).histogram()
-            c0_direct[t] = h.c0
-            weight_direct[t] = h.counts @ pow2
+            c0_direct[t] = h[0]
+            weight_direct[t] = h @ pow2
         rng = np.random.default_rng(6)
         c0_brute = np.empty(draws)
         weight_brute = np.empty(draws)
@@ -384,8 +384,8 @@ class TestSampleSketch:
             s = Sketch(CFG)
             s.insert_many(rng.integers(0, 2**64, size=n, dtype=np.uint64))
             h = s.histogram()
-            c0_brute[t] = h.c0
-            weight_brute[t] = h.counts @ pow2
+            c0_brute[t] = h[0]
+            weight_brute[t] = h @ pow2
         for a, b in ((c0_direct, c0_brute), (weight_direct, weight_brute)):
             se = math.sqrt(a.var(ddof=1) / draws + b.var(ddof=1) / draws)
             assert abs(a.mean() - b.mean()) <= 3.0 * se
@@ -501,11 +501,11 @@ class TestSampleJointPair:
         c0_pair = np.empty(draws)
         for t in range(draws):
             s1, _ = sample_joint_pair(600, 77, 400, CFG, seed.generator(t))
-            c0_pair[t] = s1.histogram().c0
+            c0_pair[t] = s1.histogram()[0]
         other = RngSeed(10)
         c0_single = np.empty(draws)
         for t in range(draws):
-            c0_single[t] = sample_sketch(1000, CFG, other.generator(t)).histogram().c0
+            c0_single[t] = sample_sketch(1000, CFG, other.generator(t)).histogram()[0]
         se = math.sqrt(
             c0_pair.var(ddof=1) / draws + c0_single.var(ddof=1) / draws
         )
@@ -560,6 +560,25 @@ class TestRunErrorExperiment:
         assert len(calls) == 5
         assert r.mean_rel_err == pytest.approx(42.0 / 10 - 1.0)
 
+    @pytest.mark.parametrize("value", [None, "42", [42.0], 1 + 2j])
+    def test_callable_returning_a_non_number_fails_its_trials(self, value):
+        # before, None became a nan row with failures=0
+        (r,) = run_error_experiment([10], 5, CFG, lambda h, c: value, RngSeed(16))
+        assert r.failures == 5
+        assert math.isnan(r.mean_rel_err)
+
+    def test_callable_receives_the_int64_counts(self):
+        seen = []
+
+        def fake(counts, config):
+            seen.append(counts)
+            return 10.0
+
+        run_error_experiment([10], 2, CFG, fake, RngSeed(16))
+        for counts in seen:
+            assert counts.dtype == np.int64 and counts.shape == (CFG.q + 2,)
+            assert counts.sum() == CFG.m
+
     def test_unknown_estimator_rejected(self):
         with pytest.raises(RangeError):
             run_error_experiment([10], 5, CFG, "nope", RngSeed(17))
@@ -608,7 +627,7 @@ class TestRunErrorExperiment:
 
         def recorder(name):
             def est(hist, config):
-                seen.setdefault(name, []).append(hist.counts.tobytes())
+                seen.setdefault(name, []).append(hist.tobytes())
                 return improved_estimate(hist, config)
 
             return est
@@ -674,7 +693,7 @@ class TestSingleEstimators:
         counts = np.zeros(cfg.q + 2, dtype=np.int64)
         counts[0], counts[3] = 200, 56
         with pytest.raises(RangeError):
-            SINGLE_ESTIMATORS[name](RegisterHistogram(counts), cfg)
+            SINGLE_ESTIMATORS[name](counts, cfg)
 
 
 class TestErrorReportType:
@@ -701,4 +720,4 @@ class TestErrorReportType:
         with pytest.raises(ZeroRegistersExhaustedError):
             from hllkit.classic import linear_counting_estimate
 
-            linear_counting_estimate(s.histogram().c0, cfg.m)
+            linear_counting_estimate(s.histogram()[0], cfg.m)
