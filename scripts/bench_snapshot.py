@@ -13,10 +13,11 @@ defaults (seed 1, 30 s, no tracing), one run per workload, kept under
 reader whether the host was in a fast or a slow state).  Its per-layer
 metrics come from one more run per workload with ``--trace 1`` and the same
 seed and length, kept the same way under ``bench_traced``.  Wall times come
-from timing, in fresh
-interpreters, both ``scripts/reproduce_*.py --quick``, ``hllkit estimate`` on
-a p=16 sketch and the tier-1 test suite; the short commands run three times
-each and every time is kept.  The file goes to the repository root as
+from timing, in fresh interpreters, both ``scripts/reproduce_*.py`` at their
+paper-scale defaults and with ``--quick``, ``hllkit estimate`` on a p=16
+sketch and the tier-1 test suite; every command but the test suite runs three
+times and every time is kept, and each reproduce run is kept with the sha256
+of the CSV it wrote.  The file goes to the repository root as
 ``BENCH_<n>.json`` with the smallest n not yet taken.  It names the measured
 code by HEAD and by the git tree ids of ``bench/``, ``scripts/`` and ``src/``
 as they stood, uncommitted edits to tracked files included: a commit holds
@@ -28,6 +29,7 @@ uses the standard library only and copies nothing out of ``bench/``.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import platform
@@ -39,7 +41,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("error-curve", "joint-table", "ingest-query")
-REPEATS = 3  # runs of each short command
+SCRIPTS = ("reproduce_error_curves", "reproduce_joint_table")
+REPEATS = 3  # runs of each timed command but the test suite
 # bench/run.py's own defaults, which this script leaves in force; recorded in
 # the file so a reader need not look them up
 BENCH_DEFAULTS = {"seed": 1, "seconds": 30.0, "trace": 0}
@@ -76,6 +79,18 @@ def _timed(label: str, argv: list[str]) -> dict:
         times.append(round(seconds, 3))
     print(f"{label}: {times} s", flush=True)
     return {"wall_s": times}
+
+
+def _reproduce(script: str, tmp: str, *options: str) -> dict:
+    """``_timed`` runs of ``scripts/<script>.py`` at seed 1, and the sha256 of
+    the CSV the last run wrote."""
+    label = " ".join((script, *options))
+    csv = Path(tmp) / f"{script}.csv"
+    timed = _timed(label, [sys.executable, f"scripts/{script}.py", *options,
+                           "--seed", "1", "--out", str(csv)])
+    timed["sha256"] = hashlib.sha256(csv.read_bytes()).hexdigest()
+    print(f"{label}: sha256 {timed['sha256']}", flush=True)
+    return timed
 
 
 def bench_workload(name: str, trace: int = 0) -> dict:
@@ -147,12 +162,8 @@ def main() -> int:
         if done.returncode != 0:
             sys.exit(f"error: could not write the p=16 sketch:\n{done.stderr}")
         snapshot["wall"] = {
-            "reproduce_error_curves_quick": _timed("reproduce_error_curves --quick", [
-                sys.executable, "scripts/reproduce_error_curves.py", "--quick",
-                "--seed", "1", "--out", str(Path(tmp) / "error_curves.csv")]),
-            "reproduce_joint_table_quick": _timed("reproduce_joint_table --quick", [
-                sys.executable, "scripts/reproduce_joint_table.py", "--quick",
-                "--seed", "1", "--out", str(Path(tmp) / "joint_table.csv")]),
+            **{f"{script}_quick": _reproduce(script, tmp, "--quick") for script in SCRIPTS},
+            **{script: _reproduce(script, tmp) for script in SCRIPTS},
             "estimate_p16_ml": _timed("hllkit estimate p=16 ml", [
                 sys.executable, "-m", "hllkit", "estimate", "--sketch", sketch,
                 "--estimator", "ml"]),

@@ -26,7 +26,7 @@ from .errors import (
     integer,
     real,
 )
-from .sketch import SketchConfig, tally, weighted_sum
+from .sketch import SketchConfig, config_of, histogram_counts, weighted_sum
 
 ALPHA_INF = 1.0 / (2.0 * math.log(2.0))
 _HASH_SPACE = 2.0**32  # the composite method's 32 relevant hash bits
@@ -34,7 +34,7 @@ _HASH_SPACE = 2.0**32  # the composite method's 32 relevant hash bits
 
 def raw_estimate(h, config: SketchConfig) -> float:
     """Harmonic-mean estimate alpha_inf * m^2 / sum_{k=0}^{q+1} C_k 2^-k."""
-    counts = tally(h, config, (config.q + 2,), "histogram")
+    counts = histogram_counts(h, config)
     m = config.m
     return ALPHA_INF * m * m / weighted_sum(counts, 0, config.q + 2)
 
@@ -69,11 +69,12 @@ def original_estimate(h, config: SketchConfig) -> float:
     High range (raw > 2^32/30): large-range correction in the fixed 2^32
     hash space.  Otherwise: raw.
     """
+    config = config_of(config)
     if config.p + config.q != 32:
         raise UnsupportedConfigError(
             f"composite switchover constants assume p+q=32, got {config.p + config.q}"
         )
-    counts = tally(h, config, (config.q + 2,), "histogram")
+    counts = histogram_counts(h, config)
     raw = raw_estimate(counts, config)
     if raw <= 2.5 * config.m and counts[0] > 0:
         return linear_counting_estimate(counts[0], config.m)

@@ -11,6 +11,9 @@ rules that turn an outside number or sequence into one the library computes with
   as a ragged one, raises the caller's error class (``RangeError`` by default).
 * ``reals``: a number or a sequence of them becomes a float64 ndarray, each
   element read as ``real`` reads one number, else ``DomainError``.
+* ``instance``: a value of a given class passes as it is; anything else
+  raises ``RangeError``, so no tuple is read as a configuration and no
+  generator as a seed.
 """
 
 import numpy as np
@@ -73,6 +76,13 @@ def integer(value, what: str, low: int, high: int | None = None) -> int:
             return n
     bound = f">= {low}" if high is None else f"in [{low}, {high}]"
     raise RangeError(f"{what} {value!r} is not an integer {bound}")
+
+
+def instance(value, kind: type, what: str):
+    """``value`` if it is a ``kind``, else ``RangeError``."""
+    if isinstance(value, kind):
+        return value
+    raise RangeError(f"{what} must be a {kind.__name__}, not {type(value).__name__}")
 
 
 def array(value, what: str, error: type[HllError] = RangeError) -> np.ndarray:

@@ -30,7 +30,7 @@ import numpy as np
 
 from .classic import ALPHA_INF
 from .errors import DomainError, real, reals
-from .sketch import SketchConfig, tally, weighted_sum
+from .sketch import SketchConfig, histogram_counts, weighted_sum
 
 LN2 = math.log(2.0)
 
@@ -138,5 +138,5 @@ def _corrected(counts, m: int, q: int) -> float:
 def improved_estimate(h, config: SketchConfig) -> float:
     """Corrected harmonic-mean estimate: 0 for an untouched sketch, +inf for a
     fully saturated one."""
-    counts = tally(h, config, (config.q + 2,), "histogram")
+    counts = histogram_counts(h, config)
     return _corrected(counts, config.m, config.q)

@@ -24,8 +24,10 @@ throughout to avoid cancellation.
 
 The fit stops once the Newton decrement g·d is at most EPSILON**2 (EPSILON
 from ``ml.py``), i.e. once the next step would be shorter than EPSILON
-standard errors, and raises ``NoConvergenceError`` after JOINT_MAX_ITERATIONS
-(500) steps.  A rate whose maximum lies at zero stops mattering on its own:
+standard errors.  A Newton step with g·d at most 10 EPSILON that moves no
+log-rate by more than 10 EPSILON is the last one: the fit returns its end
+point without evaluating it.  The fit raises ``NoConvergenceError`` after
+JOINT_MAX_ITERATIONS (500) steps.  A rate whose maximum lies at zero stops mattering on its own:
 its log-rate gradient shrinks with the rate, so no freezing is needed.
 """
 
@@ -46,7 +48,15 @@ from .errors import (
 # this module-level name
 from .improved import _corrected, improved_estimate  # noqa: F401
 from .ml import EPSILON
-from .sketch import Sketch, SketchConfig, level_weights, shared_config, tally, weighted_sum
+from .sketch import (
+    Sketch,
+    SketchConfig,
+    config_of,
+    level_weights,
+    shared_config,
+    tally,
+    weighted_sum,
+)
 
 JOINT_MAX_ITERATIONS = 500
 MAX_LOG_STEP = 4.0  # largest step in a log-rate: a factor e**4 in the rate
@@ -241,14 +251,18 @@ def _cholesky_solve(a, g):
 def _maximize(terms: _JointTerms, lam0) -> np.ndarray:
     """Damped Newton ascent of the log-likelihood over log-rates.
 
-    Stops once the Newton decrement g·d is at most ``EPSILON**2``;
-    each step is capped at MAX_LOG_STEP in log space and backtracked until
-    it meets the Armijo condition.
+    Stops once the Newton decrement g·d is at most ``EPSILON**2``.  A step
+    with g·d at most 10 EPSILON that moves no log-rate by more than
+    10 EPSILON (a rate by about 10.5%) is taken in full and returned
+    without evaluating its end point: near the maximum the next decrement
+    falls about quadratically, so that evaluation would only confirm the
+    stop.  Any other step is capped at MAX_LOG_STEP in log space and
+    backtracked until it meets the Armijo condition.
     """
     phi = np.log(lam0)
     lam = lam0
     f, g, hess = terms.evaluate(lam)
-    tol = EPSILON**2
+    tol, last = EPSILON**2, 10.0 * EPSILON
     for _ in range(JOINT_MAX_ITERATIONS):
         d = _newton_direction(g, hess)
         if d is None:
@@ -257,7 +271,10 @@ def _maximize(terms: _JointTerms, lam0) -> np.ndarray:
         if slope <= tol:
             return lam
         step = np.array(d)
-        alpha = min(1.0, MAX_LOG_STEP / max(abs(v) for v in d))
+        longest = max(abs(v) for v in d)
+        if slope <= last and longest <= last:
+            return np.exp(phi + step)
+        alpha = min(1.0, MAX_LOG_STEP / longest)
         for _ in range(60):
             trial = phi + alpha * step
             lam_trial = np.exp(trial)
@@ -281,6 +298,7 @@ def _evaluate(est: JointEstimate, table, config: SketchConfig):
         raise DomainError(
             f"rates ({est.a}, {est.b}, {est.x}) must all be positive and finite"
         )
+    config = config_of(config)
     table = tally(table, config, (config.q + 2,) * 2, "pair table")
     with np.errstate(all="ignore"):
         return _JointTerms(*_pair_counts(table), config).evaluate(lam)

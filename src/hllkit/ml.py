@@ -35,7 +35,7 @@ from .errors import (
     RangeError,
     real,
 )
-from .sketch import SketchConfig, level_weights, tally, weighted_sum
+from .sketch import SketchConfig, histogram_counts, level_weights, weighted_sum
 
 
 EPSILON = 1e-2
@@ -107,14 +107,14 @@ def ml_root_function(lam: float, h, config: SketchConfig) -> float:
     lam = real(lam, "rate")
     if not lam >= 0:  # nan fails this test too
         raise DomainError(f"rate {lam} must be non-negative")
-    counts = tally(h, config, (config.q + 2,), "histogram")
+    counts = histogram_counts(h, config)
     with np.errstate(**_QUIET):
         return _root_function(counts, config)(lam)
 
 
 def ml_bracket(h, config: SketchConfig) -> Bracket:
     """Closed-form bounds enclosing the ML rate (ratio at most 3/2 apart)."""
-    return Bracket(*_bracket(tally(h, config, (config.q + 2,), "histogram"), config))
+    return Bracket(*_bracket(histogram_counts(h, config), config))
 
 
 def _bracket(counts: np.ndarray, config: SketchConfig) -> tuple[float, float]:
@@ -158,7 +158,7 @@ def _secant_solve(f, x1, f0_at_zero, m):
 
 def ml_estimate(h, config: SketchConfig) -> float:
     """ML cardinality estimate: 0 for all-zero, +inf for all-saturated registers."""
-    counts = tally(h, config, (config.q + 2,), "histogram")
+    counts = histogram_counts(h, config)
     m = config.m
     if counts[0] == m:
         return 0.0

@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .classic import linear_counting_estimate, original_estimate, raw_estimate
-from .errors import HllError, RangeError, integer, real
+from .errors import HllError, RangeError, instance, integer, real
 from .improved import improved_estimate
 # inclusion_exclusion_estimate and joint_ml_estimate are not called here, but
 # bench/tracing.py wraps them under these module-level names
@@ -34,7 +34,7 @@ from .joint import (  # noqa: F401
     joint_ml_estimate,
 )
 from .ml import ml_estimate
-from .sketch import Sketch, SketchConfig, level_weights, tally
+from .sketch import Sketch, SketchConfig, config_of, histogram_counts, level_weights
 
 DEFAULT_QUANTILES = (0.01, 0.05, 0.25, 0.75, 0.95, 0.99)
 MAX_CARDINALITY = 2**63 - 1  # the samplers draw element counts as int64
@@ -44,7 +44,7 @@ _JUMP = 0x9E3779B97F4A7C15F39CC0605CEDC835
 
 
 def _linear_from_histogram(h, config):
-    c0 = tally(h, config, (config.q + 2,), "histogram")[0]
+    c0 = histogram_counts(h, config)[0]
     return linear_counting_estimate(c0, config.m)
 
 
@@ -159,6 +159,17 @@ def _throw(gen: np.random.Generator, p: int, size: int) -> np.ndarray:
     return gen.integers(0, 1 << p, size=size)
 
 
+def _generator(gen):
+    """``gen`` if it is a numpy ``Generator`` or has the three draws
+    ``sample_sketch`` makes, as a proxy of one does, else RangeError: no
+    seed, bit generator or ``RngSeed`` is read as a generator."""
+    if isinstance(gen, np.random.Generator) or all(
+        callable(getattr(gen, d, None)) for d in ("multinomial", "binomial", "integers")
+    ):
+        return gen
+    raise RangeError(f"generator must be a Generator, not {type(gen).__name__}")
+
+
 def sample_sketch(
     n: int, config: SketchConfig, gen: np.random.Generator
 ) -> Sketch:
@@ -178,9 +189,10 @@ def sample_sketch(
     indices are the largest temporary.
     """
     n = integer(n, "cardinality", 0, MAX_CARDINALITY)
+    gen = _generator(gen)
+    sketch = Sketch(config)  # RangeError unless config is a SketchConfig
+    config, regs = sketch.config, sketch._regs
     m = config.m
-    sketch = Sketch(config)
-    regs = sketch._regs
     pmf, levels = _level_tables(config.q)
     counts = gen.multinomial(n, pmf)[::-1]
     if n <= 2 * m:
@@ -349,6 +361,7 @@ def run_error_experiment(
     sketches for every estimator choice.
     """
     trials = integer(trials, "trials", 2)
+    config, rng = config_of(config), instance(rng, RngSeed, "rng")
     fn = _resolve_estimator(estimator)
     cards = [
         integer(n, "cardinality", 0, MAX_CARDINALITY)
@@ -375,6 +388,7 @@ def run_joint_experiment(
 ):
     """Paired inclusion-exclusion vs joint-ML error table, one row per triple."""
     trials = integer(trials, "trials", 2)
+    config, rng = config_of(config), instance(rng, RngSeed, "rng")
     configurations = [
         _check_triple(t) for t in _listed(configurations, "configurations")
     ]

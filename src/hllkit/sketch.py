@@ -8,7 +8,7 @@ sketch is fully determined by the *set* of hashes inserted, never by their
 order or multiplicity.  All estimators in this package consume only the
 histogram of register values, which therefore acts as the sufficient
 statistic of the sketch.  ``Sketch.histogram`` returns it as an int64 array,
-and every estimator reads its histogram argument through ``tally``.
+and every estimator reads its histogram argument through ``histogram_counts``.
 
 Valid parameters: 2 <= p <= 26, q >= 0, p + q <= 64.  Register values live
 in 0..q+1 and fit one byte.
@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigMismatchError, FormatError, RangeError, array, integer
+from .errors import ConfigMismatchError, FormatError, RangeError, array, instance, integer
 
 MAGIC = b"HLLS"
 VERSION = 1
@@ -101,6 +101,13 @@ def tally(values, config: SketchConfig, shape: tuple, what: str) -> np.ndarray:
     return counts.astype(np.int64, copy=False)
 
 
+def histogram_counts(h, config: SketchConfig) -> np.ndarray:
+    """``h`` as the int64 histogram of ``config``: RangeError unless ``config``
+    is a ``SketchConfig`` and ``h`` tallies its m registers over 0..q+1."""
+    config = config_of(config)
+    return tally(h, config, (config.q + 2,), "histogram")
+
+
 class Sketch:
     """Mutable register array addressed by hash prefix.
 
@@ -110,7 +117,7 @@ class Sketch:
     __slots__ = ("config", "_regs")
 
     def __init__(self, config: SketchConfig):
-        self.config = config
+        self.config = config = config_of(config)
         self._regs = np.zeros(config.m, dtype=np.uint8)
 
     @classmethod
@@ -121,6 +128,7 @@ class Sketch:
         finite integers, and anything else raises RangeError rather than being
         cast.
         """
+        config = config_of(config)
         arr = array(values, "register values")
         if arr.shape != (config.m,):
             raise RangeError(f"expected {config.m} register values, got {arr.shape}")
@@ -229,6 +237,12 @@ class Sketch:
     def __repr__(self):
         filled = int(np.count_nonzero(self._regs))
         return f"Sketch(p={self.config.p}, q={self.config.q}, nonzero={filled})"
+
+
+def config_of(value) -> SketchConfig:
+    """``value`` if it is a ``SketchConfig``, else RangeError: no tuple,
+    sketch or None is read as one."""
+    return instance(value, SketchConfig, "config")
 
 
 def shared_config(s1, s2, verb: str) -> SketchConfig:

@@ -641,7 +641,7 @@ class TestGoldenFiles:
         ("reproduce_error_curves.py",
          "0e4b1deedc91e6647fecff9c7b16470f6d38cc4e137767e46636941b5dca3e33"),
         ("reproduce_joint_table.py",
-         "a8edd14c89e1c7f481994b6753a02ad2447b27ce8a3a302c28973d1d5e76b939"),
+         "36f521b1a5d469f26b1a3a9f17cab89e1dddf45d55e7734119827f4b8aad308a"),
     ], ids=["error-curves", "joint-table"])
     def test_quick_reproduction_pinned(self, script, want, tmp_path):
         out = tmp_path / "quick.csv"

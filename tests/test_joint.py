@@ -528,6 +528,21 @@ def small_overlap_fits():
     return fits
 
 
+PAPER_CONFIGURATIONS = [(10_000, 10_000, 10_000), (10_000, 10_000, 100),
+                        (100, 100, 10_000), (100_000, 1_000, 1_000)]
+
+
+@pytest.fixture(scope="module")
+def paper_pairs():
+    """100 seeded pairs of each of the paper's four configurations, at p=12, q=16."""
+    rng = RngSeed(19)
+    return {
+        cards: [sample_joint_pair(*cards, SMALL_OVERLAP_CFG, rng.generator(gi * 100 + t))
+                for t in range(100)]
+        for gi, cards in enumerate(PAPER_CONFIGURATIONS)
+    }
+
+
 class TestNewtonFit:
     def test_small_intersection_leaves_start_point(self, small_overlap_fits):
         # inclusion-exclusion often puts x below 1, so the fit starts at x = 1
@@ -543,6 +558,43 @@ class TestNewtonFit:
                 gain = joint_log_likelihood(moved, stat, SMALL_OVERLAP_CFG) - base
                 worst = max(worst, gain)
         assert worst <= 0.02
+
+    @pytest.mark.parametrize("cards", PAPER_CONFIGURATIONS)
+    def test_paper_configurations_reach_maximum(self, paper_pairs, cards):
+        # the last small step is taken without evaluating its end point, so
+        # every rate of that end point is moved here, not only x
+        worst = -math.inf
+        for s1, s2 in paper_pairs[cards]:
+            ml, stat = joint_ml_estimate(s1, s2), joint_statistic(s1, s2)
+            base = joint_log_likelihood(ml, stat, SMALL_OVERLAP_CFG)
+            rates = as_array(ml)
+            for i in np.nonzero(rates > 0)[0]:
+                for factor in (0.5, 0.99, 1.01, 2.0, 10.0):
+                    moved = rates.copy()
+                    moved[i] *= factor
+                    gain = joint_log_likelihood(
+                        JointEstimate(*moved), stat, SMALL_OVERLAP_CFG) - base
+                    worst = max(worst, gain)
+        assert worst <= 0.02
+
+    def test_paper_configurations_fit_in_under_three_evaluations(self, paper_pairs,
+                                                                 monkeypatch):
+        evaluations = self._count_evaluations(monkeypatch)
+        means = []
+        for pairs in paper_pairs.values():
+            evaluations.clear()
+            for s1, s2 in pairs:
+                joint_ml_estimate(s1, s2)
+            means.append(len(evaluations) / len(pairs))
+        assert np.mean(means) < 3
+
+    def test_last_small_step_is_not_evaluated(self, paper_pairs, monkeypatch):
+        evaluations = self._count_evaluations(monkeypatch)
+        ml = joint_ml_estimate(*paper_pairs[PAPER_CONFIGURATIONS[0]][0])
+        # the start point and one damped step; the second, small step is
+        # returned without a third evaluation to confirm it
+        assert len(evaluations) == 2
+        assert not any(np.array_equal(as_array(ml), lam) for lam in evaluations)
 
     @pytest.mark.parametrize(
         "cards", [(0, 0, 10_000), (10_000, 0, 0), (0, 10_000, 0), (10_000, 10_000, 0)]

@@ -11,10 +11,11 @@ fails with a typed error and its documented exit code; every public function
 that takes numbers, sequences or sketches, given one bad value (nan, an
 infinity, a number past int64 or past the float range, a non-iterable, a
 wrong length, a ragged sequence, a non-number where one number is wanted,
-numbers written as text, or a non-sketch), raises a typed error or returns a
-documented value, with no warning; every non-number raises a typed error,
-every bad histogram ``RangeError`` and every non-sketch
-``ConfigMismatchError``; and any
+numbers written as text, a non-sketch, a non-configuration or a
+non-generator), raises a typed error or returns a documented value, with no
+warning; every non-number raises a typed error, every bad histogram
+``RangeError``, every non-sketch ``ConfigMismatchError``, and every
+non-configuration and non-generator ``RangeError``; and any
 argv drawn from a grammar of valid, malformed and edge values for the four
 subcommands ends in a documented exit code, with one ``error:`` line and no
 stdout on failure, and writes files only under the test's temporary
@@ -277,6 +278,46 @@ BAD_HISTOGRAMS = [
 # a sketch argument: non-sketches, and a sketch of another configuration
 NOT_SKETCHES = [None, [0] * 16, "x", _REGS, Sketch(SketchConfig(4, 9))]
 _TRIPLE_ELEMENT = [[(v, 20, 10)] for v in BAD_NUMBERS]
+# a configuration argument: None, a (p, q) tuple, text and a sketch
+NOT_CONFIGS = [None, (4, 8), "x", Sketch(_CFG)]
+# a generator or seed argument: None, a number, text and a bare bit generator;
+# each case adds the other kind, since a seed is no generator and the reverse
+NOT_GENERATORS = [None, 0, "x", np.random.PCG64(0)]
+# name: (call given the one configuration argument of a public function,
+# its valid value)
+CONFIG_CASES = {
+    **{f"{name} config": (lambda cfg, fn=fn: fn(_HIST, cfg), _HIST_CFG)
+       for name, fn in HISTOGRAM_FUNCTIONS.items()},
+    "Sketch": (Sketch, _CFG),
+    "Sketch.from_registers config": (lambda cfg: Sketch.from_registers(cfg, _REGS), _CFG),
+    "sample_sketch config": (
+        lambda cfg: sample_sketch(100, cfg, np.random.default_rng(0)), _CFG),
+    "sample_joint_pair config": (
+        lambda cfg: sample_joint_pair(30, 20, 10, cfg, np.random.default_rng(0)), _CFG),
+    # one small cardinality, so that the runners reach the configuration
+    "run_error_experiment config": (
+        lambda cfg: run_error_experiment([10], 2, cfg, "raw", RngSeed(1)), _CFG),
+    "run_joint_experiment config": (
+        lambda cfg: run_joint_experiment([(3, 2, 1)], 2, cfg, RngSeed(1)), _CFG),
+    **{f"{fn.__name__} config": (
+        lambda cfg, fn=fn: fn(JointEstimate(30.0, 20.0, 10.0), _STAT, cfg), _CFG)
+       for fn in (joint_log_likelihood, joint_gradient)},
+}
+# name: (call given the one generator or seed argument, its valid value, probes)
+GENERATOR_CASES = {
+    "sample_sketch generator": (
+        lambda gen: sample_sketch(100, _CFG, gen), np.random.default_rng(0),
+        [*NOT_GENERATORS, RngSeed(1)]),
+    "sample_joint_pair generator": (
+        lambda gen: sample_joint_pair(30, 20, 10, _CFG, gen), np.random.default_rng(0),
+        [*NOT_GENERATORS, RngSeed(1)]),
+    "run_error_experiment rng": (
+        lambda rng: run_error_experiment([10], 2, _CFG, "raw", rng), RngSeed(1),
+        [*NOT_GENERATORS, np.random.default_rng(0)]),
+    "run_joint_experiment rng": (
+        lambda rng: run_joint_experiment([(3, 2, 1)], 2, _CFG, rng), RngSeed(1),
+        [*NOT_GENERATORS, np.random.default_rng(0)]),
+}
 # name: (call, valid arguments, bad values for each argument, None if not probed)
 INPUT_CASES = {
     "linear_counting_estimate": (linear_counting_estimate, (8, 16), [SCALAR] * 2),
@@ -344,6 +385,8 @@ INPUT_CASES = {
         )
         for fn in (joint_log_likelihood, joint_gradient)
     },
+    **{name: (fn, (valid,), [NOT_CONFIGS]) for name, (fn, valid) in CONFIG_CASES.items()},
+    **{name: (fn, (valid,), [probes]) for name, (fn, valid, probes) in GENERATOR_CASES.items()},
 }
 
 
@@ -434,6 +477,23 @@ def test_every_non_sketch_raises_config_mismatch(fn):
         for args in ((_PAIR[0], bad), (bad, _PAIR[1])):
             with pytest.raises(ConfigMismatchError):
                 fn(*args)
+
+
+@pytest.mark.parametrize("name", sorted(CONFIG_CASES))
+def test_every_non_config_raises_range_error(name):
+    # before, each raised a raw AttributeError on a missing .q or .m, or
+    # (the histogram functions) read a tuple's own count
+    for bad in NOT_CONFIGS:
+        with pytest.raises(RangeError, match="config must be a SketchConfig"):
+            CONFIG_CASES[name][0](bad)
+
+
+@pytest.mark.parametrize("name", sorted(GENERATOR_CASES))
+def test_every_non_generator_raises_range_error(name):
+    fn, _, probes = GENERATOR_CASES[name]
+    for bad in probes:
+        with pytest.raises(RangeError, match="must be a (Generator|RngSeed)"):
+            fn(bad)
 
 
 @pytest.mark.parametrize("bad", TEXT_NUMBERS, ids=repr)

@@ -654,7 +654,7 @@ class TestKernelDigests:
                     out = type(exc).__name__
                 digest.update(repr(out).encode())
         assert digest.hexdigest() == (
-            "4a0178878a1f441f6c6b0de0c64090fec1540a61bea520cab21a44389f5cefc5")
+            "30a3397dd1133346a32aa1c645534e76969aff0b151fb4e123ef6b4a552f8bac")
 
     def test_sample_sketch_error_curve_grid(self):
         config, rng = SketchConfig(12, 20), RngSeed(2017)
