@@ -17,7 +17,10 @@ from timing, in fresh interpreters, both ``scripts/reproduce_*.py`` at their
 paper-scale defaults and with ``--quick``, ``hllkit estimate`` on a p=16
 sketch and the tier-1 test suite; every command but the test suite runs three
 times and every time is kept, and each reproduce run is kept with the sha256
-of the CSV it wrote.  The file goes to the repository root as
+of the CSV it wrote.  Joint fits are timed in a fresh interpreter too, under
+``joint_fit_us``: microseconds per fit of 20 seeded pairs of each paper
+configuration at p=12, q=16, fitted one at a time and fitted together in one
+lock-step batch, best of REPEATS.  The file goes to the repository root as
 ``BENCH_<n>.json`` with the smallest n not yet taken.  It names the measured
 code by HEAD and by the git tree ids of ``bench/``, ``scripts/`` and ``src/``
 as they stood, uncommitted edits to tracked files included: a commit holds
@@ -53,6 +56,32 @@ WRITE_SKETCH = (
     "s.insert_many(np.random.default_rng(1).integers(0, 2**64, size=200_000, dtype=np.uint64)); "
     "open(sys.argv[1], 'wb').write(s.to_bytes())"
 )
+
+
+# microseconds per joint fit of 20 pairs of each paper configuration, alone
+# and in one lock-step batch, best of argv[1] runs of each; prints JSON
+JOINT_FITS = """
+import json, sys, time
+from hllkit import RngSeed, SketchConfig, sample_joint_pair
+from hllkit.joint import _fit_starts, _joint_start
+config, repeats, out = SketchConfig(12, 16), int(sys.argv[1]), {}
+for gi, cards in enumerate([(10000, 10000, 10000), (10000, 10000, 100),
+                            (100, 100, 10000), (100000, 1000, 1000)]):
+    starts = [_joint_start(*sample_joint_pair(*cards, config, RngSeed(1).generator(gi * 20 + t)))
+              for t in range(20)]
+    def best(run):
+        times = []
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            run()
+            times.append(time.perf_counter() - t0)
+        return round(min(times) / len(starts) * 1e6, 1)
+    out[",".join(map(str, cards))] = {
+        "alone": best(lambda: [_fit_starts([s], config) for s in starts]),
+        "batch_of_20": best(lambda: _fit_starts(starts, config)),
+    }
+print(json.dumps(out))
+"""
 
 
 def _env() -> dict:
@@ -113,6 +142,15 @@ def tier1() -> dict:
     return {"wall_s": round(seconds, 2), "returncode": done.returncode, "summary": summary}
 
 
+def joint_fits() -> dict:
+    _, done = _run([sys.executable, "-c", JOINT_FITS, str(REPEATS)])
+    if done.returncode != 0:
+        sys.exit(f"error: the joint fit timing exited {done.returncode}:\n{done.stderr}")
+    result = json.loads(done.stdout)
+    print(f"joint fits: {result} us", flush=True)
+    return result
+
+
 def _numpy_version() -> str:
     _, done = _run([sys.executable, "-c", "import numpy; print(numpy.__version__)"])
     return done.stdout.strip()
@@ -155,6 +193,7 @@ def main() -> int:
         "bench_defaults": BENCH_DEFAULTS,
         "bench": {name: bench_workload(name) for name in WORKLOADS},
         "bench_traced": {name: bench_workload(name, trace=1) for name in WORKLOADS},
+        "joint_fit_us": joint_fits(),
     }
     with tempfile.TemporaryDirectory() as tmp:
         sketch = str(Path(tmp) / "p16.hll")

@@ -6,8 +6,8 @@ Runs the ``joint-simulate`` subcommand over four overlap configurations
 asymmetric sizes) with 2^12 registers, and writes one CSV row per
 configuration.  Improvement columns are RMSE ratios of inclusion-exclusion
 over the joint likelihood fit; values above 1 favor the likelihood fit.  The
-default 300-trial run takes about 0.6 s on a 2-CPU host; ``--quick`` drops to
-30 trials.
+default 300-trial run takes about 0.53 s on a 2-CPU host (Python 3.11,
+numpy 2.4); ``--quick`` drops to 30 trials and about 0.25 s.
 """
 
 from __future__ import annotations

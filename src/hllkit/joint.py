@@ -29,6 +29,14 @@ log-rate by more than 10 EPSILON is the last one: the fit returns its end
 point without evaluating it.  The fit raises ``NoConvergenceError`` after
 JOINT_MAX_ITERATIONS (500) steps.  A rate whose maximum lies at zero stops mattering on its own:
 its log-rate gradient shrinks with the rate, so no freezing is needed.
+
+Many pairs are fitted in lock step: each pair's fit is a generator that
+yields the rates it needs evaluated, and one ``_JointTerms.evaluate`` per
+round serves every pair still asking, so numpy's per-call cost is shared.
+Every sum in that evaluation runs along one pair's own row, so a pair's fit
+is bit for bit the one it gets alone, whatever else shares its batch, and a
+fit that raises fails that pair only.  ``joint_ml_estimate`` is a batch of
+one.
 """
 
 from __future__ import annotations
@@ -41,7 +49,9 @@ import numpy as np
 from .errors import (
     DegenerateHistogramError,
     DomainError,
+    HllError,
     NoConvergenceError,
+    instance,
     real,
 )
 # improved_estimate is not called here, but bench/tracing.py wraps it under
@@ -60,8 +70,6 @@ from .sketch import (
 
 JOINT_MAX_ITERATIONS = 500
 MAX_LOG_STEP = 4.0  # largest step in a log-rate: a factor e**4 in the rate
-# Rates each strict-order count group depends on: a+x, b+x, a, b.
-_INCIDENCE = np.array([[1, 0, 1], [0, 1, 1], [1, 0, 0], [0, 1, 0]], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -137,66 +145,111 @@ def inclusion_exclusion_estimate(s1: Sketch, s2: Sketch) -> JointEstimate:
 
 
 class _JointTerms:
-    """Count-weighted likelihood terms, stacked into a few vector expressions.
+    """Count-weighted likelihood terms of a stack of pairs, on one layout
+    fixed by q.
 
-    Strict-order counts ``c`` sit on rows of the 0/1 matrix ``inc`` that pick
-    the rates their value depends on, with scales ``s``; equal-pair counts
-    and scales are ``eq_c``/``eq_s``; ``w`` holds the linear weights
-    (1/m) sum_{k<=q} counts_k 2^-k of the three rates, over ``_pair_counts``'s ``hists``.
+    Each pair has five rows of counts at values 1..q+1: its four strict-order
+    groups, whose values depend on the rate sums a+x, b+x, a and b, and its
+    equal pairs; value 0 enters through the linear weights ``w`` alone, the
+    (1/m) sum_{k<=q} counts_k 2^-k of each of the three rates.  A zero count
+    contributes exactly 0 unless a scaled rate sum underflows to 0.  Every
+    sum runs along one pair's own contiguous last axis, so a pair's results
+    do not depend on the other pairs stacked with it.
     """
 
-    __slots__ = ("inc", "c", "s", "cs", "cs2", "eq_c", "eq_s", "eq_cs", "w")
+    __slots__ = ("s", "neg_s", "counts", "w", "lhs", "rhs")
 
-    def __init__(self, strict, equal, hists, config: SketchConfig):
-        q = config.q
-        scale = level_weights(q) / config.m  # 1/(m 2^min(k,q)) for k = 0..q+1
-        strict = strict.astype(float)
-        strict[:, 0] = 0.0  # value 0 enters through the linear weights only
-        group, ks = np.nonzero(strict)
-        self.inc = _INCIDENCE[group]
-        self.c = strict[group, ks]
-        self.s = scale[ks]
-        self.cs = self.c * self.s
-        self.cs2 = self.cs * self.s
-        ks = np.nonzero(equal[1:])[0] + 1
-        self.eq_c = equal[ks].astype(float)
-        self.eq_s = scale[ks]
-        self.eq_cs = self.eq_c * self.eq_s
-        h1, h2, _, h_min = hists
-        self.w = np.array([weighted_sum(h, 0, q + 1) for h in (h1, h2, h_min)]) / config.m
+    def __init__(self, counts, w, config: SketchConfig):
+        """``counts`` (n x 5 x (q+2)): the strict rows and equal pairs of
+        ``_pair_counts`` by value 0..q+1, one block per pair; ``w`` (n x 3)."""
+        n, s = len(w), level_weights(config.q)[1:] / config.m  # 1/(m 2^min(k,q)), k >= 1
+        self.s, self.neg_s, self.w = s, -s, w
+        counts = counts[:, :, 1:].astype(float)
+        # the left and right factors of every sum, with rows as listed at
+        # _LHS; evaluate writes lhs rows 12-14 and rhs rows 0-11
+        self.lhs = lhs = np.empty((n, 16, len(s)))
+        np.multiply(counts, s, out=lhs[:, :5])
+        np.multiply(lhs[:, :4], self.neg_s, out=lhs[:, 5:9])
+        lhs[:, 9] = counts[:, 4]
+        np.negative(lhs[:, 4], out=lhs[:, 10])
+        np.negative(counts[:, 4], out=lhs[:, 11])
+        lhs[:, 15] = 0.0
+        self.rhs = np.empty((n, 13, len(s)))
+        self.rhs[:, 12] = 0.0
+        counts[:, :4] *= -1.0  # f weighs ln(1 + h) = -ln(1 - e^-u) by minus the strict counts
+        self.counts = counts.reshape(n, -1)
+
+    def take(self, rows) -> "_JointTerms":
+        """The terms of the pairs at ``rows``, in that order."""
+        sub = object.__new__(_JointTerms)
+        sub.s, sub.neg_s, sub.counts, sub.w = self.s, self.neg_s, self.counts[rows], self.w[rows]
+        sub.lhs, sub.rhs = self.lhs[rows], self.rhs[rows]
+        return sub
 
     def evaluate(self, lam: np.ndarray):
-        """Log-likelihood at rates ``lam``, and its gradient and Hessian in
-        log-rates as Python lists.
+        """Log-likelihood of each pair at its row of rates ``lam`` (n x 3),
+        and its gradient and Hessian in log-rates, as Python lists.
 
         Call under ``np.errstate(all="ignore")``: a rate underflowing to a
         zero u gives -inf, not a warning.
         """
-        # strict terms: ln(1 - e^-u) = -ln(1 + h) with h = 1/(e^u - 1)
-        h = 1.0 / np.expm1((self.inc @ lam) * self.s)
-        neg = np.multiply.outer(lam, -self.eq_s)  # -a s, -b s, -x s
-        e = np.exp(neg)  # A, B, X
-        pa, pb, px = -np.expm1(neg)  # 1 - A, 1 - B, 1 - X
-        d = px + e[2] * pa * pb
-        f = float(self.eq_c @ np.log(d) - self.c @ np.log1p(h) - self.w @ lam)
-        ea, eb, ex = e
-        # rows: D_a/D, D_b/D, D_x/D, and s A B X / D for the a-b cross term
-        r = ex * self.eq_s / d
-        eq = np.array([ea * pb, eb * pa, ea + eb * pa, ea * eb]) * r
-        grad = (self.cs * h) @ self.inc + eq[:3] @ self.eq_c - self.w
-        hess = -(self.inc.T * (self.cs2 * h * (1.0 + h))) @ self.inc
-        hess -= (eq[:3] * self.eq_c) @ eq[:3].T
-        sa, sb, sx, sab = (eq @ self.eq_cs).tolist()
-        hess += np.array([[-sa, sab, -sa], [sab, -sb, -sb], [-sa, -sb, -sx]])
+        n, lhs, rhs = len(lam), self.lhs, self.rhs
+        sums = np.empty((n, 5))  # a+x, b+x, a, b, x
+        np.add(lam[:, :2], lam[:, 2:], out=sums[:, :2])
+        sums[:, 2:] = lam
+        neg = sums[:, :, None] * self.neg_s  # -u by row
+        e = np.exp(neg)  # strict e^-u; A, B, X
+        p = np.expm1(neg)
+        np.negative(p, out=p)  # strict 1 - e^-u; 1 - A, 1 - B, 1 - X
+        np.divide(e[:, :4], p[:, :4], out=rhs[:, :4])  # h
+        np.divide(rhs[:, :4], p[:, :4], out=rhs[:, 4:8])  # h(1 + h)
+        ea, eb, ex = e[:, 2], e[:, 3], e[:, 4]
+        pa, pb = p[:, 2], p[:, 3]
+        d = ex * pa
+        d *= pb
+        d += p[:, 4]  # D = (1 - X) + X(1-A)(1-B)
+        # strict pairs add ln(1 - e^-u) = -ln(1 + h), equal pairs ln D
+        logs = np.empty((n, 5, len(self.s)))
+        np.log1p(rhs[:, :4], out=logs[:, :4])
+        np.log(d, out=logs[:, 4])
+        f = np.vecdot(self.counts, logs.reshape(n, -1)) - np.vecdot(self.w, lam)
+        r = ex * self.s
+        r /= d
+        eq = rhs[:, 8:12]  # rows: D_a/D, D_b/D, D_x/D, and s A B X / D
+        np.multiply(ea, pb, out=eq[:, 0])
+        np.multiply(eb, pa, out=eq[:, 1])
+        np.add(ea, eq[:, 1], out=eq[:, 2])
+        np.multiply(ea, eb, out=eq[:, 3])
+        eq *= r[:, None]
+        np.multiply(eq[:, :3], lhs[:, 11:12], out=lhs[:, 12:15])
+        # one sum of four blocks per gradient entry and per Hessian entry
+        m = np.vecdot(lhs[:, _LHS].reshape(n, 9, -1), rhs[:, _RHS].reshape(n, 9, -1))
+        grad = m[:, :3] - self.w
         # chain rule to phi = ln(lam): g_phi = lam g, H_phi = lam lam' H + diag(g_phi)
-        lam = lam.tolist()
-        g = [li * gi for li, gi in zip(lam, grad.tolist())]
-        hess = hess.tolist()
-        for i in range(3):
-            for j in range(3):
-                hess[i][j] *= lam[i] * lam[j]
-            hess[i][i] += g[i]
-        return f, g, hess
+        g = lam * grad
+        hess = m[:, _HESS].reshape(n, 3, 3)
+        hess *= lam[:, :, None] * lam[:, None, :]
+        hess.reshape(n, 9)[:, ::4] += g
+        return f.tolist(), g.tolist(), hess.tolist()
+
+
+# Blocks of _JointTerms.lhs and .rhs summed for each gradient entry (rows
+# 0-2) and each entry of the Hessian H in rates (aa, bb, xx, ab, ax, bx).
+# Strict groups are a+x, b+x, a, b in that order.  lhs rows: 0-3 strict
+# counts times s, 4 the equal counts c times s, 5-8 strict counts times -s^2,
+# 9 c, 10 -c s, 11 -c, 12-14 -c D_a/D, -c D_b/D, -c D_x/D, 15 zero.  rhs
+# rows: 0-3 h, 4-7 h(1 + h), 8-11 D_a/D, D_b/D, D_x/D, s A B X / D, 12 zero.
+_LHS = np.array([
+    [0, 2, 9, 15], [1, 3, 9, 15], [0, 1, 9, 15],
+    [5, 7, 12, 10], [6, 8, 13, 10], [5, 6, 14, 10], [12, 4, 15, 15], [5, 12, 10, 15],
+    [6, 13, 10, 15],
+])
+_RHS = np.array([
+    [0, 2, 8, 12], [1, 3, 9, 12], [0, 1, 10, 12],
+    [4, 6, 8, 8], [5, 7, 9, 9], [4, 5, 10, 10], [9, 11, 12, 12], [4, 10, 8, 12],
+    [5, 10, 9, 12],
+])
+_HESS = np.array([3, 6, 7, 6, 4, 8, 7, 8, 5])  # H in rates, row by row
 
 
 def _newton_direction(g, hess):
@@ -248,8 +301,10 @@ def _cholesky_solve(a, g):
     return [d1, d2, d3]
 
 
-def _maximize(terms: _JointTerms, lam0) -> np.ndarray:
-    """Damped Newton ascent of the log-likelihood over log-rates.
+def _maximize(lam0):
+    """Damped Newton ascent of one pair's log-likelihood over log-rates, as a
+    generator: it yields each rate vector it needs evaluated, is sent back
+    ``_JointTerms.evaluate``'s (f, g, hess) there, and returns the fitted rates.
 
     Stops once the Newton decrement g·d is at most ``EPSILON**2``.  A step
     with g·d at most 10 EPSILON that moves no log-rate by more than
@@ -261,7 +316,7 @@ def _maximize(terms: _JointTerms, lam0) -> np.ndarray:
     """
     phi = np.log(lam0)
     lam = lam0
-    f, g, hess = terms.evaluate(lam)
+    f, g, hess = yield lam
     tol, last = EPSILON**2, 10.0 * EPSILON
     for _ in range(JOINT_MAX_ITERATIONS):
         d = _newton_direction(g, hess)
@@ -278,7 +333,7 @@ def _maximize(terms: _JointTerms, lam0) -> np.ndarray:
         for _ in range(60):
             trial = phi + alpha * step
             lam_trial = np.exp(trial)
-            f_trial, g_trial, h_trial = terms.evaluate(lam_trial)
+            f_trial, g_trial, h_trial = yield lam_trial
             if f_trial >= f + 1e-4 * alpha * slope:
                 break
             alpha *= 0.5
@@ -288,11 +343,41 @@ def _maximize(terms: _JointTerms, lam0) -> np.ndarray:
     raise NoConvergenceError(f"no convergence in {JOINT_MAX_ITERATIONS} iterations")
 
 
+def _lock_step(terms: _JointTerms, starts) -> list:
+    """The ``_maximize`` fit of each pair of ``terms`` from its row of
+    ``starts``, all advanced together: each round makes one ``evaluate``
+    over the pairs still asking.  Gives per pair its rates, or the
+    ``HllError`` its fit raised."""
+    fits = [_maximize(lam0) for lam0 in starts]
+    asks = [next(fit) for fit in fits]
+    results = [None] * len(fits)
+    active = list(range(len(fits)))
+    while active:
+        f, g, hess = terms.evaluate(np.array(asks))
+        still = []
+        for k, i in enumerate(active):
+            try:
+                asks[k] = fits[i].send((f[k], g[k], hess[k]))
+                still.append(k)
+            except StopIteration as done:
+                results[i] = done.value
+            except HllError as exc:
+                results[i] = exc
+        if len(still) < len(active):
+            active = [active[k] for k in still]
+            if active:
+                terms = terms.take(still)
+                asks = [asks[k] for k in still]
+    return results
+
+
 def _evaluate(est: JointEstimate, table, config: SketchConfig):
-    """``_JointTerms.evaluate`` at ``est``; DomainError unless the rates are
+    """``_JointTerms.evaluate`` at ``est`` for one pair table; RangeError
+    unless ``est`` is a ``JointEstimate``, DomainError unless its rates are
     positive and finite floats, RangeError unless ``table`` is a (q+2)x(q+2)
     table of non-negative integers that tally the m register pairs of
     ``config``."""
+    est = instance(est, JointEstimate, "est")
     lam = np.array([real(rate, "a rate") for rate in (est.a, est.b, est.x)])
     if not (np.isfinite(lam).all() and (lam > 0).all()):
         raise DomainError(
@@ -300,8 +385,11 @@ def _evaluate(est: JointEstimate, table, config: SketchConfig):
         )
     config = config_of(config)
     table = tally(table, config, (config.q + 2,) * 2, "pair table")
+    counts, w = _fit_input(*_pair_counts(table), config)
+    terms = _JointTerms(counts[None], w[None], config)
     with np.errstate(all="ignore"):
-        return _JointTerms(*_pair_counts(table), config).evaluate(lam)
+        f, g, hess = terms.evaluate(lam[None])
+    return f[0], g[0], hess[0]
 
 
 def joint_log_likelihood(est: JointEstimate, table, config: SketchConfig) -> float:
@@ -319,16 +407,52 @@ def joint_ml_estimate(s1: Sketch, s2: Sketch) -> JointEstimate:
     return _joint_estimates(s1, s2)[1]
 
 
+def _fit_input(strict, equal, hists, config: SketchConfig):
+    """What the fit reads of one pair: its strict rows and equal pairs as one
+    (5, q+2) block, and the weights (1/m) sum_{k<=q} counts_k 2^-k of a, b
+    and x, over sketch 1, sketch 2 and the pair minimum."""
+    h1, h2, _, h_min = hists
+    w = np.array([weighted_sum(h, 0, config.q + 1) for h in (h1, h2, h_min)]) / config.m
+    return np.concatenate([strict, equal[None]]), w
+
+
+def _joint_start(s1: Sketch, s2: Sketch):
+    """The inclusion-exclusion estimate of a sketch pair, and the fit's input
+    (``_fit_input``), or None for a pair that is all zero or all saturated,
+    whose inclusion-exclusion estimate is also the fit's answer.  Raises
+    ``DegenerateHistogramError`` where a rate is unbounded."""
+    strict, equal, hists = _pair_counts(joint_statistic(s1, s2))
+    config = s1.config
+    ie = _inclusion_exclusion(hists, config)
+    if equal[0] == config.m or equal[-1] == config.m:
+        return ie, None  # both untouched (0, 0, 0) or both saturated (0, 0, inf)
+    return ie, _fit_input(strict, equal, hists, config)
+
+
+def _fit_starts(starts, config: SketchConfig) -> list:
+    """The joint-ML estimate from each of ``starts``, as ``_joint_start``
+    makes them, all fitted in lock step: a ``JointEstimate``, or the
+    ``HllError`` its fit raised.  The fit starts at the inclusion-exclusion
+    estimate with every rate raised to at least 1."""
+    out = [ie for ie, _ in starts]
+    fitted = [i for i, (_, parts) in enumerate(starts) if parts is not None]
+    if not fitted:
+        return out
+    counts, w = (np.array(part) for part in zip(*(starts[i][1] for i in fitted)))
+    lam0 = [np.maximum(np.array([out[i].a, out[i].b, out[i].x]), 1.0) for i in fitted]
+    with np.errstate(all="ignore"):
+        rates = _lock_step(_JointTerms(counts, w, config), lam0)
+    for i, lam in zip(fitted, rates):
+        out[i] = lam if isinstance(lam, HllError) else JointEstimate(*map(float, lam))
+    return out
+
+
 def _joint_estimates(s1: Sketch, s2: Sketch):
     """Inclusion-exclusion and joint-ML estimates from one pair table;
     the inclusion-exclusion estimate is the fit's start point, and the answer
     of both for a pair that is all zero or all saturated."""
-    strict, equal, hists = _pair_counts(joint_statistic(s1, s2))
-    config = s1.config
-    ie = _inclusion_exclusion(hists, config)  # raises if a rate is unbounded
-    if equal[0] == config.m or equal[-1] == config.m:
-        return ie, ie  # both untouched (0, 0, 0) or both saturated (0, 0, inf)
-    lam0 = np.array([ie.a, ie.b, ie.x])
-    with np.errstate(all="ignore"):
-        lam = _maximize(_JointTerms(strict, equal, hists, config), np.maximum(lam0, 1.0))
-    return ie, JointEstimate(a=float(lam[0]), b=float(lam[1]), x=float(lam[2]))
+    start = _joint_start(s1, s2)  # raises if a rate is unbounded
+    ml = _fit_starts([start], s1.config)[0]
+    if isinstance(ml, HllError):
+        raise ml
+    return start[0], ml

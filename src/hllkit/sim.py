@@ -29,7 +29,8 @@ from .improved import improved_estimate
 # inclusion_exclusion_estimate and joint_ml_estimate are not called here, but
 # bench/tracing.py wraps them under these module-level names
 from .joint import (  # noqa: F401
-    _joint_estimates,
+    _fit_starts,
+    _joint_start,
     inclusion_exclusion_estimate,
     joint_ml_estimate,
 )
@@ -38,6 +39,7 @@ from .sketch import Sketch, SketchConfig, config_of, histogram_counts, level_wei
 
 DEFAULT_QUANTILES = (0.01, 0.05, 0.25, 0.75, 0.95, 0.99)
 MAX_CARDINALITY = 2**63 - 1  # the samplers draw element counts as int64
+JOINT_CHUNK = 32  # trials of one configuration fitted in lock step
 # PCG64.jumped's step, (phi - 1) * 2**128; over trial indices below 2**64 no
 # two multiples of it come within 2**63.5 of each other modulo 2**128
 _JUMP = 0x9E3779B97F4A7C15F39CC0605CEDC835
@@ -386,7 +388,16 @@ def run_joint_experiment(
     config: SketchConfig,
     rng: RngSeed,
 ):
-    """Paired inclusion-exclusion vs joint-ML error table, one row per triple."""
+    """Paired inclusion-exclusion vs joint-ML error table, one row per triple.
+
+    Trial t of triple index i draws its pair from the substream for global
+    index ``i * trials + t`` and turns it at once into its pair statistic and
+    inclusion-exclusion start.  The trials of a triple are fitted in lock
+    step, JOINT_CHUNK at a time, so memory does not grow with ``trials``
+    beyond the estimates kept per trial.  Each fit is bit for bit the one
+    ``joint_ml_estimate`` gives its pair, and a trial whose fit raises an
+    ``HllError`` fails alone.
+    """
     trials = integer(trials, "trials", 2)
     config, rng = config_of(config), instance(rng, RngSeed, "rng")
     configurations = [
@@ -396,15 +407,20 @@ def run_joint_experiment(
     for gi, (card_a, card_b, card_x) in enumerate(configurations):
         truth = np.array([card_a, card_b, card_x, card_a + card_b + card_x], float)
         ie_parts, ml_parts = [], []
-        for t in range(trials):
-            gen = rng.generator(gi * trials + t)
-            s1, s2 = sample_joint_pair(card_a, card_b, card_x, config, gen)
-            try:
-                ie, ml = _joint_estimates(s1, s2)
-            except HllError:
-                continue
-            ie_parts.append((ie.a, ie.b, ie.x, ie.union))
-            ml_parts.append((ml.a, ml.b, ml.x, ml.union))
+        for lo in range(0, trials, JOINT_CHUNK):
+            starts = []
+            for t in range(lo, min(lo + JOINT_CHUNK, trials)):
+                gen = rng.generator(gi * trials + t)
+                s1, s2 = sample_joint_pair(card_a, card_b, card_x, config, gen)
+                try:
+                    starts.append(_joint_start(s1, s2))
+                except HllError:
+                    continue
+            for (ie, _), ml in zip(starts, _fit_starts(starts, config)):
+                if isinstance(ml, HllError):
+                    continue
+                ie_parts.append((ie.a, ie.b, ie.x, ie.union))
+                ml_parts.append((ml.a, ml.b, ml.x, ml.union))
         rmse_ie = _rmse(_relative_errors(ie_parts, truth))
         rmse_ml = _rmse(_relative_errors(ml_parts, truth))
         with np.errstate(divide="ignore", invalid="ignore"):

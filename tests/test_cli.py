@@ -641,7 +641,7 @@ class TestGoldenFiles:
         ("reproduce_error_curves.py",
          "0e4b1deedc91e6647fecff9c7b16470f6d38cc4e137767e46636941b5dca3e33"),
         ("reproduce_joint_table.py",
-         "36f521b1a5d469f26b1a3a9f17cab89e1dddf45d55e7734119827f4b8aad308a"),
+         "99dff3db3ad995f4f52a34087b3c8ea68be71fe47958ce2eb8673c6128905810"),
     ], ids=["error-curves", "joint-table"])
     def test_quick_reproduction_pinned(self, script, want, tmp_path):
         out = tmp_path / "quick.csv"
@@ -651,3 +651,14 @@ class TestGoldenFiles:
         )
         assert r.returncode == 0, r.stderr
         assert hashlib.sha256(out.read_bytes()).hexdigest() == want
+
+    def test_paper_scale_joint_table_pinned(self, tmp_path):
+        # the script's default run: 300 trials of each paper configuration
+        out = tmp_path / "joint_table.csv"
+        r = subprocess.run(
+            [sys.executable, str(SCRIPTS / "reproduce_joint_table.py"), "--out", str(out)],
+            capture_output=True, text=True, timeout=300,
+        )
+        assert r.returncode == 0, r.stderr
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "c27e671f4add39613118df25e0e681d563cf2a2bf02108f71af6121c3ca728e8")

@@ -28,9 +28,11 @@ from hllkit.improved import improved_estimate
 from hllkit.joint import (
     JointEstimate,
     _cholesky_solve,
+    _fit_input,
     _joint_estimates,
+    _joint_start,
     _JointTerms,
-    _maximize,
+    _lock_step,
     _newton_direction,
     _overlap,
     _pair_counts,
@@ -385,11 +387,12 @@ class TestJointLikelihood:
         na, nb, nx = rng.integers(200, 5000, size=3)
         s1, s2 = overlapping_pair(rng, CFG, int(na), int(nb), int(nx))
         stat = joint_statistic(s1, s2)
-        terms = _JointTerms(*_pair_counts(stat), CFG)
+        counts, w = _fit_input(*_pair_counts(stat), CFG)
+        terms = _JointTerms(counts[None], w[None], CFG)
         for _ in range(4):
             lam = np.exp(rng.uniform(np.log(50.0), np.log(20000.0), size=3))
             with np.errstate(all="ignore"):
-                _, _, hess = terms.evaluate(lam)
+                [hess] = terms.evaluate(lam[None])[2]
             phi = np.log(lam)
             h = 1e-6
             for j in range(3):
@@ -650,39 +653,103 @@ class TestNewtonFit:
             assert _cholesky_solve(a, g) is None
 
     class _Terms:
-        """Stands in for ``_JointTerms``: an ascent gradient and ``hess`` at
-        every rate, and f below its start value everywhere else."""
+        """Stands in for ``_JointTerms`` of one pair: an ascent gradient and
+        ``hess`` at every rate, and f below its start value everywhere else."""
 
         def __init__(self, hess):
             self.hess, self.calls = hess, 0
 
         def evaluate(self, lam):
             self.calls += 1
-            return (0.0 if self.calls == 1 else -1.0), [1.0, 1.0, 1.0], self.hess
+            return [0.0 if self.calls == 1 else -1.0], [[1.0, 1.0, 1.0]], [self.hess]
+
+    @staticmethod
+    def _fit(terms):
+        """The ``_maximize`` fit from (1, 1, 1), driven as ``_lock_step``
+        drives it, and its error raised."""
+        [fit] = _lock_step(terms, [np.ones(3)])
+        assert isinstance(fit, HllError)
+        raise fit
 
     def test_nan_curvature_raises(self):
         terms = self._Terms([[math.nan] * 3] * 3)
         with pytest.raises(NoConvergenceError, match="non-finite curvature"):
-            _maximize(terms, np.ones(3))
+            self._fit(terms)
         assert terms.calls == 1
 
     def test_line_search_without_ascent_raises(self):
         terms = self._Terms([[-1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, -1.0]])
         with pytest.raises(NoConvergenceError, match="line search found no ascent"):
-            _maximize(terms, np.ones(3))
+            self._fit(terms)
         assert terms.calls == 61  # the start and 60 halved steps
 
     @staticmethod
     def _count_evaluations(monkeypatch):
+        """A list that gets the rates of each pair at each evaluation."""
         calls = []
         evaluate = _JointTerms.evaluate
 
         def counting(self, lam):
-            calls.append(lam)
+            calls.extend(lam)
             return evaluate(self, lam)
 
         monkeypatch.setattr(_JointTerms, "evaluate", counting)
         return calls
+
+
+class TestLockStep:
+    """Pairs stacked in one ``_JointTerms`` are evaluated and fitted as if
+    each were alone: every sum runs along one pair's own row."""
+
+    @staticmethod
+    def _inputs():
+        """Fit inputs and start points of 40 pairs: ten of each paper
+        configuration at p=12, q=16."""
+        inputs, starts = [], []
+        for gi, cards in enumerate(PAPER_CONFIGURATIONS):
+            for t in range(10):
+                s1, s2 = sample_joint_pair(*cards, SMALL_OVERLAP_CFG,
+                                           RngSeed(24).generator(gi * 10 + t))
+                ie, parts = _joint_start(s1, s2)
+                inputs.append(parts)
+                starts.append(np.maximum([ie.a, ie.b, ie.x], 1.0))
+        return inputs, starts
+
+    @staticmethod
+    def _terms(inputs):
+        counts, w = (np.array(part) for part in zip(*inputs))
+        return _JointTerms(counts, w, SMALL_OVERLAP_CFG)
+
+    def test_each_row_evaluates_as_if_alone(self):
+        inputs, starts = self._inputs()
+        with np.errstate(all="ignore"):
+            stacked = self._terms(inputs).evaluate(np.array(starts))
+            for i, (parts, lam) in enumerate(zip(inputs, starts)):
+                alone = self._terms([parts]).evaluate(lam[None])
+                assert [v[i] for v in stacked] == [v[0] for v in alone]
+            # and in a stack taken out of the whole, at other positions
+            rows = [3, 17, 0, 39, 21]
+            taken = self._terms(inputs).take(rows).evaluate(np.array(starts)[rows])
+            assert taken == tuple([v[i] for i in rows] for v in stacked)
+
+    def test_each_pair_fits_as_if_alone(self):
+        inputs, starts = self._inputs()
+        with np.errstate(all="ignore"):
+            together = _lock_step(self._terms(inputs), starts)
+            for parts, lam0, fit in zip(inputs, starts, together):
+                [alone] = _lock_step(self._terms([parts]), [lam0])
+                assert np.array_equal(alone, fit)
+
+    def test_zero_count_rows_stay_finite(self):
+        # a pair of identical sketches has no strict-order pair at all, and
+        # the fixed layout keeps its four zero rows; a zero count against an
+        # infinite term would raise here
+        s = sample_joint_pair(0, 0, 5000, SMALL_OVERLAP_CFG, np.random.default_rng(25))[0]
+        ie, parts = _joint_start(s, s)
+        assert not parts[0][:4].any()
+        with np.errstate(all="raise"):
+            f, g, hess = self._terms([parts]).evaluate(np.array([[10.0, 20.0, 5000.0]]))
+        assert np.isfinite([f[0], *g[0], *np.ravel(hess[0])]).all()
 
 
 def as_array(est: JointEstimate) -> np.ndarray:

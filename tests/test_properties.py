@@ -283,6 +283,13 @@ NOT_CONFIGS = [None, (4, 8), "x", Sketch(_CFG)]
 # a generator or seed argument: None, a number, text and a bare bit generator;
 # each case adds the other kind, since a seed is no generator and the reverse
 NOT_GENERATORS = [None, 0, "x", np.random.PCG64(0)]
+# an estimate argument: None, a tuple of three rates, text and a sketch
+NOT_ESTIMATES = [None, (1.0, 2.0, 3.0), "x", Sketch(_CFG)]
+# name: (call given the one estimate argument of a public function)
+ESTIMATE_CASES = {
+    f"{fn.__name__} est": lambda est, fn=fn: fn(est, _STAT, _CFG)
+    for fn in (joint_log_likelihood, joint_gradient)
+}
 # name: (call given the one configuration argument of a public function,
 # its valid value)
 CONFIG_CASES = {
@@ -385,6 +392,8 @@ INPUT_CASES = {
         )
         for fn in (joint_log_likelihood, joint_gradient)
     },
+    **{name: (fn, (JointEstimate(30.0, 20.0, 10.0),), [NOT_ESTIMATES])
+       for name, fn in ESTIMATE_CASES.items()},
     **{name: (fn, (valid,), [NOT_CONFIGS]) for name, (fn, valid) in CONFIG_CASES.items()},
     **{name: (fn, (valid,), [probes]) for name, (fn, valid, probes) in GENERATOR_CASES.items()},
 }
@@ -486,6 +495,14 @@ def test_every_non_config_raises_range_error(name):
     for bad in NOT_CONFIGS:
         with pytest.raises(RangeError, match="config must be a SketchConfig"):
             CONFIG_CASES[name][0](bad)
+
+
+@pytest.mark.parametrize("name", sorted(ESTIMATE_CASES))
+def test_every_non_estimate_raises_range_error(name):
+    # before, each raised a raw AttributeError on a missing .a
+    for bad in NOT_ESTIMATES:
+        with pytest.raises(RangeError, match="est must be a JointEstimate"):
+            ESTIMATE_CASES[name](bad)
 
 
 @pytest.mark.parametrize("name", sorted(GENERATOR_CASES))

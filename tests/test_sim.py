@@ -16,11 +16,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import hllkit.joint
 import hllkit.sim
-from hllkit.errors import RangeError, ZeroRegistersExhaustedError
+from hllkit.errors import HllError, NoConvergenceError, RangeError, ZeroRegistersExhaustedError
 from hllkit.improved import improved_estimate
+from hllkit.joint import joint_ml_estimate
 from hllkit.sim import (
     DEFAULT_QUANTILES,
+    JOINT_CHUNK,
     SINGLE_ESTIMATORS,
     ErrorReport,
     RngSeed,
@@ -682,6 +685,88 @@ class TestRunJointExperiment:
         a = run_joint_experiment([np.array([300, 200, 100])], 4, CFG, RngSeed(23))
         b = run_joint_experiment([(300, 200, 100)], 4, CFG, RngSeed(23))
         assert a == b
+
+
+PAPER_CFG = SketchConfig(12, 16)
+PAPER_CONFIGURATIONS = [(10_000, 10_000, 10_000), (10_000, 10_000, 100),
+                        (100, 100, 10_000), (100_000, 1_000, 1_000)]
+
+
+def fits_inside(monkeypatch):
+    """A list that gets the joint-ML fit of each trial that
+    ``run_joint_experiment`` fits, in trial order: a ``JointEstimate``, or
+    the ``HllError`` its fit raised."""
+    seen = []
+    fit_starts = hllkit.sim._fit_starts
+
+    def recording(starts, config):
+        fits = fit_starts(starts, config)
+        seen.extend(fits)
+        return fits
+
+    monkeypatch.setattr(hllkit.sim, "_fit_starts", recording)
+    return seen
+
+
+def fits_alone(configurations, trials, cfg, rng):
+    """``joint_ml_estimate`` of each trial's pair, drawn as
+    ``run_joint_experiment`` draws it; a failed fit gives its error's type."""
+    fits = []
+    for gi, cards in enumerate(configurations):
+        for t in range(trials):
+            s1, s2 = sample_joint_pair(*cards, cfg, rng.generator(gi * trials + t))
+            try:
+                fits.append(joint_ml_estimate(s1, s2))
+            except HllError as exc:
+                fits.append(type(exc))
+    return fits
+
+
+class TestLockStepFits:
+    """``run_joint_experiment`` fits the trials of a configuration in lock
+    step, JOINT_CHUNK at a time; each fit is the one its pair gets alone."""
+
+    def test_each_fit_is_the_one_joint_ml_estimate_gives(self, monkeypatch):
+        inside = fits_inside(monkeypatch)
+        rows = run_joint_experiment(PAPER_CONFIGURATIONS, 20, PAPER_CFG, RngSeed(26))
+        assert sum(row.failures for row in rows) == 0
+        assert inside == fits_alone(PAPER_CONFIGURATIONS, 20, PAPER_CFG, RngSeed(26))
+
+    def test_a_failed_fit_leaves_the_others_alone(self, monkeypatch):
+        # with at most 2 Newton steps, 6 of these 32 pairs fail inside one
+        # lock-step batch
+        monkeypatch.setattr(hllkit.joint, "JOINT_MAX_ITERATIONS", 2)
+        inside = fits_inside(monkeypatch)
+        cards, trials = (1000, 100, 100), JOINT_CHUNK
+        (row,) = run_joint_experiment([cards], trials, CFG, RngSeed(30))
+        alone = fits_alone([cards], trials, CFG, RngSeed(30))
+        assert 0 < row.failures < trials
+        assert row.failures == alone.count(NoConvergenceError)
+        assert [type(f) if isinstance(f, HllError) else f for f in inside] == alone
+
+    def test_fits_do_not_depend_on_the_chunk_boundary(self, monkeypatch):
+        # one configuration, so trial t draws from generator t whatever the
+        # trial count; JOINT_CHUNK + 1 trials make a second batch of one
+        inside = fits_inside(monkeypatch)
+        runs = []
+        for trials in (JOINT_CHUNK - 1, JOINT_CHUNK, JOINT_CHUNK + 1):
+            inside.clear()
+            run_joint_experiment([(10_000, 10_000, 100)], trials, PAPER_CFG, RngSeed(27))
+            runs.append(list(inside))
+        assert runs[0] == runs[1][:-1] and runs[1] == runs[2][:-1]
+
+    def test_memory_does_not_grow_with_trials(self):
+        # one batch of fit inputs at a time: twice the trials add only the
+        # results kept per trial, two tuples of four floats (under 400 bytes);
+        # the fit inputs and temporaries of a batch take over 10 KB a trial
+        run_joint_experiment([(10_000, 10_000, 100)], 2, PAPER_CFG, RngSeed(28))  # warm caches
+        peaks = []
+        for trials in (JOINT_CHUNK, 2 * JOINT_CHUNK):
+            tracemalloc.start()
+            run_joint_experiment([(10_000, 10_000, 100)], trials, PAPER_CFG, RngSeed(28))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 1024 * JOINT_CHUNK, peaks
 
 
 class TestSingleEstimators:

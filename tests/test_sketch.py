@@ -654,7 +654,7 @@ class TestKernelDigests:
                     out = type(exc).__name__
                 digest.update(repr(out).encode())
         assert digest.hexdigest() == (
-            "30a3397dd1133346a32aa1c645534e76969aff0b151fb4e123ef6b4a552f8bac")
+            "0232a92ba79e24586a49078cf1fbef825382669a26050eeb9a56ea510ac41d92")
 
     def test_sample_sketch_error_curve_grid(self):
         config, rng = SketchConfig(12, 20), RngSeed(2017)
