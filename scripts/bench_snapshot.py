@@ -18,14 +18,16 @@ paper-scale defaults and with ``--quick``, ``hllkit estimate`` on a p=16
 sketch and the tier-1 test suite; every command but the test suite runs three
 times and every time is kept, and each reproduce run is kept with the sha256
 of the CSV it wrote.  Joint fits are timed in a fresh interpreter too, under
-``joint_fit_us``: microseconds per fit of 20 seeded pairs of each paper
-configuration at p=12, q=16, fitted one at a time and fitted together in one
-lock-step batch, best of REPEATS.  The file goes to the repository root as
-``BENCH_<n>.json`` with the smallest n not yet taken.  It names the measured
-code by HEAD and by the git tree ids of ``bench/``, ``scripts/`` and ``src/``
-as they stood, uncommitted edits to tracked files included: a commit holds
-that code when ``git rev-parse <commit>:src`` gives the same id.  It records
-the size of that code under ``src_lines``: the line count of each
+``joint_fit_us``: microseconds per joint estimate of 20 seeded pairs of each
+paper configuration at p=12, q=16, made one at a time and together in one
+lock-step batch, best of REPEATS.  Each figure covers all that
+``joint_ml_estimate`` does after the draw: the pair table, the
+inclusion-exclusion start and the fit.  The file goes to the repository
+root as ``BENCH_<n>.json`` with the smallest n not yet taken.  It names the
+measured code by HEAD and by the git tree ids of ``bench/``, ``scripts/`` and
+``src/`` as they stood, uncommitted edits to tracked files included: a commit
+holds that code when ``git rev-parse <commit>:src`` gives the same id.  It
+records the size of that code under ``src_lines``: the line count of each
 ``src/hllkit/*.py``, as ``wc -l`` counts them, and their total.  This script
 uses the standard library only and copies nothing out of ``bench/``.
 """
@@ -58,27 +60,27 @@ WRITE_SKETCH = (
 )
 
 
-# microseconds per joint fit of 20 pairs of each paper configuration, alone
-# and in one lock-step batch, best of argv[1] runs of each; prints JSON
+# microseconds per joint estimate of 20 pairs of each paper configuration,
+# alone and in one lock-step batch, best of argv[1] runs of each; prints JSON
 JOINT_FITS = """
 import json, sys, time
 from hllkit import RngSeed, SketchConfig, sample_joint_pair
-from hllkit.joint import _fit_starts, _joint_start
+from hllkit.joint import _fit_pairs
 config, repeats, out = SketchConfig(12, 16), int(sys.argv[1]), {}
 for gi, cards in enumerate([(10000, 10000, 10000), (10000, 10000, 100),
                             (100, 100, 10000), (100000, 1000, 1000)]):
-    starts = [_joint_start(*sample_joint_pair(*cards, config, RngSeed(1).generator(gi * 20 + t)))
-              for t in range(20)]
+    pairs = [sample_joint_pair(*cards, config, RngSeed(1).generator(gi * 20 + t))
+             for t in range(20)]
     def best(run):
         times = []
         for _ in range(repeats):
             t0 = time.perf_counter()
             run()
             times.append(time.perf_counter() - t0)
-        return round(min(times) / len(starts) * 1e6, 1)
+        return round(min(times) / len(pairs) * 1e6, 1)
     out[",".join(map(str, cards))] = {
-        "alone": best(lambda: [_fit_starts([s], config) for s in starts]),
-        "batch_of_20": best(lambda: _fit_starts(starts, config)),
+        "alone": best(lambda: [_fit_pairs([pair]) for pair in pairs]),
+        "batch_of_20": best(lambda: _fit_pairs(pairs)),
     }
 print(json.dumps(out))
 """

@@ -30,13 +30,15 @@ point without evaluating it.  The fit raises ``NoConvergenceError`` after
 JOINT_MAX_ITERATIONS (500) steps.  A rate whose maximum lies at zero stops mattering on its own:
 its log-rate gradient shrinks with the rate, so no freezing is needed.
 
-Many pairs are fitted in lock step: each pair's fit is a generator that
-yields the rates it needs evaluated, and one ``_JointTerms.evaluate`` per
-round serves every pair still asking, so numpy's per-call cost is shared.
-Every sum in that evaluation runs along one pair's own row, so a pair's fit
-is bit for bit the one it gets alone, whatever else shares its batch, and a
+Every joint estimate comes from one entry, ``_fit_pairs``: it reads each
+sketch pair into its inclusion-exclusion estimate and its fit input, then
+fits all of them in lock step.  Each pair's fit is a generator that yields
+the rates it needs evaluated, and one ``_JointTerms.evaluate`` per round
+serves every pair still asking, so numpy's per-call cost is shared.  Every
+sum in that evaluation runs along one pair's own row, so a pair's fit is
+bit for bit the one it gets alone, whatever else shares its batch, and a
 fit that raises fails that pair only.  ``joint_ml_estimate`` is a batch of
-one.
+one; ``sim.run_joint_experiment`` passes a batch of draws.
 """
 
 from __future__ import annotations
@@ -404,7 +406,10 @@ def joint_gradient(est: JointEstimate, table, config: SketchConfig) -> np.ndarra
 
 def joint_ml_estimate(s1: Sketch, s2: Sketch) -> JointEstimate:
     """Maximum-likelihood overlap estimate from the pair table."""
-    return _joint_estimates(s1, s2)[1]
+    [fit] = _fit_pairs([(s1, s2)])
+    if isinstance(fit, HllError):
+        raise fit
+    return fit[1]
 
 
 def _fit_input(strict, equal, hists, config: SketchConfig):
@@ -416,43 +421,38 @@ def _fit_input(strict, equal, hists, config: SketchConfig):
     return np.concatenate([strict, equal[None]]), w
 
 
-def _joint_start(s1: Sketch, s2: Sketch):
-    """The inclusion-exclusion estimate of a sketch pair, and the fit's input
-    (``_fit_input``), or None for a pair that is all zero or all saturated,
-    whose inclusion-exclusion estimate is also the fit's answer.  Raises
-    ``DegenerateHistogramError`` where a rate is unbounded."""
-    strict, equal, hists = _pair_counts(joint_statistic(s1, s2))
-    config = s1.config
-    ie = _inclusion_exclusion(hists, config)
-    if equal[0] == config.m or equal[-1] == config.m:
-        return ie, None  # both untouched (0, 0, 0) or both saturated (0, 0, inf)
-    return ie, _fit_input(strict, equal, hists, config)
+def _fit_pairs(pairs) -> list:
+    """The inclusion-exclusion and joint-ML estimates of each sketch pair of
+    ``pairs``, all of one configuration: per pair ``(ie, ml)``, or the
+    ``HllError`` that stopped it.
 
-
-def _fit_starts(starts, config: SketchConfig) -> list:
-    """The joint-ML estimate from each of ``starts``, as ``_joint_start``
-    makes them, all fitted in lock step: a ``JointEstimate``, or the
-    ``HllError`` its fit raised.  The fit starts at the inclusion-exclusion
-    estimate with every rate raised to at least 1."""
-    out = [ie for ie, _ in starts]
-    fitted = [i for i, (_, parts) in enumerate(starts) if parts is not None]
+    Each pair is read into its inclusion-exclusion estimate and its fit
+    input (``_fit_input``) as it is taken, so a generator of pairs holds one
+    pair at a time; then every fit runs in lock step, from the
+    inclusion-exclusion estimate with each rate raised to at least 1.  A
+    pair that is all zero or all saturated is not fitted: its
+    inclusion-exclusion estimate, (0, 0, 0) or (0, 0, inf), is also the
+    fit's answer, and a pair with a rate left unbounded gets its
+    ``DegenerateHistogramError`` without a fit."""
+    out, fitted, inputs, starts = [], [], [], []
+    for s1, s2 in pairs:
+        try:
+            strict, equal, hists = _pair_counts(joint_statistic(s1, s2))
+            config = s1.config
+            ie = _inclusion_exclusion(hists, config)
+        except HllError as exc:
+            out.append(exc)
+            continue
+        out.append((ie, ie))
+        if equal[0] < config.m and equal[-1] < config.m:
+            fitted.append(len(out) - 1)
+            inputs.append(_fit_input(strict, equal, hists, config))
+            starts.append(np.maximum(np.array([ie.a, ie.b, ie.x]), 1.0))
     if not fitted:
         return out
-    counts, w = (np.array(part) for part in zip(*(starts[i][1] for i in fitted)))
-    lam0 = [np.maximum(np.array([out[i].a, out[i].b, out[i].x]), 1.0) for i in fitted]
+    counts, w = (np.array(part) for part in zip(*inputs))
     with np.errstate(all="ignore"):
-        rates = _lock_step(_JointTerms(counts, w, config), lam0)
+        rates = _lock_step(_JointTerms(counts, w, config), starts)
     for i, lam in zip(fitted, rates):
-        out[i] = lam if isinstance(lam, HllError) else JointEstimate(*map(float, lam))
+        out[i] = lam if isinstance(lam, HllError) else (out[i][0], JointEstimate(*map(float, lam)))
     return out
-
-
-def _joint_estimates(s1: Sketch, s2: Sketch):
-    """Inclusion-exclusion and joint-ML estimates from one pair table;
-    the inclusion-exclusion estimate is the fit's start point, and the answer
-    of both for a pair that is all zero or all saturated."""
-    start = _joint_start(s1, s2)  # raises if a rate is unbounded
-    ml = _fit_starts([start], s1.config)[0]
-    if isinstance(ml, HllError):
-        raise ml
-    return start[0], ml

@@ -28,12 +28,7 @@ from .errors import HllError, RangeError, instance, integer, real
 from .improved import improved_estimate
 # inclusion_exclusion_estimate and joint_ml_estimate are not called here, but
 # bench/tracing.py wraps them under these module-level names
-from .joint import (  # noqa: F401
-    _fit_starts,
-    _joint_start,
-    inclusion_exclusion_estimate,
-    joint_ml_estimate,
-)
+from .joint import _fit_pairs, inclusion_exclusion_estimate, joint_ml_estimate  # noqa: F401
 from .ml import ml_estimate
 from .sketch import Sketch, SketchConfig, config_of, histogram_counts, level_weights
 
@@ -391,12 +386,11 @@ def run_joint_experiment(
     """Paired inclusion-exclusion vs joint-ML error table, one row per triple.
 
     Trial t of triple index i draws its pair from the substream for global
-    index ``i * trials + t`` and turns it at once into its pair statistic and
-    inclusion-exclusion start.  The trials of a triple are fitted in lock
-    step, JOINT_CHUNK at a time, so memory does not grow with ``trials``
-    beyond the estimates kept per trial.  Each fit is bit for bit the one
-    ``joint_ml_estimate`` gives its pair, and a trial whose fit raises an
-    ``HllError`` fails alone.
+    index ``i * trials + t``.  The trials of a triple are drawn, read and
+    fitted in lock step JOINT_CHUNK at a time, so memory does not grow with
+    ``trials`` beyond the eight float64 estimates kept per trial.  Each fit
+    is bit for bit the one ``joint_ml_estimate`` gives its pair, and a trial
+    whose fit raises an ``HllError`` fails alone.
     """
     trials = integer(trials, "trials", 2)
     config, rng = config_of(config), instance(rng, RngSeed, "rng")
@@ -406,26 +400,25 @@ def run_joint_experiment(
     rows = []
     for gi, (card_a, card_b, card_x) in enumerate(configurations):
         truth = np.array([card_a, card_b, card_x, card_a + card_b + card_x], float)
-        ie_parts, ml_parts = [], []
+        # a row per trial both methods score: a, b, x and the union by
+        # inclusion-exclusion, then by joint ML
+        chunks = []
         for lo in range(0, trials, JOINT_CHUNK):
-            starts = []
-            for t in range(lo, min(lo + JOINT_CHUNK, trials)):
-                gen = rng.generator(gi * trials + t)
-                s1, s2 = sample_joint_pair(card_a, card_b, card_x, config, gen)
-                try:
-                    starts.append(_joint_start(s1, s2))
-                except HllError:
-                    continue
-            for (ie, _), ml in zip(starts, _fit_starts(starts, config)):
-                if isinstance(ml, HllError):
-                    continue
-                ie_parts.append((ie.a, ie.b, ie.x, ie.union))
-                ml_parts.append((ml.a, ml.b, ml.x, ml.union))
-        rmse_ie = _rmse(_relative_errors(ie_parts, truth))
-        rmse_ml = _rmse(_relative_errors(ml_parts, truth))
+            pairs = (
+                sample_joint_pair(card_a, card_b, card_x, config, rng.generator(gi * trials + t))
+                for t in range(lo, min(lo + JOINT_CHUNK, trials))
+            )
+            kept = [
+                (ie.a, ie.b, ie.x, ie.union, ml.a, ml.b, ml.x, ml.union)
+                for ie, ml in (fit for fit in _fit_pairs(pairs) if not isinstance(fit, HllError))
+            ]
+            chunks.append(np.array(kept, float).reshape(-1, 8))
+        estimates = np.concatenate(chunks)
+        rmse_ie = _rmse(_relative_errors(estimates[:, :4], truth))
+        rmse_ml = _rmse(_relative_errors(estimates[:, 4:], truth))
         with np.errstate(divide="ignore", invalid="ignore"):
             impr = rmse_ie / rmse_ml
         stats = (tuple(v.tolist()) for v in (rmse_ie, rmse_ml, impr))
-        failures = trials - len(ie_parts)
+        failures = trials - len(estimates)
         rows.append(JointErrorRow(card_a, card_b, card_x, trials, *stats, failures))
     return rows

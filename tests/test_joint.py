@@ -29,8 +29,7 @@ from hllkit.joint import (
     JointEstimate,
     _cholesky_solve,
     _fit_input,
-    _joint_estimates,
-    _joint_start,
+    _fit_pairs,
     _JointTerms,
     _lock_step,
     _newton_direction,
@@ -169,7 +168,7 @@ class TestJointStatistic:
         assert np.array_equal(joint_statistic(s2, s1), table.T)
 
     @pytest.mark.parametrize(
-        "fn", [joint_statistic, inclusion_exclusion_estimate, _joint_estimates]
+        "fn", [joint_statistic, inclusion_exclusion_estimate, joint_ml_estimate]
     )
     def test_memory_is_ten_bytes_per_register(self, fn):
         # the uint16 pair indices and the intp copy that bincount makes of
@@ -710,8 +709,9 @@ class TestLockStep:
             for t in range(10):
                 s1, s2 = sample_joint_pair(*cards, SMALL_OVERLAP_CFG,
                                            RngSeed(24).generator(gi * 10 + t))
-                ie, parts = _joint_start(s1, s2)
-                inputs.append(parts)
+                ie = inclusion_exclusion_estimate(s1, s2)
+                inputs.append(_fit_input(*_pair_counts(joint_statistic(s1, s2)),
+                                         SMALL_OVERLAP_CFG))
                 starts.append(np.maximum([ie.a, ie.b, ie.x], 1.0))
         return inputs, starts
 
@@ -740,12 +740,31 @@ class TestLockStep:
                 [alone] = _lock_step(self._terms([parts]), [lam0])
                 assert np.array_equal(alone, fit)
 
+    def test_a_generator_of_pairs_is_read_one_pair_at_a_time(self):
+        # a pair at p=16 holds 128 KB of registers; its fit input and share
+        # of the batch's working set take a few KB
+        cfg = SketchConfig(16, 16)
+
+        def peak(n):
+            pairs = (sample_joint_pair(1000, 1000, 1000, cfg, RngSeed(33).generator(t))
+                     for t in range(n))
+            tracemalloc.start()
+            try:
+                _fit_pairs(pairs)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1)  # warm caches
+        small, large = peak(2), peak(16)
+        assert large - small <= 16 * 1024 * 14, (small, large)
+
     def test_zero_count_rows_stay_finite(self):
         # a pair of identical sketches has no strict-order pair at all, and
         # the fixed layout keeps its four zero rows; a zero count against an
         # infinite term would raise here
         s = sample_joint_pair(0, 0, 5000, SMALL_OVERLAP_CFG, np.random.default_rng(25))[0]
-        ie, parts = _joint_start(s, s)
+        parts = _fit_input(*_pair_counts(joint_statistic(s, s)), SMALL_OVERLAP_CFG)
         assert not parts[0][:4].any()
         with np.errstate(all="raise"):
             f, g, hess = self._terms([parts]).evaluate(np.array([[10.0, 20.0, 5000.0]]))
@@ -777,11 +796,11 @@ class TestSharedStatistic:
             s1, s2 = sample_joint_pair(*cards, cfg, np.random.default_rng(t))
             sides = (s1.histogram(), s2.histogram(), s1.merge(s2).histogram())
             sizes = [improved_estimate(h, cfg) for h in sides]
-            try:
-                ie, _ = _joint_estimates(s1, s2)
-            except HllError:
+            [fit] = _fit_pairs([(s1, s2)])
+            if isinstance(fit, HllError):
                 assert math.isinf(sizes[2])  # only a saturated union fails
                 continue  # a failed trial scores neither method
+            ie = fit[0]
             if math.isinf(sizes[0]) and math.isinf(sizes[1]):
                 want = JointEstimate(0.0, 0.0, math.inf)
             else:
@@ -825,7 +844,7 @@ class TestSharedStatistic:
                 np.all(r == cfg.q + 1) for r in sides
             ):
                 saturated += 1
-                with pytest.raises(DegenerateHistogramError):
-                    _joint_estimates(s1, s2)
+                [fit] = _fit_pairs([(s1, s2)])
+                assert isinstance(fit, DegenerateHistogramError)
         assert saturated > 0
 

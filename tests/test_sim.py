@@ -484,6 +484,24 @@ class TestSampleSketch:
         # the same up to a few small Python objects
         assert abs(peaks[1] - peaks[0]) <= 2048
 
+    @pytest.mark.parametrize("fill", [2, 10])
+    def test_draw_and_histogram_memory_per_register(self, fill):
+        # bounds to lower, not loosen: the draw peaks at 19.01 bytes a
+        # register at either n, sketch included, and the histogram at 4.04
+        cfg = SketchConfig(20, 20)
+        tracemalloc.start()
+        try:
+            sketch = sample_sketch(fill * cfg.m, cfg, RngSeed(32).generator(0))
+            drawn = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            sketch.histogram()
+            counted = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert drawn <= 19.5 * cfg.m + 64 * 1024, drawn / cfg.m
+        assert counted <= 4.5 * cfg.m + 64 * 1024, counted / cfg.m
+
 
 class TestSampleJointPair:
     def test_no_exclusive_mass_gives_identical_pair(self):
@@ -695,16 +713,16 @@ PAPER_CONFIGURATIONS = [(10_000, 10_000, 10_000), (10_000, 10_000, 100),
 def fits_inside(monkeypatch):
     """A list that gets the joint-ML fit of each trial that
     ``run_joint_experiment`` fits, in trial order: a ``JointEstimate``, or
-    the ``HllError`` its fit raised."""
+    the ``HllError`` that stopped the trial."""
     seen = []
-    fit_starts = hllkit.sim._fit_starts
+    fit_pairs = hllkit.sim._fit_pairs
 
-    def recording(starts, config):
-        fits = fit_starts(starts, config)
-        seen.extend(fits)
+    def recording(pairs):
+        fits = fit_pairs(pairs)
+        seen.extend(fit if isinstance(fit, HllError) else fit[1] for fit in fits)
         return fits
 
-    monkeypatch.setattr(hllkit.sim, "_fit_starts", recording)
+    monkeypatch.setattr(hllkit.sim, "_fit_pairs", recording)
     return seen
 
 
@@ -767,6 +785,19 @@ class TestLockStepFits:
             peaks.append(tracemalloc.get_traced_memory()[1])
             tracemalloc.stop()
         assert peaks[1] - peaks[0] <= 1024 * JOINT_CHUNK, peaks
+
+    def test_estimates_kept_take_under_160_bytes_a_trial(self):
+        # a trial keeps its eight estimates as one float64 row (64 bytes),
+        # and the end of a configuration adds the stacked copy and the errors
+        # computed from it
+        run_joint_experiment([(1000, 1000, 1000)], 2, CFG, RngSeed(29))  # warm caches
+        peaks = []
+        for trials in (256, 2048):
+            tracemalloc.start()
+            run_joint_experiment([(1000, 1000, 1000)], trials, CFG, RngSeed(29))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 160 * (2048 - 256), peaks
 
 
 class TestSingleEstimators:
