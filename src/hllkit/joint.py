@@ -17,10 +17,14 @@ Estimators provided:
 
 A strict-order register pair contributes ln(1 - exp(-u)), where u is the
 sum of the rates its value depends on (a+x, b+x, a or b) scaled by
-1/(m 2^min(k,q)).  The equal-value cell probability factorizes as z(S) * D
-with D = (1 - X) + X(1-A)(1-B) where A, B, X are the per-rate register CDF
-factors; that grouping is a sum of non-negative terms and is used
-throughout to avoid cancellation.
+s = 1/(m 2^min(k,q)): u is linear in the rates through one 4x3 incidence
+matrix G, so the four strict-order groups' gradient and Hessian are G applied
+to two sums per group.  The equal-value cell probability factorizes as
+z(S) * D with D = (1 - X) + X(1-A)(1-B) where A, B, X are the per-rate
+register CDF factors; that grouping is a sum of non-negative terms and is
+used throughout to avoid cancellation.  Each second derivative of D is -s
+times a first one, or s^2 ABX, so the equal pairs need only D_a/D, D_b/D,
+D_x/D and s ABX/D.
 
 The fit stops once the Newton decrement g·d is at most EPSILON**2 (EPSILON
 from ``ml.py``), i.e. once the next step would be shorter than EPSILON
@@ -35,9 +39,10 @@ sketch pair into its inclusion-exclusion estimate and its fit input, then
 fits all of them in lock step.  Each pair's fit is a generator that yields
 the rates it needs evaluated, and one ``_JointTerms.evaluate`` per round
 serves every pair still asking, so numpy's per-call cost is shared.  Every
-sum in that evaluation runs along one pair's own row, so a pair's fit is
-bit for bit the one it gets alone, whatever else shares its batch, and a
-fit that raises fails that pair only.  ``joint_ml_estimate`` is a batch of
+sum in that evaluation runs along one pair's own row, and G puts at most two
+of them into any entry of the gradient or Hessian, so a pair's fit is bit
+for bit the one it gets alone, whatever else shares its batch, and a fit
+that raises fails that pair only.  ``joint_ml_estimate`` is a batch of
 one; ``sim.run_joint_experiment`` passes a batch of draws.
 """
 
@@ -146,46 +151,46 @@ def inclusion_exclusion_estimate(s1: Sketch, s2: Sketch) -> JointEstimate:
     return _inclusion_exclusion(_pair_counts(joint_statistic(s1, s2))[2], s1.config)
 
 
+# G: the strict-order groups' rate sums a+x, b+x, a and b, over rates a, b, x
+_G = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+# D_aa = D_ax = -s D_a, D_bb = D_bx = -s D_b, D_xx = -s D_x and D_ab = s^2 ABX,
+# so D_ij/D is -s times row _PICK[i][j] of D_a/D, D_b/D, D_x/D and -s ABX/D
+_PICK = np.array([[0, 3, 0], [3, 1, 1], [0, 1, 2]])
+
+
 class _JointTerms:
     """Count-weighted likelihood terms of a stack of pairs, on one layout
     fixed by q.
 
-    Each pair has five rows of counts at values 1..q+1: its four strict-order
-    groups, whose values depend on the rate sums a+x, b+x, a and b, and its
-    equal pairs; value 0 enters through the linear weights ``w`` alone, the
-    (1/m) sum_{k<=q} counts_k 2^-k of each of the three rates.  A zero count
-    contributes exactly 0 unless a scaled rate sum underflows to 0.  Every
-    sum runs along one pair's own contiguous last axis, so a pair's results
-    do not depend on the other pairs stacked with it.
+    Each pair has five rows of counts c at values 1..q+1: its four
+    strict-order groups and its equal pairs; value 0 enters through the
+    linear weights ``w`` alone, the (1/m) sum_{k<=q} counts_k 2^-k of each
+    of the three rates.  In rates, the strict groups' gradient is t G and
+    their Hessian -G' diag(v) G, from the per-group sums t = sum c s h and
+    v = sum c s^2 h(1 + h), h = 1/(e^u - 1); the equal pairs' are sums of
+    c times the derivatives of ln D.  A zero count contributes exactly 0
+    unless a scaled rate sum underflows to 0.  Every sum runs along one
+    pair's own contiguous last axis, so a pair's results do not depend on
+    the other pairs stacked with it.
     """
 
-    __slots__ = ("s", "neg_s", "counts", "w", "lhs", "rhs")
+    __slots__ = ("s", "counts", "cs", "css", "w")
 
     def __init__(self, counts, w, config: SketchConfig):
         """``counts`` (n x 5 x (q+2)): the strict rows and equal pairs of
         ``_pair_counts`` by value 0..q+1, one block per pair; ``w`` (n x 3)."""
-        n, s = len(w), level_weights(config.q)[1:] / config.m  # 1/(m 2^min(k,q)), k >= 1
-        self.s, self.neg_s, self.w = s, -s, w
+        self.s = s = level_weights(config.q)[1:] / config.m  # 1/(m 2^min(k,q)), k >= 1
         counts = counts[:, :, 1:].astype(float)
-        # the left and right factors of every sum, with rows as listed at
-        # _LHS; evaluate writes lhs rows 12-14 and rhs rows 0-11
-        self.lhs = lhs = np.empty((n, 16, len(s)))
-        np.multiply(counts, s, out=lhs[:, :5])
-        np.multiply(lhs[:, :4], self.neg_s, out=lhs[:, 5:9])
-        lhs[:, 9] = counts[:, 4]
-        np.negative(lhs[:, 4], out=lhs[:, 10])
-        np.negative(counts[:, 4], out=lhs[:, 11])
-        lhs[:, 15] = 0.0
-        self.rhs = np.empty((n, 13, len(s)))
-        self.rhs[:, 12] = 0.0
+        self.w, self.cs = w, counts * s
+        self.css = self.cs[:, :4] * s
         counts[:, :4] *= -1.0  # f weighs ln(1 + h) = -ln(1 - e^-u) by minus the strict counts
-        self.counts = counts.reshape(n, -1)
+        self.counts = counts
 
     def take(self, rows) -> "_JointTerms":
         """The terms of the pairs at ``rows``, in that order."""
         sub = object.__new__(_JointTerms)
-        sub.s, sub.neg_s, sub.counts, sub.w = self.s, self.neg_s, self.counts[rows], self.w[rows]
-        sub.lhs, sub.rhs = self.lhs[rows], self.rhs[rows]
+        sub.s, sub.w, sub.counts = self.s, self.w[rows], self.counts[rows]
+        sub.cs, sub.css = self.cs[rows], self.css[rows]
         return sub
 
     def evaluate(self, lam: np.ndarray):
@@ -195,63 +200,32 @@ class _JointTerms:
         Call under ``np.errstate(all="ignore")``: a rate underflowing to a
         zero u gives -inf, not a warning.
         """
-        n, lhs, rhs = len(lam), self.lhs, self.rhs
-        sums = np.empty((n, 5))  # a+x, b+x, a, b, x
-        np.add(lam[:, :2], lam[:, 2:], out=sums[:, :2])
-        sums[:, 2:] = lam
-        neg = sums[:, :, None] * self.neg_s  # -u by row
-        e = np.exp(neg)  # strict e^-u; A, B, X
-        p = np.expm1(neg)
-        np.negative(p, out=p)  # strict 1 - e^-u; 1 - A, 1 - B, 1 - X
-        np.divide(e[:, :4], p[:, :4], out=rhs[:, :4])  # h
-        np.divide(rhs[:, :4], p[:, :4], out=rhs[:, 4:8])  # h(1 + h)
-        ea, eb, ex = e[:, 2], e[:, 3], e[:, 4]
-        pa, pb = p[:, 2], p[:, 3]
-        d = ex * pa
-        d *= pb
-        d += p[:, 4]  # D = (1 - X) + X(1-A)(1-B)
+        n, s = len(lam), self.s
+        neg = (lam @ _G.T)[:, :, None] * -s  # -u of each strict group
+        e, p = np.exp(neg), -np.expm1(neg)  # e^-u, 1 - e^-u; rows 2, 3 hold A, B and 1 - A, 1 - B
+        neg_x = lam[:, 2:] * -s
+        ex, px = np.exp(neg_x), -np.expm1(neg_x)  # X, 1 - X
+        ea, eb, pa, pb = e[:, 2], e[:, 3], p[:, 2], p[:, 3]
+        h = e / p
+        d = ex * pa * pb + px  # D = (1 - X) + X(1-A)(1-B)
         # strict pairs add ln(1 - e^-u) = -ln(1 + h), equal pairs ln D
-        logs = np.empty((n, 5, len(self.s)))
-        np.log1p(rhs[:, :4], out=logs[:, :4])
-        np.log(d, out=logs[:, 4])
-        f = np.vecdot(self.counts, logs.reshape(n, -1)) - np.vecdot(self.w, lam)
-        r = ex * self.s
-        r /= d
-        eq = rhs[:, 8:12]  # rows: D_a/D, D_b/D, D_x/D, and s A B X / D
-        np.multiply(ea, pb, out=eq[:, 0])
-        np.multiply(eb, pa, out=eq[:, 1])
-        np.add(ea, eq[:, 1], out=eq[:, 2])
-        np.multiply(ea, eb, out=eq[:, 3])
-        eq *= r[:, None]
-        np.multiply(eq[:, :3], lhs[:, 11:12], out=lhs[:, 12:15])
-        # one sum of four blocks per gradient entry and per Hessian entry
-        m = np.vecdot(lhs[:, _LHS].reshape(n, 9, -1), rhs[:, _RHS].reshape(n, 9, -1))
-        grad = m[:, :3] - self.w
+        logs = np.concatenate([np.log1p(h), np.log(d)[:, None]], axis=1).reshape(n, -1)
+        f = np.vecdot(self.counts.reshape(n, -1), logs) - np.vecdot(self.w, lam)
+        # rows D_a/D, D_b/D, D_x/D and -s ABX/D
+        eq = np.array([ea * pb, eb * pa, ea + eb * pa, -ea * eb]).transpose(1, 0, 2)
+        eq *= (ex * s / d)[:, None]
+        equal, eq_d = self.counts[:, 4:], eq[:, :3]
+        grad = np.vecdot(self.cs[:, :4], h) @ _G + np.vecdot(equal, eq_d) - self.w
+        v = np.vecdot(self.css, h / p)  # h(1 + h) = h / (1 - e^-u)
+        # the equal pairs add sum c D_ij/D = -q[_PICK] and -sum c (D_i/D)(D_j/D)
+        q = np.vecdot(self.cs[:, 4:], eq)
+        outer = np.vecdot(equal[:, None], eq_d[:, :, None] * eq_d[:, None])
+        hess = -((_G.T * v[:, None]) @ _G + q[:, _PICK] + outer)
         # chain rule to phi = ln(lam): g_phi = lam g, H_phi = lam lam' H + diag(g_phi)
         g = lam * grad
-        hess = m[:, _HESS].reshape(n, 3, 3)
         hess *= lam[:, :, None] * lam[:, None, :]
         hess.reshape(n, 9)[:, ::4] += g
         return f.tolist(), g.tolist(), hess.tolist()
-
-
-# Blocks of _JointTerms.lhs and .rhs summed for each gradient entry (rows
-# 0-2) and each entry of the Hessian H in rates (aa, bb, xx, ab, ax, bx).
-# Strict groups are a+x, b+x, a, b in that order.  lhs rows: 0-3 strict
-# counts times s, 4 the equal counts c times s, 5-8 strict counts times -s^2,
-# 9 c, 10 -c s, 11 -c, 12-14 -c D_a/D, -c D_b/D, -c D_x/D, 15 zero.  rhs
-# rows: 0-3 h, 4-7 h(1 + h), 8-11 D_a/D, D_b/D, D_x/D, s A B X / D, 12 zero.
-_LHS = np.array([
-    [0, 2, 9, 15], [1, 3, 9, 15], [0, 1, 9, 15],
-    [5, 7, 12, 10], [6, 8, 13, 10], [5, 6, 14, 10], [12, 4, 15, 15], [5, 12, 10, 15],
-    [6, 13, 10, 15],
-])
-_RHS = np.array([
-    [0, 2, 8, 12], [1, 3, 9, 12], [0, 1, 10, 12],
-    [4, 6, 8, 8], [5, 7, 9, 9], [4, 5, 10, 10], [9, 11, 12, 12], [4, 10, 8, 12],
-    [5, 10, 9, 12],
-])
-_HESS = np.array([3, 6, 7, 6, 4, 8, 7, 8, 5])  # H in rates, row by row
 
 
 def _newton_direction(g, hess):

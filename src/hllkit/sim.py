@@ -156,17 +156,6 @@ def _throw(gen: np.random.Generator, p: int, size: int) -> np.ndarray:
     return gen.integers(0, 1 << p, size=size)
 
 
-def _generator(gen):
-    """``gen`` if it is a numpy ``Generator`` or has the three draws
-    ``sample_sketch`` makes, as a proxy of one does, else RangeError: no
-    seed, bit generator or ``RngSeed`` is read as a generator."""
-    if isinstance(gen, np.random.Generator) or all(
-        callable(getattr(gen, d, None)) for d in ("multinomial", "binomial", "integers")
-    ):
-        return gen
-    raise RangeError(f"generator must be a Generator, not {type(gen).__name__}")
-
-
 def sample_sketch(
     n: int, config: SketchConfig, gen: np.random.Generator
 ) -> Sketch:
@@ -186,7 +175,7 @@ def sample_sketch(
     indices are the largest temporary.
     """
     n = integer(n, "cardinality", 0, MAX_CARDINALITY)
-    gen = _generator(gen)
+    gen = instance(gen, np.random.Generator, "generator")
     sketch = Sketch(config)  # RangeError unless config is a SketchConfig
     config, regs = sketch.config, sketch._regs
     m = config.m

@@ -641,7 +641,7 @@ class TestGoldenFiles:
         ("reproduce_error_curves.py",
          "0e4b1deedc91e6647fecff9c7b16470f6d38cc4e137767e46636941b5dca3e33"),
         ("reproduce_joint_table.py",
-         "99dff3db3ad995f4f52a34087b3c8ea68be71fe47958ce2eb8673c6128905810"),
+         "14b261082062d5b25f116861f5b55d30fc8dc7a5760bc7284b3f6fb1764d4a27"),
     ], ids=["error-curves", "joint-table"])
     def test_quick_reproduction_pinned(self, script, want, tmp_path):
         out = tmp_path / "quick.csv"
@@ -661,4 +661,4 @@ class TestGoldenFiles:
         )
         assert r.returncode == 0, r.stderr
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "c27e671f4add39613118df25e0e681d563cf2a2bf02108f71af6121c3ca728e8")
+            "0bc4e5a6ff2ec193c04677937002095465f26e2339cf0789e543efd2561adcee")

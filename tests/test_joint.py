@@ -70,6 +70,15 @@ def swapped(table: np.ndarray) -> np.ndarray:
     return table.T
 
 
+# (seed, lowest rate, highest rate) of the derivative checks: rates from 50 to
+# 20,000, then small rates, from 1e-3 to 50, where the equal pairs' D is near
+# 1 - X and its derivatives near their small-rate limits
+RATE_RANGES = [
+    *(pytest.param(seed, 50.0, 20000.0, id=str(seed)) for seed in range(5)),
+    *(pytest.param(seed, 1e-3, 50.0, id=f"small-rates-{seed}") for seed in range(5)),
+]
+
+
 class TestJointStatistic:
     def test_identical_sketches_all_equal(self):
         rng = np.random.default_rng(0)
@@ -357,14 +366,14 @@ class TestJointLikelihood:
         for jv, sv in zip(joint_vals[1:], single_vals[1:]):
             assert (jv - base_j) == pytest.approx(sv - base_s, abs=1e-6)
 
-    @pytest.mark.parametrize("seed", range(5))
-    def test_gradient_matches_finite_differences(self, seed):
+    @pytest.mark.parametrize("seed, lo, hi", RATE_RANGES)
+    def test_gradient_matches_finite_differences(self, seed, lo, hi):
         rng = np.random.default_rng(100 + seed)
         na, nb, nx = rng.integers(200, 5000, size=3)
         s1, s2 = overlapping_pair(rng, CFG, int(na), int(nb), int(nx))
         stat = joint_statistic(s1, s2)
         for _ in range(4):
-            lam = np.exp(rng.uniform(np.log(50.0), np.log(20000.0), size=3))
+            lam = np.exp(rng.uniform(np.log(lo), np.log(hi), size=3))
             est = JointEstimate(*lam)
             g = joint_gradient(est, stat, CFG)
             phi = np.log(lam)
@@ -379,8 +388,8 @@ class TestJointLikelihood:
                 ) / (2 * h)
                 assert g[i] == pytest.approx(fd, rel=1e-6, abs=1e-7)
 
-    @pytest.mark.parametrize("seed", range(5))
-    def test_hessian_matches_finite_differences(self, seed):
+    @pytest.mark.parametrize("seed, lo, hi", RATE_RANGES)
+    def test_hessian_matches_finite_differences(self, seed, lo, hi):
         # central differences of the analytic gradient, in log-rate space
         rng = np.random.default_rng(200 + seed)
         na, nb, nx = rng.integers(200, 5000, size=3)
@@ -389,7 +398,7 @@ class TestJointLikelihood:
         counts, w = _fit_input(*_pair_counts(stat), CFG)
         terms = _JointTerms(counts[None], w[None], CFG)
         for _ in range(4):
-            lam = np.exp(rng.uniform(np.log(50.0), np.log(20000.0), size=3))
+            lam = np.exp(rng.uniform(np.log(lo), np.log(hi), size=3))
             with np.errstate(all="ignore"):
                 [hess] = terms.evaluate(lam[None])[2]
             phi = np.log(lam)

@@ -28,6 +28,7 @@ import io
 import math
 import os
 import warnings
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -280,9 +281,12 @@ NOT_SKETCHES = [None, [0] * 16, "x", _REGS, Sketch(SketchConfig(4, 9))]
 _TRIPLE_ELEMENT = [[(v, 20, 10)] for v in BAD_NUMBERS]
 # a configuration argument: None, a (p, q) tuple, text and a sketch
 NOT_CONFIGS = [None, (4, 8), "x", Sketch(_CFG)]
-# a generator or seed argument: None, a number, text and a bare bit generator;
-# each case adds the other kind, since a seed is no generator and the reverse
-NOT_GENERATORS = [None, 0, "x", np.random.PCG64(0)]
+# a generator or seed argument: None, a number, text, a bare bit generator and
+# a plain object with a generator's three sampler draws; each case adds the
+# other kind, since a seed is no generator and the reverse
+_DRAWS = np.random.default_rng(0)
+NOT_GENERATORS = [None, 0, "x", np.random.PCG64(0), SimpleNamespace(
+    multinomial=_DRAWS.multinomial, binomial=_DRAWS.binomial, integers=_DRAWS.integers)]
 # an estimate argument: None, a tuple of three rates, text and a sketch
 NOT_ESTIMATES = [None, (1.0, 2.0, 3.0), "x", Sketch(_CFG)]
 # name: (call given the one estimate argument of a public function)

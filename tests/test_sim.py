@@ -52,21 +52,24 @@ def chi2_stat(observed, expected):
     return float(((observed - expected) ** 2 / expected).sum())
 
 
-class RecordingGenerator:
-    """Generator proxy that records which draw methods ran and what each
-    ``integers`` or ``multinomial`` draw returned."""
+class RecordingGenerator(np.random.Generator):
+    """A ``Generator`` on the bit generator of ``gen``, so that it draws what
+    ``gen`` would, that records every public method called on it and what
+    each ``integers`` or ``multinomial`` draw returned."""
 
     def __init__(self, gen):
-        self._gen = gen
+        super().__init__(gen.bit_generator)
         self.used = []
         self.draws = []
 
-    def __getattr__(self, name):
-        method = getattr(self._gen, name)
+    def __getattribute__(self, name):
+        attr = super().__getattribute__(name)
+        if name.startswith("_") or not callable(attr):
+            return attr
 
         def call(*args, **kwargs):
             self.used.append(name)
-            out = method(*args, **kwargs)
+            out = attr(*args, **kwargs)
             if name in ("integers", "multinomial"):
                 self.draws.append(out)
             return out

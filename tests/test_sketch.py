@@ -654,7 +654,7 @@ class TestKernelDigests:
                     out = type(exc).__name__
                 digest.update(repr(out).encode())
         assert digest.hexdigest() == (
-            "0232a92ba79e24586a49078cf1fbef825382669a26050eeb9a56ea510ac41d92")
+            "55ff0f7d6630b58545585d27ae57bc8ab6ea374b21727174073ab9e22f0afe82")
 
     def test_sample_sketch_error_curve_grid(self):
         config, rng = SketchConfig(12, 20), RngSeed(2017)
