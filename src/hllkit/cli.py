@@ -182,21 +182,14 @@ def cmd_estimate(args) -> int:
             else inclusion_exclusion_estimate
         )
         est = fn(s1, s2)
-        print(
-            f"{args.estimator} estimates (p={cfg.p}, q={cfg.q}): "
-            f"a={_fmt(est.a)} b={_fmt(est.b)} x={_fmt(est.x)} "
-            f"union={_fmt(est.union)}"
-        )
-        print("estimator,p,q,a,b,x,union")
-        print(
-            f"{args.estimator},{cfg.p},{cfg.q},{_fmt(est.a)},"
-            f"{_fmt(est.b)},{_fmt(est.x)},{_fmt(est.union)}"
-        )
+        values = {"a": est.a, "b": est.b, "x": est.x, "union": est.union}
+        shown = " ".join(f"{name}={_fmt(v)}" for name, v in values.items())
     else:
-        value = SINGLE_ESTIMATORS[args.estimator](s1.histogram(), cfg)
-        print(f"{args.estimator} estimate (p={cfg.p}, q={cfg.q}): {_fmt(value)}")
-        print("estimator,p,q,estimate")
-        print(f"{args.estimator},{cfg.p},{cfg.q},{_fmt(value)}")
+        values = {"estimate": SINGLE_ESTIMATORS[args.estimator](s1.histogram(), cfg)}
+        shown = _fmt(values["estimate"])
+    print(f"{args.estimator} estimate{'s' * joint} (p={cfg.p}, q={cfg.q}): {shown}")
+    print(",".join(["estimator,p,q", *values]))
+    print(",".join([f"{args.estimator},{cfg.p},{cfg.q}", *map(_fmt, values.values())]))
     return 0
 
 

@@ -110,19 +110,24 @@ def joint_statistic(s1: Sketch, s2: Sketch) -> np.ndarray:
     return np.bincount(pairs, minlength=bins * bins).reshape(bins, bins)
 
 
-def _pair_counts(table: np.ndarray):
-    """By value 0..q+1: the registers below their partner in sketch 1 and in
-    sketch 2, then above it in sketch 1 and in sketch 2, as the rows of one
-    array; the pairs equal at that value; and the histograms of sketch 1,
-    sketch 2, their union (the pair maximum) and their pair minimum."""
+def _pair_counts(table: np.ndarray, config: SketchConfig):
+    """What the estimators read of one pair table, by value 0..q+1: the fit's
+    (5, q+2) block of counts, whose rows are the registers below their
+    partner in sketch 1 and in sketch 2, then above it in sketch 1 and in
+    sketch 2, then the pairs equal at that value; the weights
+    (1/m) sum_{k<=q} counts_k 2^-k of a, b and x, over sketch 1, sketch 2
+    and the pair minimum; and the histograms of sketch 1, sketch 2, their
+    union (the pair maximum) and their pair minimum."""
     # running sums along a row up to its diagonal count the pairs where
     # sketch 1 is at least its partner; down a column, where sketch 2 is
     rows, cols = table.cumsum(axis=1), table.cumsum(axis=0)
     equal, row_upto, col_upto = table.diagonal(), rows.diagonal(), cols.diagonal()
     h1, h2 = rows[:, -1], cols[-1]
     union = row_upto + col_upto - equal
-    strict = np.array([h1 - row_upto, h2 - col_upto, row_upto - equal, col_upto - equal])
-    return strict, equal, (h1, h2, union, h1 + h2 - union)
+    h_min = h1 + h2 - union
+    counts = np.array([h1 - row_upto, h2 - col_upto, row_upto - equal, col_upto - equal, equal])
+    w = np.array([weighted_sum(h, 0, config.q + 1) for h in (h1, h2, h_min)]) / config.m
+    return counts, w, (h1, h2, union, h_min)
 
 
 def _overlap(n1: float, n2: float, nu: float) -> JointEstimate:
@@ -148,7 +153,8 @@ def inclusion_exclusion_estimate(s1: Sketch, s2: Sketch) -> JointEstimate:
     """Overlap from three bias-corrected single-sketch estimates; components
     may be negative.  (0, 0, inf) for two fully saturated sketches, and
     ``DegenerateHistogramError`` for any other saturated side or union."""
-    return _inclusion_exclusion(_pair_counts(joint_statistic(s1, s2))[2], s1.config)
+    table = joint_statistic(s1, s2)
+    return _inclusion_exclusion(_pair_counts(table, s1.config)[2], s1.config)
 
 
 # G: the strict-order groups' rate sums a+x, b+x, a and b, over rates a, b, x
@@ -177,8 +183,8 @@ class _JointTerms:
     __slots__ = ("s", "counts", "cs", "css", "w")
 
     def __init__(self, counts, w, config: SketchConfig):
-        """``counts`` (n x 5 x (q+2)): the strict rows and equal pairs of
-        ``_pair_counts`` by value 0..q+1, one block per pair; ``w`` (n x 3)."""
+        """``counts`` (n x 5 x (q+2)) and ``w`` (n x 3): the count blocks and
+        weights of ``_pair_counts``, one per pair."""
         self.s = s = level_weights(config.q)[1:] / config.m  # 1/(m 2^min(k,q)), k >= 1
         counts = counts[:, :, 1:].astype(float)
         self.w, self.cs = w, counts * s
@@ -361,7 +367,7 @@ def _evaluate(est: JointEstimate, table, config: SketchConfig):
         )
     config = config_of(config)
     table = tally(table, config, (config.q + 2,) * 2, "pair table")
-    counts, w = _fit_input(*_pair_counts(table), config)
+    counts, w, _ = _pair_counts(table, config)
     terms = _JointTerms(counts[None], w[None], config)
     with np.errstate(all="ignore"):
         f, g, hess = terms.evaluate(lam[None])
@@ -386,41 +392,32 @@ def joint_ml_estimate(s1: Sketch, s2: Sketch) -> JointEstimate:
     return fit[1]
 
 
-def _fit_input(strict, equal, hists, config: SketchConfig):
-    """What the fit reads of one pair: its strict rows and equal pairs as one
-    (5, q+2) block, and the weights (1/m) sum_{k<=q} counts_k 2^-k of a, b
-    and x, over sketch 1, sketch 2 and the pair minimum."""
-    h1, h2, _, h_min = hists
-    w = np.array([weighted_sum(h, 0, config.q + 1) for h in (h1, h2, h_min)]) / config.m
-    return np.concatenate([strict, equal[None]]), w
-
-
 def _fit_pairs(pairs) -> list:
     """The inclusion-exclusion and joint-ML estimates of each sketch pair of
     ``pairs``, all of one configuration: per pair ``(ie, ml)``, or the
     ``HllError`` that stopped it.
 
     Each pair is read into its inclusion-exclusion estimate and its fit
-    input (``_fit_input``) as it is taken, so a generator of pairs holds one
-    pair at a time; then every fit runs in lock step, from the
-    inclusion-exclusion estimate with each rate raised to at least 1.  A
-    pair that is all zero or all saturated is not fitted: its
-    inclusion-exclusion estimate, (0, 0, 0) or (0, 0, inf), is also the
-    fit's answer, and a pair with a rate left unbounded gets its
-    ``DegenerateHistogramError`` without a fit."""
+    input as it is taken, so a generator of pairs holds one pair at a time;
+    then every fit runs in lock step, from the inclusion-exclusion estimate
+    with each rate raised to at least 1.  A pair that is all zero or all
+    saturated is not fitted: its inclusion-exclusion estimate, (0, 0, 0) or
+    (0, 0, inf), is also the fit's answer, and a pair with a rate left
+    unbounded gets its ``DegenerateHistogramError`` without a fit."""
     out, fitted, inputs, starts = [], [], [], []
     for s1, s2 in pairs:
         try:
-            strict, equal, hists = _pair_counts(joint_statistic(s1, s2))
+            table = joint_statistic(s1, s2)
             config = s1.config
+            counts, w, hists = _pair_counts(table, config)
             ie = _inclusion_exclusion(hists, config)
         except HllError as exc:
             out.append(exc)
             continue
         out.append((ie, ie))
-        if equal[0] < config.m and equal[-1] < config.m:
+        if 0.0 < ie.union < math.inf:
             fitted.append(len(out) - 1)
-            inputs.append(_fit_input(strict, equal, hists, config))
+            inputs.append((counts, w))
             starts.append(np.maximum(np.array([ie.a, ie.b, ie.x]), 1.0))
     if not fitted:
         return out

@@ -146,17 +146,8 @@ class Sketch:
         return self._regs
 
     def insert(self, hash_value: int) -> None:
-        """Insert one 64-bit hash value."""
-        hash_value = integer(hash_value, "hash value", 0, HASH_MAX)
-        p, q = self.config.p, self.config.q
-        idx = hash_value >> (HASH_BITS - p)
-        if q:
-            bits = (hash_value >> (HASH_BITS - p - q)) & ((1 << q) - 1)
-            value = q - bits.bit_length() + 1 if bits else q + 1
-        else:
-            value = 1
-        if value > self._regs[idx]:
-            self._regs[idx] = value
+        """Insert one 64-bit hash value, by the rule of ``insert_many``."""
+        self.insert_many(integer(hash_value, "hash value", 0, HASH_MAX))
 
     def insert_many(self, hashes) -> None:
         """Vectorized insertion of an array of 64-bit hash values.
@@ -288,7 +279,7 @@ def _is_integral(arr: np.ndarray) -> bool:
 
 @lru_cache(maxsize=None)  # t <= 16, so at most 17 tables and 128 KB
 def _value_table(t: int) -> np.ndarray:
-    """Read-only t + 1 - bit_length(v) for every t-bit v, as uint8."""
+    """Read-only 1 + the count of leading zero bits of every t-bit v, as uint8."""
     table = np.empty(1 << t, dtype=np.uint8)
     table[0] = t + 1
     for k in range(t):
@@ -298,8 +289,8 @@ def _value_table(t: int) -> np.ndarray:
 
 
 def _register_values(h: np.ndarray, p: int, q: int) -> np.ndarray:
-    """Register value q + 1 - bit_length(v) of the q-bit field v below the top
-    p bits of each hash in ``h``, as uint8.
+    """Register value 1 + the count of leading zero bits of the q-bit field
+    below the top p bits of each hash in ``h``, as uint8.
 
     The top t = min(q, 16) bits of the field are looked up in one table.  A
     field whose top t bits are all zero reads t + 1 there; when q > t it has

@@ -28,7 +28,6 @@ from hllkit.improved import improved_estimate
 from hllkit.joint import (
     JointEstimate,
     _cholesky_solve,
-    _fit_input,
     _fit_pairs,
     _JointTerms,
     _lock_step,
@@ -92,7 +91,8 @@ class TestJointStatistic:
         s2 = Sketch.from_registers(CFG, np.ones(CFG.m, dtype=np.uint8))
         table = joint_statistic(s1, s2)
         assert table[0, 1] == CFG.m and table.sum() == CFG.m
-        strict, equal, _ = _pair_counts(table)
+        counts = _pair_counts(table, CFG)[0]
+        strict, equal = counts[:4], counts[4]
         assert strict[0, 0] == CFG.m and strict[3, 1] == CFG.m  # 1 below at 0, 2 above at 1
         assert strict.sum() == 2 * CFG.m and not equal.any()
 
@@ -106,7 +106,8 @@ class TestJointStatistic:
         m = CFG.m
         assert table.dtype == np.int64 and table.shape == (CFG.q + 2, CFG.q + 2)
         assert table.sum() == m
-        strict, equal, (h1, h2, union, h_min) = _pair_counts(table)
+        counts, _, (h1, h2, union, h_min) = _pair_counts(table, CFG)
+        strict, equal = counts[:4], counts[4]
         c1_less, c2_less, c1_greater, c2_greater = strict
         assert np.array_equal(c1_less + equal + c1_greater, h1)
         assert np.array_equal(c2_less + equal + c2_greater, h2)
@@ -156,8 +157,8 @@ class TestJointStatistic:
             else:
                 want["equal"][v1] += 1
         assert table.dtype == np.int64 and table.tolist() == want_table.tolist()
-        strict, equal, hists = _pair_counts(table)
-        got = dict(zip(want, [*strict, equal, hists[3]]))
+        counts, _, hists = _pair_counts(table, cfg)
+        got = dict(zip(want, [*counts, hists[3]]))
         for name, counts in want.items():
             assert got[name].dtype == np.int64 and got[name].tolist() == counts.tolist(), name
 
@@ -395,7 +396,7 @@ class TestJointLikelihood:
         na, nb, nx = rng.integers(200, 5000, size=3)
         s1, s2 = overlapping_pair(rng, CFG, int(na), int(nb), int(nx))
         stat = joint_statistic(s1, s2)
-        counts, w = _fit_input(*_pair_counts(stat), CFG)
+        counts, w, _ = _pair_counts(stat, CFG)
         terms = _JointTerms(counts[None], w[None], CFG)
         for _ in range(4):
             lam = np.exp(rng.uniform(np.log(lo), np.log(hi), size=3))
@@ -719,8 +720,8 @@ class TestLockStep:
                 s1, s2 = sample_joint_pair(*cards, SMALL_OVERLAP_CFG,
                                            RngSeed(24).generator(gi * 10 + t))
                 ie = inclusion_exclusion_estimate(s1, s2)
-                inputs.append(_fit_input(*_pair_counts(joint_statistic(s1, s2)),
-                                         SMALL_OVERLAP_CFG))
+                inputs.append(_pair_counts(joint_statistic(s1, s2),
+                                           SMALL_OVERLAP_CFG)[:2])
                 starts.append(np.maximum([ie.a, ie.b, ie.x], 1.0))
         return inputs, starts
 
@@ -773,7 +774,7 @@ class TestLockStep:
         # the fixed layout keeps its four zero rows; a zero count against an
         # infinite term would raise here
         s = sample_joint_pair(0, 0, 5000, SMALL_OVERLAP_CFG, np.random.default_rng(25))[0]
-        parts = _fit_input(*_pair_counts(joint_statistic(s, s)), SMALL_OVERLAP_CFG)
+        parts = _pair_counts(joint_statistic(s, s), SMALL_OVERLAP_CFG)[:2]
         assert not parts[0][:4].any()
         with np.errstate(all="raise"):
             f, g, hess = self._terms([parts]).evaluate(np.array([[10.0, 20.0, 5000.0]]))

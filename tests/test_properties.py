@@ -524,6 +524,33 @@ def test_zeta_reads_no_text(bad):
         zeta(bad)
 
 
+def test_a_zero_d_array_reads_as_its_value():
+    # the documented rule of errors.real: a 0-d array of one number is that number
+    for x in (0.5, 0.25):
+        assert sigma(np.array(x)) == sigma(x)
+        assert tau(np.array(x, dtype=np.float32)) == tau(x)
+    for lam in (100.0, 100):
+        got = ml_root_function(np.array(lam), _COUNTS, _CFG)
+        assert got == ml_root_function(lam, _COUNTS, _CFG)
+
+
+def test_zeta_reads_an_object_array_element_by_element():
+    # each element of an object array is read as errors.real reads one number
+    values = np.array([0.3, 2, np.float32(0.7), np.int64(-1)], dtype=object)
+    assert zeta(values).tolist() == zeta([0.3, 2.0, float(np.float32(0.7)), -1.0]).tolist()
+
+
+def test_insert_many_takes_a_plain_list_of_small_ints():
+    # numpy reads the list as int64, so it passes the sign check and is cast;
+    # registers by hand at p=4, q=8: the top 4 bits pick the register, and the
+    # value is the position of the first one among the next 8 (9 if none)
+    hashes = [(5 << 60) | (1 << 59), (7 << 60) | (1 << 55), 3 << 60, 0]
+    assert np.asarray(hashes).dtype == np.int64
+    want = np.zeros(_CFG.m, dtype=np.uint8)
+    want[[5, 7, 3, 0]] = [1, 5, 9, 9]
+    assert np.array_equal(_inserted_many(hashes).registers, want)
+
+
 # The exit codes the hllkit.cli module docstring documents.
 CLI_EXIT_CODES = (0, 1, 2, 3, 4)
 SINGLE_NAMES = ["raw", "linear", "original", "improved", "ml"]
