@@ -5,8 +5,8 @@ a (q+2)x(q+2) table of value pairs, a sufficient statistic for the three
 rates (a, b, x) = (|S1 \\ S2|, |S2 \\ S1|, |S1 ∩ S2|) under the
 independent-rate register model, because a register pair shares its
 intersection component: position i holds K1 = max(Ka, Kx) and
-K2 = max(Kb, Kx) with latent values driven by the three rates.  The paper's
-five order-count vectors are derived from the table in one place, ``_pair_counts``.
+K2 = max(Kb, Kx) with latent values driven by the three rates.  Both
+estimators read the table alone, through one reader, ``_pair_counts``.
 
 Estimators provided:
 
@@ -35,15 +35,15 @@ JOINT_MAX_ITERATIONS (500) steps.  A rate whose maximum lies at zero stops matte
 its log-rate gradient shrinks with the rate, so no freezing is needed.
 
 Every joint estimate comes from one entry, ``_fit_pairs``: it reads each
-sketch pair into its inclusion-exclusion estimate and its fit input, then
-fits all of them in lock step.  Each pair's fit is a generator that yields
-the rates it needs evaluated, and one ``_JointTerms.evaluate`` per round
-serves every pair still asking, so numpy's per-call cost is shared.  Every
-sum in that evaluation runs along one pair's own row, and G puts at most two
-of them into any entry of the gradient or Hessian, so a pair's fit is bit
-for bit the one it gets alone, whatever else shares its batch, and a fit
-that raises fails that pair only.  ``joint_ml_estimate`` is a batch of
-one; ``sim.run_joint_experiment`` passes a batch of draws.
+sketch pair into its table and inclusion-exclusion estimate, then fits all
+of them in lock step on the stacked tables.  Each pair's fit is a generator
+that yields the rates it needs evaluated, and one ``_JointTerms.evaluate``
+per round serves every pair still asking, so numpy's per-call cost is
+shared.  Every sum in the terms runs along one pair's own row, and G puts
+at most two of them into any entry of the gradient or Hessian, so a pair's
+fit is bit for bit the one it gets alone, whatever else shares its batch,
+and a fit that raises fails that pair only.  ``joint_ml_estimate`` is a
+batch of one; ``sim.run_joint_experiment`` passes a batch of draws.
 """
 
 from __future__ import annotations
@@ -110,24 +110,21 @@ def joint_statistic(s1: Sketch, s2: Sketch) -> np.ndarray:
     return np.bincount(pairs, minlength=bins * bins).reshape(bins, bins)
 
 
-def _pair_counts(table: np.ndarray, config: SketchConfig):
-    """What the estimators read of one pair table, by value 0..q+1: the fit's
-    (5, q+2) block of counts, whose rows are the registers below their
-    partner in sketch 1 and in sketch 2, then above it in sketch 1 and in
-    sketch 2, then the pairs equal at that value; the weights
-    (1/m) sum_{k<=q} counts_k 2^-k of a, b and x, over sketch 1, sketch 2
-    and the pair minimum; and the histograms of sketch 1, sketch 2, their
-    union (the pair maximum) and their pair minimum."""
+def _pair_counts(tables):
+    """What the estimators read of a pair table, or of each table of a stack
+    along the last two axes, by value 0..q+1: five order-count rows (below
+    the partner in sketch 1, in sketch 2, above it in sketch 1, in sketch 2,
+    and equal), and the histograms of sketch 1, sketch 2, their union (the
+    pair maximum) and their pair minimum."""
     # running sums along a row up to its diagonal count the pairs where
     # sketch 1 is at least its partner; down a column, where sketch 2 is
-    rows, cols = table.cumsum(axis=1), table.cumsum(axis=0)
-    equal, row_upto, col_upto = table.diagonal(), rows.diagonal(), cols.diagonal()
-    h1, h2 = rows[:, -1], cols[-1]
+    rows, cols = tables.cumsum(axis=-1), tables.cumsum(axis=-2)
+    equal, row_upto, col_upto = (t.diagonal(0, -2, -1) for t in (tables, rows, cols))
+    h1, h2 = rows[..., -1], cols[..., -1, :]
     union = row_upto + col_upto - equal
     h_min = h1 + h2 - union
-    counts = np.array([h1 - row_upto, h2 - col_upto, row_upto - equal, col_upto - equal, equal])
-    w = np.array([weighted_sum(h, 0, config.q + 1) for h in (h1, h2, h_min)]) / config.m
-    return counts, w, (h1, h2, union, h_min)
+    counts = (h1 - row_upto, h2 - col_upto, row_upto - equal, col_upto - equal, equal)
+    return counts, (h1, h2, union, h_min)
 
 
 def _overlap(n1: float, n2: float, nu: float) -> JointEstimate:
@@ -154,7 +151,7 @@ def inclusion_exclusion_estimate(s1: Sketch, s2: Sketch) -> JointEstimate:
     may be negative.  (0, 0, inf) for two fully saturated sketches, and
     ``DegenerateHistogramError`` for any other saturated side or union."""
     table = joint_statistic(s1, s2)
-    return _inclusion_exclusion(_pair_counts(table, s1.config)[2], s1.config)
+    return _inclusion_exclusion(_pair_counts(table)[1], s1.config)
 
 
 # G: the strict-order groups' rate sums a+x, b+x, a and b, over rates a, b, x
@@ -165,29 +162,32 @@ _PICK = np.array([[0, 3, 0], [3, 1, 1], [0, 1, 2]])
 
 
 class _JointTerms:
-    """Count-weighted likelihood terms of a stack of pairs, on one layout
-    fixed by q.
+    """Count-weighted likelihood terms of a stack of pair tables, on one
+    layout fixed by q.
 
     Each pair has five rows of counts c at values 1..q+1: its four
     strict-order groups and its equal pairs; value 0 enters through the
-    linear weights ``w`` alone, the (1/m) sum_{k<=q} counts_k 2^-k of each
-    of the three rates.  In rates, the strict groups' gradient is t G and
-    their Hessian -G' diag(v) G, from the per-group sums t = sum c s h and
-    v = sum c s^2 h(1 + h), h = 1/(e^u - 1); the equal pairs' are sums of
-    c times the derivatives of ln D.  A zero count contributes exactly 0
-    unless a scaled rate sum underflows to 0.  Every sum runs along one
-    pair's own contiguous last axis, so a pair's results do not depend on
-    the other pairs stacked with it.
+    linear weights ``w`` alone, the (1/m) sum_{k<=q} h_k 2^-k over the
+    histograms h of sketch 1, sketch 2 and the pair minimum.  In rates, the
+    strict groups' gradient is t G and their Hessian -G' diag(v) G, from the
+    per-group sums t = sum c s h and v = sum c s^2 h(1 + h),
+    h = 1/(e^u - 1); the equal pairs' are sums of c times the derivatives of
+    ln D.  A zero count contributes exactly 0 unless a scaled rate sum
+    underflows to 0.  Every sum runs along one pair's own contiguous last
+    axis, and each weight is one ``weighted_sum``, so a pair's results do
+    not depend on the other pairs stacked with it.
     """
 
     __slots__ = ("s", "counts", "cs", "css", "w")
 
-    def __init__(self, counts, w, config: SketchConfig):
-        """``counts`` (n x 5 x (q+2)) and ``w`` (n x 3): the count blocks and
-        weights of ``_pair_counts``, one per pair."""
+    def __init__(self, tables, config: SketchConfig):
+        """``tables`` (n x (q+2) x (q+2)) holds one pair table per pair."""
         self.s = s = level_weights(config.q)[1:] / config.m  # 1/(m 2^min(k,q)), k >= 1
-        counts = counts[:, :, 1:].astype(float)
-        self.w, self.cs = w, counts * s
+        rows, (h1, h2, _, h_min) = _pair_counts(tables)
+        self.w = np.array([[weighted_sum(h, 0, config.q + 1) for h in hists]
+                           for hists in zip(h1, h2, h_min)]) / config.m
+        counts = np.stack(rows, axis=1)[:, :, 1:].astype(float)
+        self.cs = counts * s
         self.css = self.cs[:, :4] * s
         counts[:, :4] *= -1.0  # f weighs ln(1 + h) = -ln(1 - e^-u) by minus the strict counts
         self.counts = counts
@@ -367,8 +367,7 @@ def _evaluate(est: JointEstimate, table, config: SketchConfig):
         )
     config = config_of(config)
     table = tally(table, config, (config.q + 2,) * 2, "pair table")
-    counts, w, _ = _pair_counts(table, config)
-    terms = _JointTerms(counts[None], w[None], config)
+    terms = _JointTerms(table[None], config)
     with np.errstate(all="ignore"):
         f, g, hess = terms.evaluate(lam[None])
     return f[0], g[0], hess[0]
@@ -397,33 +396,31 @@ def _fit_pairs(pairs) -> list:
     ``pairs``, all of one configuration: per pair ``(ie, ml)``, or the
     ``HllError`` that stopped it.
 
-    Each pair is read into its inclusion-exclusion estimate and its fit
-    input as it is taken, so a generator of pairs holds one pair at a time;
-    then every fit runs in lock step, from the inclusion-exclusion estimate
-    with each rate raised to at least 1.  A pair that is all zero or all
+    Each pair is read into its pair table and inclusion-exclusion estimate
+    as it is taken, so a generator of pairs holds one pair at a time; then
+    every fit runs in lock step on the stacked tables, from the
+    inclusion-exclusion estimate with each rate raised to at least 1.  A pair that is all zero or all
     saturated is not fitted: its inclusion-exclusion estimate, (0, 0, 0) or
     (0, 0, inf), is also the fit's answer, and a pair with a rate left
     unbounded gets its ``DegenerateHistogramError`` without a fit."""
-    out, fitted, inputs, starts = [], [], [], []
+    out, fitted, tables, starts = [], [], [], []
     for s1, s2 in pairs:
         try:
             table = joint_statistic(s1, s2)
             config = s1.config
-            counts, w, hists = _pair_counts(table, config)
-            ie = _inclusion_exclusion(hists, config)
+            ie = _inclusion_exclusion(_pair_counts(table)[1], config)
         except HllError as exc:
             out.append(exc)
             continue
         out.append((ie, ie))
         if 0.0 < ie.union < math.inf:
             fitted.append(len(out) - 1)
-            inputs.append((counts, w))
+            tables.append(table)
             starts.append(np.maximum(np.array([ie.a, ie.b, ie.x]), 1.0))
     if not fitted:
         return out
-    counts, w = (np.array(part) for part in zip(*inputs))
     with np.errstate(all="ignore"):
-        rates = _lock_step(_JointTerms(counts, w, config), starts)
+        rates = _lock_step(_JointTerms(np.array(tables), config), starts)
     for i, lam in zip(fitted, rates):
         out[i] = lam if isinstance(lam, HllError) else (out[i][0], JointEstimate(*map(float, lam)))
     return out

@@ -41,7 +41,7 @@ from hllkit.joint import (
     joint_statistic,
 )
 from hllkit.ml import stop_delta
-from hllkit.sketch import Sketch, SketchConfig
+from hllkit.sketch import Sketch, SketchConfig, weighted_sum
 
 CFG = SketchConfig(p=8, q=16)
 
@@ -91,7 +91,7 @@ class TestJointStatistic:
         s2 = Sketch.from_registers(CFG, np.ones(CFG.m, dtype=np.uint8))
         table = joint_statistic(s1, s2)
         assert table[0, 1] == CFG.m and table.sum() == CFG.m
-        counts = _pair_counts(table, CFG)[0]
+        counts = np.array(_pair_counts(table)[0])
         strict, equal = counts[:4], counts[4]
         assert strict[0, 0] == CFG.m and strict[3, 1] == CFG.m  # 1 below at 0, 2 above at 1
         assert strict.sum() == 2 * CFG.m and not equal.any()
@@ -106,8 +106,8 @@ class TestJointStatistic:
         m = CFG.m
         assert table.dtype == np.int64 and table.shape == (CFG.q + 2, CFG.q + 2)
         assert table.sum() == m
-        counts, _, (h1, h2, union, h_min) = _pair_counts(table, CFG)
-        strict, equal = counts[:4], counts[4]
+        counts, (h1, h2, union, h_min) = _pair_counts(table)
+        strict, equal = np.array(counts[:4]), counts[4]
         c1_less, c2_less, c1_greater, c2_greater = strict
         assert np.array_equal(c1_less + equal + c1_greater, h1)
         assert np.array_equal(c2_less + equal + c2_greater, h2)
@@ -157,7 +157,7 @@ class TestJointStatistic:
             else:
                 want["equal"][v1] += 1
         assert table.dtype == np.int64 and table.tolist() == want_table.tolist()
-        counts, _, hists = _pair_counts(table, cfg)
+        counts, hists = _pair_counts(table)
         got = dict(zip(want, [*counts, hists[3]]))
         for name, counts in want.items():
             assert got[name].dtype == np.int64 and got[name].tolist() == counts.tolist(), name
@@ -224,6 +224,21 @@ class TestInclusionExclusion:
         est = JointEstimate(a=10.0, b=5.0, x=-1.0)
         assert min(est.a, est.b, est.x) < 0
         assert est.union == 14.0
+
+    def test_builds_no_fit_input(self, monkeypatch):
+        # the estimate reads the pair table's histograms alone: no weight
+        # sum and no likelihood terms are made and thrown away
+        rng = np.random.default_rng(3)
+        pairs = [overlapping_pair(rng, CFG, *cards)
+                 for cards in ((400, 400, 200), (3000, 100, 50), (0, 0, 2000))]
+        want = [repr(inclusion_exclusion_estimate(*pair)) for pair in pairs]
+
+        def refuse(*args):
+            raise AssertionError("inclusion-exclusion built fit input")
+
+        monkeypatch.setattr(hllkit.joint, "weighted_sum", refuse)
+        monkeypatch.setattr(hllkit.joint, "_JointTerms", refuse)
+        assert [repr(inclusion_exclusion_estimate(*pair)) for pair in pairs] == want
 
 
 class TestJointLikelihood:
@@ -396,8 +411,7 @@ class TestJointLikelihood:
         na, nb, nx = rng.integers(200, 5000, size=3)
         s1, s2 = overlapping_pair(rng, CFG, int(na), int(nb), int(nx))
         stat = joint_statistic(s1, s2)
-        counts, w, _ = _pair_counts(stat, CFG)
-        terms = _JointTerms(counts[None], w[None], CFG)
+        terms = _JointTerms(stat[None], CFG)
         for _ in range(4):
             lam = np.exp(rng.uniform(np.log(lo), np.log(hi), size=3))
             with np.errstate(all="ignore"):
@@ -712,46 +726,69 @@ class TestLockStep:
 
     @staticmethod
     def _inputs():
-        """Fit inputs and start points of 40 pairs: ten of each paper
+        """Pair tables and start points of 40 pairs: ten of each paper
         configuration at p=12, q=16."""
-        inputs, starts = [], []
+        tables, starts = [], []
         for gi, cards in enumerate(PAPER_CONFIGURATIONS):
             for t in range(10):
                 s1, s2 = sample_joint_pair(*cards, SMALL_OVERLAP_CFG,
                                            RngSeed(24).generator(gi * 10 + t))
                 ie = inclusion_exclusion_estimate(s1, s2)
-                inputs.append(_pair_counts(joint_statistic(s1, s2),
-                                           SMALL_OVERLAP_CFG)[:2])
+                tables.append(joint_statistic(s1, s2))
                 starts.append(np.maximum([ie.a, ie.b, ie.x], 1.0))
-        return inputs, starts
+        return tables, starts
 
     @staticmethod
-    def _terms(inputs):
-        counts, w = (np.array(part) for part in zip(*inputs))
-        return _JointTerms(counts, w, SMALL_OVERLAP_CFG)
+    def _terms(tables):
+        return _JointTerms(np.array(tables), SMALL_OVERLAP_CFG)
 
     def test_each_row_evaluates_as_if_alone(self):
-        inputs, starts = self._inputs()
+        tables, starts = self._inputs()
         with np.errstate(all="ignore"):
-            stacked = self._terms(inputs).evaluate(np.array(starts))
-            for i, (parts, lam) in enumerate(zip(inputs, starts)):
-                alone = self._terms([parts]).evaluate(lam[None])
+            stacked = self._terms(tables).evaluate(np.array(starts))
+            for i, (table, lam) in enumerate(zip(tables, starts)):
+                alone = self._terms([table]).evaluate(lam[None])
                 assert [v[i] for v in stacked] == [v[0] for v in alone]
             # and in a stack taken out of the whole, at other positions
             rows = [3, 17, 0, 39, 21]
-            taken = self._terms(inputs).take(rows).evaluate(np.array(starts)[rows])
+            taken = self._terms(tables).take(rows).evaluate(np.array(starts)[rows])
             assert taken == tuple([v[i] for i in rows] for v in stacked)
 
     def test_each_pair_fits_as_if_alone(self):
-        inputs, starts = self._inputs()
+        tables, starts = self._inputs()
         with np.errstate(all="ignore"):
-            together = _lock_step(self._terms(inputs), starts)
-            for parts, lam0, fit in zip(inputs, starts, together):
-                [alone] = _lock_step(self._terms([parts]), [lam0])
+            together = _lock_step(self._terms(tables), starts)
+            for table, lam0, fit in zip(tables, starts, together):
+                [alone] = _lock_step(self._terms([table]), [lam0])
                 assert np.array_equal(alone, fit)
 
+    @pytest.mark.parametrize("pq", [(4, 60), (11, 53)])
+    def test_wide_word_pairs_fit_as_if_alone(self, pq):
+        # with p + q > 52 a weight sum_k h_k 2^-k holds more bits than a
+        # float does, so a weight summed over the stack in another order than
+        # a pair's own moves the fit; the pairs of the wide-word joint digest
+        config, rng = SketchConfig(*pq), np.random.default_rng(pq[0] * 100 + pq[1])
+        pairs = []
+        for _ in range(100):
+            top = int(rng.integers(1, config.q + 2))
+            regs = rng.integers(0, top + 1, size=(3, config.m))
+            ra, rb, rx = regs * (rng.random((3, config.m)) < 0.6)
+            pairs.append((Sketch.from_registers(config, np.maximum(ra, rx)),
+                          Sketch.from_registers(config, np.maximum(rb, rx))))
+        together = _fit_pairs(pairs)
+        assert all(isinstance(fit, tuple) for fit in together)
+        for pair, fit in zip(pairs, together):
+            assert repr(_fit_pairs([pair])) == repr([fit])
+        # a stack of one shares any stacked order, so the weights are also
+        # held to one weighted_sum dot over each pair's own histogram
+        tables = np.array([joint_statistic(*pair) for pair in pairs])
+        h1, h2, _, h_min = _pair_counts(tables)[1]
+        want = [[weighted_sum(h, 0, config.q + 1) / config.m for h in hists]
+                for hists in zip(h1, h2, h_min)]
+        assert _JointTerms(tables, config).w.tolist() == want
+
     def test_a_generator_of_pairs_is_read_one_pair_at_a_time(self):
-        # a pair at p=16 holds 128 KB of registers; its fit input and share
+        # a pair at p=16 holds 128 KB of registers; its pair table and share
         # of the batch's working set take a few KB
         cfg = SketchConfig(16, 16)
 
@@ -774,10 +811,10 @@ class TestLockStep:
         # the fixed layout keeps its four zero rows; a zero count against an
         # infinite term would raise here
         s = sample_joint_pair(0, 0, 5000, SMALL_OVERLAP_CFG, np.random.default_rng(25))[0]
-        parts = _pair_counts(joint_statistic(s, s), SMALL_OVERLAP_CFG)[:2]
-        assert not parts[0][:4].any()
+        table = joint_statistic(s, s)
+        assert not np.array(_pair_counts(table)[0][:4]).any()
         with np.errstate(all="raise"):
-            f, g, hess = self._terms([parts]).evaluate(np.array([[10.0, 20.0, 5000.0]]))
+            f, g, hess = self._terms([table]).evaluate(np.array([[10.0, 20.0, 5000.0]]))
         assert np.isfinite([f[0], *g[0], *np.ravel(hess[0])]).all()
 
 

@@ -777,9 +777,9 @@ class TestLockStepFits:
         assert runs[0] == runs[1][:-1] and runs[1] == runs[2][:-1]
 
     def test_memory_does_not_grow_with_trials(self):
-        # one batch of fit inputs at a time: twice the trials add only the
+        # one batch of pair tables at a time: twice the trials add only the
         # results kept per trial, two tuples of four floats (under 400 bytes);
-        # the fit inputs and temporaries of a batch take over 10 KB a trial
+        # the tables and temporaries of a batch take over 10 KB a trial
         run_joint_experiment([(10_000, 10_000, 100)], 2, PAPER_CFG, RngSeed(28))  # warm caches
         peaks = []
         for trials in (JOINT_CHUNK, 2 * JOINT_CHUNK):

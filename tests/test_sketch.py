@@ -521,6 +521,9 @@ class TestKernelDigests:
     """sha256 of registers and histogram counts, pinned: any change to the
     insertion, histogram or sampling kernels that moves one bit fails here."""
 
+    # the sampler digests depend on numpy's Generator distribution methods
+    NUMPY = f"pinned with numpy 2.4.6, run with {np.__version__}"
+
     @staticmethod
     def _feed(digest, sk):
         digest.update(sk.registers.tobytes())
@@ -550,7 +553,7 @@ class TestKernelDigests:
         digest = hashlib.sha256()
         for sk in self._streams(p, q):
             self._feed(digest, sk)
-        assert digest.hexdigest() == want
+        assert digest.hexdigest() == want, self.NUMPY
 
     def test_insert_many_long_zero_runs(self):
         # uniform hashes whose bits below the index are shifted right by
@@ -569,7 +572,7 @@ class TestKernelDigests:
                 sk.insert_many((h & ~low) | ((h & low) >> shifts))
                 self._feed(digest, sk)
         assert digest.hexdigest() == (
-            "84da43c80b6b2757bd35509dacb34443a2c12dffcd79ab83d270f3bc42435d21")
+            "84da43c80b6b2757bd35509dacb34443a2c12dffcd79ab83d270f3bc42435d21"), self.NUMPY
 
     @staticmethod
     def _estimates(h, config):
@@ -594,7 +597,7 @@ class TestKernelDigests:
         for config, h in cases:
             digest.update(self._estimates(h, config).encode())
         assert digest.hexdigest() == (
-            "b670fb966472da9d6dcf06194b3478bec5a6b34cbdc1af542a1ad101a0357483")
+            "b670fb966472da9d6dcf06194b3478bec5a6b34cbdc1af542a1ad101a0357483"), self.NUMPY
 
     def test_estimators_wide_words(self):
         # with p + q > 52 a histogram's sum of C_k 2^-k holds more bits than a
@@ -617,7 +620,7 @@ class TestKernelDigests:
         for config, h in cases:
             digest.update(self._estimates(h, config).encode())
         assert digest.hexdigest() == (
-            "d23ffc325a94a83e57ccf366b41240a69badb9c31bc2a63778154cfe05bc2fa9")
+            "d23ffc325a94a83e57ccf366b41240a69badb9c31bc2a63778154cfe05bc2fa9"), self.NUMPY
 
     def test_joint_estimators(self):
         # sampled pairs, a pair with saturated registers on both sides, two
@@ -654,7 +657,7 @@ class TestKernelDigests:
                     out = type(exc).__name__
                 digest.update(repr(out).encode())
         assert digest.hexdigest() == (
-            "55ff0f7d6630b58545585d27ae57bc8ab6ea374b21727174073ab9e22f0afe82")
+            "55ff0f7d6630b58545585d27ae57bc8ab6ea374b21727174073ab9e22f0afe82"), self.NUMPY
 
     def test_sample_sketch_error_curve_grid(self):
         config, rng = SketchConfig(12, 20), RngSeed(2017)
@@ -662,7 +665,7 @@ class TestKernelDigests:
         for i, n in enumerate(int(v) for v in np.rint(np.geomspace(1, 1e7, 22))):
             self._feed(digest, sample_sketch(n, config, rng.generator(i)))
         assert digest.hexdigest() == (
-            "e480b0fa2552102195653fba7b90ab1439522a737c516688847a360bd26295cb")
+            "e480b0fa2552102195653fba7b90ab1439522a737c516688847a360bd26295cb"), self.NUMPY
 
     def test_sample_joint_pair_joint_table(self):
         # the four joint-table configurations, 20 trials each, seeded as
@@ -677,4 +680,4 @@ class TestKernelDigests:
                 self._feed(digest, s1)
                 self._feed(digest, s2)
         assert digest.hexdigest() == (
-            "4b32e539cfe0b8f3daf47e0a42f414dab5dd0e6396639ace1ea42b541ff5535e")
+            "4b32e539cfe0b8f3daf47e0a42f414dab5dd0e6396639ace1ea42b541ff5535e"), self.NUMPY
